@@ -5,14 +5,20 @@ it currently serves.  A peer has at most one table entry; an entry may
 carry both a near and a shortcut role (a sampled shortcut that lands on
 an existing ring neighbor is recorded on the same connection rather than
 opening a second edge).
+
+The table is the only writer of entries, roles and transport addresses,
+and every write bumps ``version``.  The near set, and what the node
+sends and decides from it (the neighbor listing and its encoded bytes,
+the zipping bounds), are computed once per version and kept until the
+next write.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .address import Direction, directed_distance
+from .address import HALF_MODULUS, MODULUS, Direction
 from . import messages
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,7 +33,6 @@ _CT_TO_LABEL = {
     messages.CT_NEAR: NEAR,
     messages.CT_SHORTCUT: SHORTCUT,
 }
-_LABEL_TO_CT = {v: k for k, v in _CT_TO_LABEL.items()}
 
 
 def label_for(conn_type: int) -> str:
@@ -37,16 +42,13 @@ def label_for(conn_type: int) -> str:
         raise ValueError(f"unknown connection type code {conn_type}")
 
 
-def code_for(label: str) -> int:
-    return _LABEL_TO_CT[label]
-
-
 @dataclass
 class Connection:
     peer: int
     edge: "Any"
-    roles: set[str]
-    peer_tas: list[str] = field(default_factory=list)
+    # Roles and transport addresses change only through the table.
+    roles: frozenset[str]
+    peer_tas: tuple[str, ...] = ()
     established_at: float = 0.0
     last_seen: float = 0.0
     # True on the side that dialed the link handshake; the dialer owns
@@ -66,13 +68,33 @@ class Connection:
         return NEAR in self.roles or SHORTCUT in self.roles
 
 
+class _NearView:
+    """What the table derives from its near set at one version.  The near
+    list is built at once and the rest on first use; none of it is
+    mutated afterwards."""
+
+    __slots__ = ("version", "near", "closest", "strict", "listing", "encoded")
+
+    def __init__(self, table: "ConnectionTable") -> None:
+        self.version = table.version
+        self.near = [c for c in table.by_peer.values() if NEAR in c.roles]
+        self.closest: list[Connection] | None = None
+        self.strict: tuple[list[int], list[int]] | None = None
+        self.listing: tuple | None = None
+        self.encoded: bytes | None = None
+
+
 class ConnectionTable:
     """All connections of one node, indexed by peer address."""
+
+    __slots__ = ("owner", "near_per_side", "by_peer", "version", "_view")
 
     def __init__(self, owner: int, near_per_side: int = 2) -> None:
         self.owner = owner
         self.near_per_side = near_per_side
         self.by_peer: dict[int, Connection] = {}
+        self.version = 0
+        self._view: _NearView | None = None
 
     def __len__(self) -> int:
         return len(self.by_peer)
@@ -80,11 +102,42 @@ class ConnectionTable:
     def get(self, peer: int) -> Connection | None:
         return self.by_peer.get(peer)
 
+    # -- writes ----------------------------------------------------------
+
     def add(self, conn: Connection) -> None:
         self.by_peer[conn.peer] = conn
+        self.version += 1
 
     def remove(self, peer: int) -> Connection | None:
-        return self.by_peer.pop(peer, None)
+        conn = self.by_peer.pop(peer, None)
+        if conn is not None:
+            self.version += 1
+        return conn
+
+    def add_role(self, conn: Connection, role: str) -> bool:
+        """Give ``conn`` the role; False when it already had it."""
+        if role in conn.roles:
+            return False
+        conn.roles = conn.roles | {role}
+        self.version += 1
+        return True
+
+    def discard_role(self, conn: Connection, role: str) -> None:
+        if role in conn.roles:
+            conn.roles = conn.roles - {role}
+            self.version += 1
+
+    def add_tas(self, conn: Connection, tas) -> None:
+        """Append the transport addresses ``conn`` does not list yet."""
+        merged = list(conn.peer_tas)
+        for ta in tas:
+            if ta not in merged:
+                merged.append(ta)
+        if len(merged) != len(conn.peer_tas):
+            conn.peer_tas = tuple(merged)
+            self.version += 1
+
+    # -- reads -----------------------------------------------------------
 
     def with_role(self, role: str) -> list[Connection]:
         return [c for c in self.by_peer.values() if role in c.roles]
@@ -92,24 +145,93 @@ class ConnectionTable:
     def structured_peers(self) -> list[int]:
         return [c.peer for c in self.by_peer.values() if c.is_structured()]
 
+    def _near_view(self) -> _NearView:
+        view = self._view
+        if view is None or view.version != self.version:
+            view = self._view = _NearView(self)
+        return view
+
+    def near(self) -> list[Connection]:
+        """Near-role connections in table order; do not mutate the list."""
+        return self._near_view().near
+
     def near_sorted(self, direction: Direction) -> list[Connection]:
         """Near-role connections ordered by arc length in ``direction``."""
-        conns = self.with_role(NEAR)
-        conns.sort(key=lambda c: directed_distance(self.owner, c.peer, direction))
-        return conns
+        owner = self.owner
+        if direction is Direction.CLOCKWISE:
+            return sorted(self.near(), key=lambda c: (c.peer - owner) % MODULUS)
+        return sorted(self.near(), key=lambda c: (owner - c.peer) % MODULUS)
+
+    def _closest(self) -> list[Connection]:
+        """The closest ``near_per_side`` near peers clockwise, then
+        counterclockwise; on tiny rings one peer may appear in both."""
+        view = self._near_view()
+        if view.closest is None:
+            k = self.near_per_side
+            view.closest = (self.near_sorted(Direction.CLOCKWISE)[:k]
+                            + self.near_sorted(Direction.COUNTERCLOCKWISE)[:k])
+        return view.closest
 
     def near_keep_set(self) -> set[int]:
-        """Peers holding a currently-required near slot.
+        """Peers holding a currently-required near slot."""
+        return {c.peer for c in self._closest()}
 
-        The required set is the union of the closest ``near_per_side``
-        peers in each direction; on tiny rings one peer may occupy slots
-        on both sides.
-        """
-        keep: set[int] = set()
-        for direction in Direction:
-            for c in self.near_sorted(direction)[: self.near_per_side]:
-                keep.add(c.peer)
-        return keep
+    def neighbor_listing(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
+        """What a status message lists: each required near peer once, with
+        up to three of its transport addresses."""
+        view = self._near_view()
+        if view.listing is None:
+            seen: dict[int, tuple[str, ...]] = {}
+            for c in self._closest():
+                if c.peer not in seen:
+                    seen[c.peer] = c.peer_tas[:3]
+            view.listing = tuple(seen.items())
+        return view.listing
+
+    def encoded_listing(self) -> bytes:
+        """``messages.encode_neighbors`` of the neighbor listing."""
+        view = self._near_view()
+        if view.encoded is None:
+            view.encoded = messages.encode_neighbors(self.neighbor_listing())
+        return view.encoded
+
+    def gap_estimate(self) -> int | None:
+        """Mean gap between the owner and its required near peers; None
+        until there is a near peer."""
+        near = self.near()
+        if not near:
+            return None
+        per_side = min(self.near_per_side, len(near))
+        closest = self._closest()
+        spans = ((closest[per_side - 1].peer - self.owner) % MODULUS
+                 + (self.owner - closest[-1].peer) % MODULUS)
+        return max(1, spans // (2 * per_side))
+
+    def _strict_sides(self) -> tuple[list[int], list[int]]:
+        """Sorted arc lengths of the near peers on each side of the ring:
+        clockwise holds those at most half the ring away clockwise (the
+        antipode included), counterclockwise the rest."""
+        view = self._near_view()
+        if view.strict is None:
+            cw = [(c.peer - self.owner) % MODULUS for c in view.near]
+            view.strict = (sorted(d for d in cw if d <= HALF_MODULUS),
+                           sorted(MODULUS - d for d in cw if d > HALF_MODULUS))
+        return view.strict
+
+    def side_size(self, direction: Direction) -> int:
+        """How many near peers lie on the ``direction`` side of the ring."""
+        cw, ccw = self._strict_sides()
+        return len(cw) if direction is Direction.CLOCKWISE else len(ccw)
+
+    def near_bounds(self) -> tuple[int, int]:
+        """Clockwise and counterclockwise arc length of the
+        ``near_per_side``-th closest near peer on that side; an address
+        strictly closer on its side belongs in the near set.  MODULUS for
+        a side with fewer peers, where every address qualifies."""
+        k = self.near_per_side
+        cw, ccw = self._strict_sides()
+        return (cw[k - 1] if len(cw) >= k else MODULUS,
+                ccw[k - 1] if len(ccw) >= k else MODULUS)
 
     def initiated_shortcuts(self) -> list[Connection]:
         return [c for c in self.by_peer.values()

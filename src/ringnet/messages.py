@@ -9,8 +9,17 @@ length-prefixed.  Byte layout (integers big-endian):
     link      := kind u8 | token u32 | address 20 | conn_type u8 |
                  status u8 | req_token u32 | observed ta | ta_list
     status    := kind u8 | token u32 | u8 count | neighbor...
-    connect   := kind u8 | token u32 | address 20 | conn_type u8 | ta_list
-    role/close are short fixed forms below.
+    connect   := kind u8 | token u32 | address 20 | conn_type u8 |
+                 via address 20 | ta_list
+    role      := kind u8 | token u32 | conn_type u8
+    close     := kind u8 | reason u8
+    relay     := kind u8 | whole packet
+
+``via`` is the ring address of a proxy that can courier the response to
+a sender not yet in the ring, or 0.  Decoders read each body from its
+start and ignore any bytes after its last field.  They raise
+``MessageError`` for a body that ends early, a kind or conn_type they do
+not know, or a ta that is not valid UTF-8.
 
 Link, status, role and close bodies travel link-local (payload type
 0x01/0x02); connect request/response bodies are routed (payload type
@@ -20,10 +29,11 @@ forwarding nodes can pick a routing mode without a full decode.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .address import ADDRESS_BYTES, address_from_bytes, address_to_bytes
+from .address import ADDRESS_BYTES, address_to_bytes
 
 # Body kinds for payload type 0x01 (link) and 0x02 (status).
 LINK_REQUEST = 0x01
@@ -49,9 +59,20 @@ LINK_REJECTED = 0x02
 CT_LEAF = 0x00
 CT_NEAR = 0x01
 CT_SHORTCUT = 0x02
+_CONN_TYPES = frozenset((CT_LEAF, CT_NEAR, CT_SHORTCUT))
+
+# Fixed-size leading fields of each body.
+_HEAD = struct.Struct(">BI")                # kind | token
+_LINK = struct.Struct(">BI20sBBI")          # ... | status | req_token
+_CONNECT = struct.Struct(">BI20sB20s")      # ... | conn_type | via
+_ROLE = struct.Struct(">BIB")
+_CLOSE = struct.Struct(">BB")
+_U16 = struct.Struct(">H")
 
 # conn_type position inside an encoded connect body, for mode peeking.
 _CONNECT_CTYPE_OFFSET = 1 + 4 + ADDRESS_BYTES
+
+_TRUNCATED = "truncated message body"
 
 
 class MessageError(ValueError):
@@ -100,107 +121,62 @@ class CloseMessage:
     reason: int = 0
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
-
-    def u8(self, v: int) -> None:
-        self.parts.append(struct.pack(">B", v))
-
-    def u16(self, v: int) -> None:
-        self.parts.append(struct.pack(">H", v))
-
-    def u32(self, v: int) -> None:
-        self.parts.append(struct.pack(">I", v))
-
-    def addr(self, a: int) -> None:
-        self.parts.append(address_to_bytes(a))
-
-    def text(self, s: str) -> None:
-        raw = s.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise MessageError("text field too long")
-        self.u16(len(raw))
-        self.parts.append(raw)
-
-    def ta_list(self, tas: tuple[str, ...]) -> None:
-        if len(tas) > 0xFF:
-            raise MessageError("too many transport addresses")
-        self.u8(len(tas))
-        for t in tas:
-            self.text(t)
-
-    def done(self) -> bytes:
-        return b"".join(self.parts)
+# ----------------------------------------------------------------------
+# encoding
 
 
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+def _put_ta(parts: list[bytes], text: str) -> None:
+    raw = text.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise MessageError("text field too long")
+    parts.append(_U16.pack(len(raw)))
+    parts.append(raw)
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MessageError("truncated message body")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
 
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def addr(self) -> int:
-        return address_from_bytes(self._take(ADDRESS_BYTES))
-
-    def text(self) -> str:
-        n = self.u16()
-        return self._take(n).decode("utf-8")
-
-    def ta_list(self) -> tuple[str, ...]:
-        return tuple(self.text() for _ in range(self.u8()))
+def _put_ta_list(parts: list[bytes], tas: tuple[str, ...]) -> None:
+    if len(tas) > 0xFF:
+        raise MessageError("too many transport addresses")
+    parts.append(bytes((len(tas),)))
+    for text in tas:
+        _put_ta(parts, text)
 
 
 def encode_link(msg: LinkMessage) -> bytes:
-    w = _Writer()
-    w.u8(msg.kind)
-    w.u32(msg.token)
-    w.addr(msg.sender)
-    w.u8(msg.conn_type)
-    w.u8(msg.status)
-    w.u32(msg.req_token)
-    w.text(msg.observed_remote)
-    w.ta_list(msg.transport_addresses)
-    return w.done()
+    parts = [_LINK.pack(msg.kind, msg.token, address_to_bytes(msg.sender),
+                        msg.conn_type, msg.status, msg.req_token)]
+    _put_ta(parts, msg.observed_remote)
+    _put_ta_list(parts, msg.transport_addresses)
+    return b"".join(parts)
 
 
-def encode_status(msg: StatusMessage) -> bytes:
-    w = _Writer()
-    w.u8(msg.kind)
-    w.u32(msg.token)
-    if len(msg.neighbors) > 0xFF:
+def encode_neighbors(neighbors: tuple[tuple[int, tuple[str, ...]], ...]) -> bytes:
+    """The tail of a status body after kind and token: count | neighbor..."""
+    if len(neighbors) > 0xFF:
         raise MessageError("too many neighbors")
-    w.u8(len(msg.neighbors))
-    for addr, tas in msg.neighbors:
-        w.addr(addr)
-        w.ta_list(tas)
-    return w.done()
+    parts = [bytes((len(neighbors),))]
+    for addr, tas in neighbors:
+        parts.append(address_to_bytes(addr))
+        _put_ta_list(parts, tas)
+    return b"".join(parts)
+
+
+def encode_status(msg: StatusMessage, encoded_neighbors: bytes | None = None) -> bytes:
+    """Encode a status body.
+
+    A sender that repeats one neighbor list may pass its
+    ``encode_neighbors(msg.neighbors)`` bytes, so that only kind and
+    token are packed.
+    """
+    if encoded_neighbors is None:
+        encoded_neighbors = encode_neighbors(msg.neighbors)
+    return _HEAD.pack(msg.kind, msg.token) + encoded_neighbors
 
 
 def encode_connect(msg: ConnectionRequest) -> bytes:
-    w = _Writer()
-    w.u8(msg.kind)
-    w.u32(msg.token)
-    w.addr(msg.sender)
-    w.u8(msg.conn_type)
-    w.addr(msg.via)
-    w.ta_list(msg.transport_addresses)
-    return w.done()
+    parts = [_CONNECT.pack(msg.kind, msg.token, address_to_bytes(msg.sender),
+                           msg.conn_type, address_to_bytes(msg.via))]
+    _put_ta_list(parts, msg.transport_addresses)
+    return b"".join(parts)
 
 
 def encode_relay(inner_packet: bytes) -> bytes:
@@ -208,50 +184,124 @@ def encode_relay(inner_packet: bytes) -> bytes:
 
 
 def encode_role(msg: RoleChange) -> bytes:
-    w = _Writer()
-    w.u8(ROLE_ADD)
-    w.u32(msg.token)
-    w.u8(msg.conn_type)
-    return w.done()
+    return _ROLE.pack(ROLE_ADD, msg.token, msg.conn_type)
 
 
 def encode_close(msg: CloseMessage) -> bytes:
-    w = _Writer()
-    w.u8(CLOSE)
-    w.u8(msg.reason)
-    return w.done()
+    return _CLOSE.pack(CLOSE, msg.reason)
+
+
+# ----------------------------------------------------------------------
+# decoding: each helper reads at an offset and returns the next offset
+
+
+def _ta_at(data: bytes, pos: int) -> tuple[str, int]:
+    start = pos + 2
+    if start > len(data):
+        raise MessageError(_TRUNCATED)
+    end = start + ((data[pos] << 8) | data[pos + 1])
+    if end > len(data):
+        raise MessageError(_TRUNCATED)
+    try:
+        return data[start:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise MessageError(f"transport address is not utf-8: {exc.reason}") from None
+
+
+def _ta_list_at(data: bytes, pos: int) -> tuple[tuple[str, ...], int]:
+    if pos >= len(data):
+        raise MessageError(_TRUNCATED)
+    tas = []
+    count = data[pos]
+    pos += 1
+    for _ in range(count):
+        ta, pos = _ta_at(data, pos)
+        tas.append(ta)
+    return tuple(tas), pos
+
+
+def _check_conn_type(conn_type: int) -> None:
+    if conn_type not in _CONN_TYPES:
+        raise MessageError(f"unknown connection type 0x{conn_type:02x}")
+
+
+def _decode_status(data: bytes) -> StatusMessage:
+    if len(data) <= _HEAD.size:
+        raise MessageError(_TRUNCATED)
+    kind, token = _HEAD.unpack_from(data)
+    return StatusMessage(kind, token, _decode_neighbors(bytes(data[_HEAD.size:])))
+
+
+@functools.lru_cache(maxsize=256)
+def _decode_neighbors(data: bytes) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    """Decode ``count | neighbor...``, the tail of a status body.
+
+    A node sends the same listing until its near set changes, so most
+    status bodies repeat a recent tail; the cache hands back the
+    (immutable) tuple already decoded.  Errors are not cached.
+    """
+    pos = 1
+    neighbors = []
+    for _ in range(data[0]):
+        start = pos
+        pos += ADDRESS_BYTES
+        if pos > len(data):
+            raise MessageError(_TRUNCATED)
+        tas, after = _ta_list_at(data, pos)
+        neighbors.append((int.from_bytes(data[start:pos], "big"), tas))
+        pos = after
+    return tuple(neighbors)
+
+
+def _decode_link(data: bytes) -> LinkMessage:
+    if len(data) < _LINK.size:
+        raise MessageError(_TRUNCATED)
+    kind, token, sender, conn_type, status, req_token = _LINK.unpack_from(data)
+    _check_conn_type(conn_type)
+    observed, pos = _ta_at(data, _LINK.size)
+    tas, _ = _ta_list_at(data, pos)
+    return LinkMessage(kind, token, int.from_bytes(sender, "big"), conn_type,
+                       status, req_token, observed, tas)
 
 
 def decode_link_body(data: bytes) -> LinkMessage | StatusMessage | RoleChange | CloseMessage:
     """Decode a body carried link-local (payload types 0x01 and 0x02)."""
-    r = _Reader(data)
-    kind = r.u8()
-    if kind in (LINK_REQUEST, LINK_RESPONSE):
-        return LinkMessage(kind, r.u32(), r.addr(), r.u8(), r.u8(), r.u32(),
-                           r.text(), r.ta_list())
-    if kind in (STATUS_REQUEST, STATUS_RESPONSE):
-        token = r.u32()
-        count = r.u8()
-        neighbors = tuple((r.addr(), r.ta_list()) for _ in range(count))
-        return StatusMessage(kind, token, neighbors)
+    if not data:
+        raise MessageError(_TRUNCATED)
+    kind = data[0]
+    if kind == STATUS_REQUEST or kind == STATUS_RESPONSE:
+        return _decode_status(data)
+    if kind == LINK_REQUEST or kind == LINK_RESPONSE:
+        return _decode_link(data)
     if kind == ROLE_ADD:
-        return RoleChange(r.u32(), r.u8())
+        if len(data) < _ROLE.size:
+            raise MessageError(_TRUNCATED)
+        _, token, conn_type = _ROLE.unpack_from(data)
+        _check_conn_type(conn_type)
+        return RoleChange(token, conn_type)
     if kind == CLOSE:
-        return CloseMessage(r.u8())
+        if len(data) < _CLOSE.size:
+            raise MessageError(_TRUNCATED)
+        return CloseMessage(data[1])
     raise MessageError(f"unknown link body kind 0x{kind:02x}")
 
 
 def decode_connect_body(data: bytes) -> ConnectionRequest | bytes:
     """Decode a connect body; a relay envelope yields the inner packet."""
-    r = _Reader(data)
-    kind = r.u8()
+    if not data:
+        raise MessageError(_TRUNCATED)
+    kind = data[0]
     if kind == CONNECT_RELAY:
         return data[1:]
     if kind not in (CONNECT_REQUEST, CONNECT_RESPONSE):
         raise MessageError(f"unknown connect body kind 0x{kind:02x}")
-    return ConnectionRequest(kind, token=r.u32(), sender=r.addr(),
-                             conn_type=r.u8(), via=r.addr(),
-                             transport_addresses=r.ta_list())
+    if len(data) < _CONNECT.size:
+        raise MessageError(_TRUNCATED)
+    _, token, sender, conn_type, via = _CONNECT.unpack_from(data)
+    _check_conn_type(conn_type)
+    tas, _ = _ta_list_at(data, _CONNECT.size)
+    return ConnectionRequest(kind, token, int.from_bytes(sender, "big"),
+                             conn_type, tas, via=int.from_bytes(via, "big"))
 
 
 def peek_connect_type(data: bytes) -> int | None:

@@ -366,10 +366,8 @@ class NodeState:
             body = messages.encode_link(msg)
             pkt = make_link(self.address, at.expect_addr or 0, PAYLOAD_LINK, body)
         else:
-            msg = StatusMessage(messages.STATUS_REQUEST, at.token,
-                                self._neighbor_listing())
             pkt = make_link(self.address, at.peer or 0, PAYLOAD_STATUS,
-                            messages.encode_status(msg))
+                            self._status_body(messages.STATUS_REQUEST, at.token))
         at.edge.send(encode(pkt))
         at.timer = self.host.call_later(
             at.backoff, lambda: self._attempt_timeout(at.token))
@@ -523,10 +521,9 @@ class NodeState:
             if conn is None:
                 return
             self._process_status(conn, msg.neighbors)
-        reply = StatusMessage(messages.STATUS_RESPONSE, msg.token,
-                              self._neighbor_listing())
+        body = self._status_body(messages.STATUS_RESPONSE, msg.token)
         edge.send(encode(make_link(self.address, edge.peer_address or 0,
-                                   PAYLOAD_STATUS, messages.encode_status(reply))))
+                                   PAYLOAD_STATUS, body)))
 
     def _handle_status_response(self, edge, msg: StatusMessage) -> None:
         at = self.pending_links.pop(msg.token, None)
@@ -554,10 +551,8 @@ class NodeState:
         if conn is None:
             return
         label = label_for(msg.conn_type)
-        if label not in conn.roles:
-            conn.roles.add(label)
-            if label == NEAR:
-                self._near_changed()
+        if self.table.add_role(conn, label) and label == NEAR:
+            self._near_changed()
         if pend is not None and pend.kind == "shortcut" and label == SHORTCUT:
             conn.initiated_shortcut = True
             conn.shortcut_offset = directed_distance(
@@ -573,17 +568,15 @@ class NodeState:
         now = self.host.now()
         conn = self.table.get(peer)
         if conn is None:
-            conn = Connection(peer, edge, {label}, list(tas), now, now,
+            conn = Connection(peer, edge, frozenset((label,)), tuple(tas), now, now,
                               initiated_by_me=initiated_by_me)
             self.table.add(conn)
         else:
             conn.edge = edge
-            conn.roles.add(label)
+            self.table.add_role(conn, label)
             conn.last_seen = now
             conn.initiated_by_me = conn.initiated_by_me or initiated_by_me
-            for ta in tas:
-                if ta not in conn.peer_tas:
-                    conn.peer_tas.append(ta)
+            self.table.add_tas(conn, tas)
         edge.peer_address = peer
         pend = self.pending_requests.pop(req_token, None) if req_token else None
         if pend is not None and pend.kind == "shortcut" and label == SHORTCUT:
@@ -621,7 +614,7 @@ class NodeState:
 
     def _near_changed(self) -> None:
         self.sides_converged = False
-        if self.table.with_role(NEAR):
+        if self.table.near():
             if self._first_near_tick is None:
                 self._first_near_tick = self._tick_count
             if not self.joined:
@@ -632,45 +625,39 @@ class NodeState:
     # neighbor lists and ring zipping
 
     def _neighbor_listing(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
-        seen: dict[int, tuple[str, ...]] = {}
-        for direction in Direction:
-            for c in self.table.near_sorted(direction)[: self.cfg.near_per_side]:
-                if c.peer not in seen:
-                    seen[c.peer] = tuple(c.peer_tas[:3])
-        return tuple(seen.items())
+        return self.table.neighbor_listing()
 
-    def _side_of(self, a: int) -> Direction:
-        if directed_distance(self.address, a, Direction.CLOCKWISE) <= HALF_MODULUS:
-            return Direction.CLOCKWISE
-        return Direction.COUNTERCLOCKWISE
-
-    def _strict_side(self, direction: Direction) -> list[Connection]:
-        conns = [c for c in self.table.with_role(NEAR)
-                 if self._side_of(c.peer) is direction]
-        conns.sort(key=lambda c: directed_distance(self.address, c.peer, direction))
-        return conns
-
-    def _near_candidate(self, a: int) -> bool:
-        direction = self._side_of(a)
-        side = self._strict_side(direction)
-        if len(side) < self.cfg.near_per_side:
-            return True
-        worst = directed_distance(self.address, side[self.cfg.near_per_side - 1].peer,
-                                  direction)
-        return directed_distance(self.address, a, direction) < worst
+    def _status_body(self, kind: int, token: int) -> bytes:
+        """A status body listing our neighbors, from the table's cached
+        listing and its encoded bytes."""
+        msg = StatusMessage(kind, token, self.table.neighbor_listing())
+        return messages.encode_status(msg, self.table.encoded_listing())
 
     def _process_status(self, conn: Connection, neighbors) -> None:
         conn.last_seen = self.host.now()
         conn.last_neighbors = tuple(neighbors)
         if not self.joined:
             return
-        dialing = self._dialing_addrs()
+        # A listed address is zipped in when it is strictly closer, on its
+        # side of the ring, than our near_per_side-th near peer there.
+        # Linking only schedules sends, so the bounds hold for the list.
+        me = self.address
+        by_peer = self.table.by_peer
+        cw_bound, ccw_bound = self.table.near_bounds()
+        dialing = None
         for a, tas in neighbors:
-            if a == self.address or not tas:
+            if a == me or not tas or a in by_peer:
                 continue
-            if self.table.get(a) is not None or a in dialing:
+            cw = (a - me) % MODULUS
+            if cw <= HALF_MODULUS:
+                closer = cw < cw_bound
+            else:
+                closer = MODULUS - cw < ccw_bound
+            if not closer:
                 continue
-            if self._near_candidate(a):
+            if dialing is None:
+                dialing = self._dialing_addrs()
+            if a not in dialing:
                 self.initiate_link(list(tas), CT_NEAR, expect_addr=a)
                 dialing.add(a)
 
@@ -684,11 +671,9 @@ class NodeState:
         self._push_timer = None
         if not self.alive:
             return
-        listing = self._neighbor_listing()
-        for c in self.table.with_role(NEAR):
-            msg = StatusMessage(messages.STATUS_REQUEST, self._next_token(), listing)
-            c.edge.send(encode(make_link(self.address, c.peer, PAYLOAD_STATUS,
-                                         messages.encode_status(msg))))
+        for c in self.table.near():
+            body = self._status_body(messages.STATUS_REQUEST, self._next_token())
+            c.edge.send(encode(make_link(self.address, c.peer, PAYLOAD_STATUS, body)))
 
     # ------------------------------------------------------------------
     # routed packets
@@ -824,10 +809,8 @@ class NodeState:
             conn = None
         if conn is not None:
             label = label_for(body.conn_type)
-            if label not in conn.roles:
-                conn.roles.add(label)
-                if label == NEAR:
-                    self._near_changed()
+            if self.table.add_role(conn, label) and label == NEAR:
+                self._near_changed()
             conn.edge.send(encode(make_link(
                 self.address, body.sender, PAYLOAD_LINK,
                 messages.encode_role(RoleChange(body.token, body.conn_type)))))
@@ -897,24 +880,13 @@ class NodeState:
 
     def estimate_d_ave(self) -> int:
         """Mean clockwise gap seen across self and the near neighborhood."""
-        est = self._gap_estimate()
+        est = self.table.gap_estimate()
         if est is None:
             raise NotReady("need at least one near connection per side")
         return est
 
-    def _gap_estimate(self) -> int | None:
-        spans = 0
-        count = 0
-        for direction in Direction:
-            ordered = self.table.near_sorted(direction)[: self.cfg.near_per_side]
-            if not ordered:
-                return None
-            spans += directed_distance(self.address, ordered[-1].peer, direction)
-            count += len(ordered)
-        return max(1, spans // count)
-
     def _update_gap_ewma(self) -> None:
-        est = self._gap_estimate()
+        est = self.table.gap_estimate()
         if est is None:
             return
         if self.gap_ewma is None:
@@ -986,9 +958,8 @@ class NodeState:
         if conn is None:
             self.pending_probes.pop(token, None)
             return
-        msg = StatusMessage(messages.STATUS_REQUEST, token, self._neighbor_listing())
-        conn.edge.send(encode(make_link(self.address, conn.peer, PAYLOAD_STATUS,
-                                        messages.encode_status(msg))))
+        body = self._status_body(messages.STATUS_REQUEST, token)
+        conn.edge.send(encode(make_link(self.address, conn.peer, PAYLOAD_STATUS, body)))
         rec["timer"] = self.host.call_later(
             rec["backoff"], lambda: self._probe_timeout(token))
 
@@ -1012,7 +983,7 @@ class NodeState:
             return
         for conn in self.table.with_role(LEAF):
             if conn.is_structured():
-                conn.roles.discard(LEAF)
+                self.table.discard_role(conn, LEAF)
             elif conn.initiated_by_me:
                 self._drop_connection(conn.peer, notify=True, reason="leaf done")
 
@@ -1023,16 +994,15 @@ class NodeState:
         known: dict[int, tuple[str, ...]] = {}
         for conn in self.table.by_peer.values():
             if conn.is_structured():
-                known[conn.peer] = tuple(conn.peer_tas[:3])
-        for conn in self.table.with_role(NEAR):
+                known[conn.peer] = conn.peer_tas[:3]
+        for conn in self.table.near():
             for a, tas in conn.last_neighbors:
                 if a != self.address and a not in known:
                     known[a] = tuple(tas)
         return known
 
     def _near_repair(self, now: float) -> None:
-        near = self.table.with_role(NEAR)
-        if not near:
+        if not self.table.near():
             leafs = self.table.with_role(LEAF)
             if self._has_pending("anchor", None):
                 return
@@ -1049,9 +1019,12 @@ class NodeState:
                    if self.gap_ewma else None)
         dialing = None
         converged = True
+        me = self.address
         for direction in Direction:
-            ordered = sorted(known,
-                             key=lambda a: directed_distance(self.address, a, direction))
+            if direction is Direction.CLOCKWISE:
+                ordered = sorted(known, key=lambda a: (a - me) % MODULUS)
+            else:
+                ordered = sorted(known, key=lambda a: (me - a) % MODULUS)
             satisfied = True
             acted = False
             for a in ordered[:slots]:
@@ -1061,7 +1034,7 @@ class NodeState:
                 satisfied = False
                 if conn is not None:
                     # Linked for another role; claim it as a ring neighbor.
-                    conn.roles.add(NEAR)
+                    self.table.add_role(conn, NEAR)
                     self._near_changed()
                     conn.edge.send(encode(make_link(
                         self.address, a, PAYLOAD_LINK,
@@ -1095,11 +1068,11 @@ class NodeState:
         """Find unknown ring neighbors: walk the ring a bounded number of
         hops in the deficient direction, or re-anchor around our own
         address when that side is entirely dark."""
-        strict = self._strict_side(direction)
-        if strict and len(strict) <= self.cfg.near_per_side:
+        side = self.table.side_size(direction)
+        if 0 < side <= self.cfg.near_per_side:
             if self._has_pending("probe", direction):
                 return
-            depth = min(len(strict), self.cfg.near_per_side) + 1
+            depth = side + 1
             self.send_connect_request(
                 directional_address(direction), CT_NEAR, kind="probe",
                 probe_dir=direction, depth=depth, ttl=depth,
@@ -1110,7 +1083,7 @@ class NodeState:
             self.send_connect_request(self.address, CT_NEAR, kind="anchor")
 
     def _trim_near(self, now: float) -> None:
-        near = self.table.with_role(NEAR)
+        near = self.table.near()
         if len(near) <= self.cfg.near_per_side:
             return
         keep = self.table.near_keep_set()
@@ -1120,7 +1093,7 @@ class NodeState:
             if now - conn.established_at < self.cfg.tick_interval:
                 continue
             if SHORTCUT in conn.roles or LEAF in conn.roles:
-                conn.roles.discard(NEAR)
+                self.table.discard_role(conn, NEAR)
                 self._near_changed()
             else:
                 self._drop_connection(conn.peer, notify=True, reason="trim")
@@ -1169,6 +1142,6 @@ class NodeState:
         conn.shortcut_offset = None
         conn.sampled_gap = None
         if NEAR in conn.roles or LEAF in conn.roles:
-            conn.roles.discard(SHORTCUT)
+            self.table.discard_role(conn, SHORTCUT)
         else:
             self._drop_connection(conn.peer, notify=True, reason="shortcut refresh")

@@ -101,11 +101,12 @@ def install_connection(node_a: NodeState, node_b: NodeState, roles: set[str],
         edge.peer_address = other.address
         conn = me.table.get(other.address)
         if conn is None:
-            conn = Connection(other.address, edge, set(roles),
-                              [other.host.ta], now, now)
+            conn = Connection(other.address, edge, frozenset(roles),
+                              (other.host.ta,), now, now)
             me.table.add(conn)
         else:
-            conn.roles |= roles
+            for role in roles:
+                me.table.add_role(conn, role)
         if SHORTCUT in roles and initiator is me:
             conn.initiated_shortcut = True
             conn.shortcut_offset = (other.address - me.address) % MODULUS
