@@ -12,7 +12,8 @@ import ringnet from, so one script times two checkouts on one machine:
 Each run adds its label to the output file (``BENCH_3.json`` by default)
 and, once both ``before`` and ``after`` are there, the after/before
 ratio of every case.  A case's figure is microseconds per call: the
-fastest of ``--repeat`` timing runs, and their median beside it.
+fastest of ``--repeat`` timing runs, taken round-robin over the cases,
+and their median beside it.
 """
 
 from __future__ import annotations
@@ -88,12 +89,17 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     return cases
 
 
-def time_case(fn, repeat: int) -> dict:
-    timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
-    runs = [t / number * 1e6 for t in timer.repeat(repeat=repeat, number=number)]
-    return {"us": round(min(runs), 4), "us_median": round(statistics.median(runs), 4),
-            "number": number}
+def time_cases(cases: dict, repeat: int) -> dict:
+    """Time every case ``repeat`` times, round-robin, so that each case's
+    runs spread over the whole session rather than one stretch of it."""
+    timers = {name: timeit.Timer(fn) for name, fn in cases.items()}
+    numbers = {name: timer.autorange()[0] for name, timer in timers.items()}
+    runs: dict[str, list[float]] = {name: [] for name in cases}
+    for _ in range(repeat):
+        for name, timer in timers.items():
+            runs[name].append(timer.timeit(numbers[name]) / numbers[name] * 1e6)
+    return {name: {"us": round(min(r), 4), "us_median": round(statistics.median(r), 4),
+                   "number": numbers[name]} for name, r in runs.items()}
 
 
 def main() -> int:
@@ -113,7 +119,7 @@ def main() -> int:
     if not os.path.abspath(ringnet.__file__).startswith(src + os.sep):
         parser.error(f"ringnet imported from {ringnet.__file__}, not {src}")
 
-    results = {name: time_case(fn, args.repeat) for name, fn in build_cases().items()}
+    results = time_cases(build_cases(), args.repeat)
     for name, res in results.items():
         print(f"{name:24s} {res['us']:9.3f} us  (median {res['us_median']:.3f})")
 
