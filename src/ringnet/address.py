@@ -48,10 +48,6 @@ _DIRECTIONAL = {
 _DIRECTION_OF = {v: k for k, v in _DIRECTIONAL.items()}
 
 
-def is_address(value: int) -> bool:
-    return isinstance(value, int) and 0 <= value < MODULUS
-
-
 def class_of(a: int) -> int:
     """Count of consecutive 1-bits at the least significant end of ``a``.
 

@@ -123,9 +123,6 @@ _PHASE_SPECS = {
     "merge": (sc.Merge, {"left": int, "right": int, "settle": float}),
 }
 
-_FIELD_ALIASES = {"t": "seconds", "n": "count"}
-
-
 def _build_phase(path: str, lineno: int, text: str):
     parts = text.split()
     if not parts:

@@ -21,13 +21,11 @@ symmetric ring metric would fold it back).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
 
 from .address import (
     MODULUS,
-    ring_distance,
     directed_distance,
     Direction,
     format_address,
@@ -129,18 +127,6 @@ def missing_edges(snapshot: TopologySnapshot, per_side: int = 2) -> int:
 
 # ----------------------------------------------------------------------
 # routability
-
-
-def closest_node(ring: list[int], target: int) -> int:
-    """Nearest live address to target by the symmetric ring metric."""
-    i = bisect_left(ring, target) % len(ring)
-    best = None
-    for j in (i - 1, i, (i + 1) % len(ring)):
-        a = ring[j]
-        key = (ring_distance(a, target), a)
-        if best is None or key < best:
-            best = key
-    return best[1]
 
 
 def route_greedy(adj: dict[int, set[int]], source: int,

@@ -191,6 +191,14 @@ class _PendingRequest:
     sampled_gap: int | None = None
 
 
+@dataclass
+class _Probe:
+    peer: int
+    retries: int
+    backoff: float
+    timer: object | None = None
+
+
 class NodeState:
     def __init__(self, address: int, host, config: OverlayConfig, rng: Random) -> None:
         self.address = address
@@ -201,7 +209,6 @@ class NodeState:
         self.alive = True
         self.joined = False
         self.join_started_at: float | None = None
-        self.joined_at: float | None = None
         # Set once the ring position is held on both sides and the first
         # shortcut is up: the node is fully established.
         self.established_at: float | None = None
@@ -209,7 +216,7 @@ class NodeState:
         self.pending_links: dict[int, _LinkAttempt] = {}
         self.provisional: dict[tuple[str, int], _Provisional] = {}
         self.pending_requests: dict[int, _PendingRequest] = {}
-        self.pending_probes: dict[int, dict] = {}
+        self.pending_probes: dict[int, _Probe] = {}
 
         self.learned_tas: list[str] = []
         self.gap_ewma: float | None = None
@@ -217,7 +224,6 @@ class NodeState:
         self.stats: Counter = Counter()
         self.trace: list[tuple] = []
         self.app_handler: Callable | None = None
-        self.on_joined: Callable | None = None
         self.on_join_failed: Callable | None = None
 
         self._token_seq = 0
@@ -315,12 +321,9 @@ class NodeState:
 
     def _join_succeeded(self) -> None:
         self.joined = True
-        self.joined_at = self.host.now()
         if self._join_timer is not None:
             self._join_timer.cancel()
             self._join_timer = None
-        if self.on_joined is not None:
-            self.on_joined(self)
 
     # ------------------------------------------------------------------
     # link handshake, initiator side
@@ -537,8 +540,8 @@ class NodeState:
                 at.on_established(conn)
             return
         probe = self.pending_probes.pop(msg.token, None)
-        if probe is not None and probe["timer"] is not None:
-            probe["timer"].cancel()
+        if probe is not None and probe.timer is not None:
+            probe.timer.cancel()
         peer = getattr(edge, "peer_address", None)
         conn = self.table.get(peer) if peer is not None else None
         if conn is not None:
@@ -554,10 +557,7 @@ class NodeState:
         if self.table.add_role(conn, label) and label == NEAR:
             self._near_changed()
         if pend is not None and pend.kind == "shortcut" and label == SHORTCUT:
-            conn.initiated_shortcut = True
-            conn.shortcut_offset = directed_distance(
-                self.address, conn.peer, Direction.CLOCKWISE)
-            conn.sampled_gap = pend.sampled_gap
+            self._own_shortcut(conn, pend.sampled_gap)
 
     # ------------------------------------------------------------------
     # connection table updates
@@ -580,15 +580,19 @@ class NodeState:
         edge.peer_address = peer
         pend = self.pending_requests.pop(req_token, None) if req_token else None
         if pend is not None and pend.kind == "shortcut" and label == SHORTCUT:
-            conn.initiated_shortcut = True
-            conn.shortcut_offset = directed_distance(self.address, peer,
-                                                     Direction.CLOCKWISE)
-            conn.sampled_gap = pend.sampled_gap
+            self._own_shortcut(conn, pend.sampled_gap)
         self._trace("commit", peer, label)
         self.stats["connections_established"] += 1
         if label == NEAR:
             self._near_changed()
         return conn
+
+    def _own_shortcut(self, conn: Connection, sampled_gap: int | None) -> None:
+        """Record conn as a shortcut this node asked for (see Connection)."""
+        conn.initiated_shortcut = True
+        conn.shortcut_offset = directed_distance(self.address, conn.peer,
+                                                 Direction.CLOCKWISE)
+        conn.sampled_gap = sampled_gap
 
     def _drop_connection(self, peer: int, *, notify: bool, reason: str) -> None:
         conn = self.table.remove(peer)
@@ -603,9 +607,9 @@ class NodeState:
                 pass
         conn.edge.close()
         for token, probe in list(self.pending_probes.items()):
-            if probe["peer"] == peer:
-                if probe["timer"] is not None:
-                    probe["timer"].cancel()
+            if probe.peer == peer:
+                if probe.timer is not None:
+                    probe.timer.cancel()
                 del self.pending_probes[token]
         self._trace("drop", peer, reason)
         self.stats["connections_dropped"] += 1
@@ -936,7 +940,7 @@ class NodeState:
     def _probe_stale(self, now: float) -> None:
         if self.cfg.status_interval is None:
             return
-        probing = {p["peer"] for p in self.pending_probes.values()}
+        probing = {p.peer for p in self.pending_probes.values()}
         for conn in list(self.table.by_peer.values()):
             if conn.peer in probing:
                 continue
@@ -945,36 +949,35 @@ class NodeState:
 
     def _send_probe(self, conn: Connection) -> None:
         token = self._next_token()
-        rec = {"peer": conn.peer, "retries": self.cfg.probe_retries,
-               "backoff": self.cfg.probe_timeout, "timer": None}
-        self.pending_probes[token] = rec
+        self.pending_probes[token] = _Probe(conn.peer, self.cfg.probe_retries,
+                                            self.cfg.probe_timeout)
         self._probe_send(token)
 
     def _probe_send(self, token: int) -> None:
         rec = self.pending_probes.get(token)
         if rec is None:
             return
-        conn = self.table.get(rec["peer"])
+        conn = self.table.get(rec.peer)
         if conn is None:
             self.pending_probes.pop(token, None)
             return
         body = self._status_body(messages.STATUS_REQUEST, token)
         conn.edge.send(encode(make_link(self.address, conn.peer, PAYLOAD_STATUS, body)))
-        rec["timer"] = self.host.call_later(
-            rec["backoff"], lambda: self._probe_timeout(token))
+        rec.timer = self.host.call_later(
+            rec.backoff, lambda: self._probe_timeout(token))
 
     def _probe_timeout(self, token: int) -> None:
         rec = self.pending_probes.get(token)
         if rec is None:
             return
-        rec["retries"] -= 1
-        if rec["retries"] > 0:
-            rec["backoff"] *= 2
+        rec.retries -= 1
+        if rec.retries > 0:
+            rec.backoff *= 2
             self._probe_send(token)
             return
         self.pending_probes.pop(token, None)
         self.stats["probe_deaths"] += 1
-        self._drop_connection(rec["peer"], notify=False, reason="probe timeout")
+        self._drop_connection(rec.peer, notify=False, reason="probe timeout")
 
     def _leaf_teardown(self) -> None:
         if self._first_near_tick is None:

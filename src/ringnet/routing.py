@@ -2,12 +2,11 @@
 
 Each decider is a pure function of the local address, an adjacency
 snapshot (the structured peers of the deciding node), the previous hop,
-and the target.  Three destination-based modes share the same argmin
-core over ``adj ∪ {v}`` with ring distance to the target:
+and the target.  Two destination-based modes share the same argmin core
+over ``adj ∪ {v}`` with ring distance to the target:
 
 * greedy     - forward only to a strictly closer neighbor, otherwise the
                packet has arrived and is delivered here;
-* exact      - deliver only at the exact target, drop at a dead end;
 * annealing  - like greedy, but at a local minimum the packet is both
                delivered here and passed to the second-closest candidate,
                so the first hop may move away from the target.  This is
@@ -80,15 +79,6 @@ def greedy_next_hop(v: int, adj: Iterable[int], prev: int | None, target: int) -
     if u_min != v and u_min != prev:
         return forward(u_min)
     return DELIVER_LOCAL
-
-
-def exact_next_hop(v: int, adj: Iterable[int], prev: int | None, target: int) -> Decision:
-    if v == target:
-        return DELIVER_LOCAL
-    u_min, _ = _best_two(v, adj, target)
-    if u_min != v and u_min != prev:
-        return forward(u_min)
-    return DROP
 
 
 def annealing_next_hop(v: int, adj: Iterable[int], prev: int | None, target: int) -> Decision:

@@ -155,7 +155,6 @@ class SimTrace:
     rows: list[TraceRow] = field(default_factory=list)
     snapshots: list[TopologySnapshot] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
-    join_durations: list[float] = field(default_factory=list)
     # Time from join start to a held ring position plus first shortcut.
     establish_durations: list[float] = field(default_factory=list)
 
@@ -241,7 +240,6 @@ class ScenarioRunner:
         host.attach(node)
         handle = _Handle(node_id, address, host, node)
         self.handles[node_id] = handle
-        node.on_joined = lambda n: self._record_join(n)
         node.on_join_failed = lambda n, reason: self._rejoin_later(node_id)
         if proxy_ta is None:
             proxy = self._pick_proxy(exclude=node_id)
@@ -252,22 +250,13 @@ class ScenarioRunner:
             node.start_join(proxy_ta)
         return handle
 
-    def _record_join(self, node: NodeState) -> None:
-        if node.join_started_at is not None and node.joined_at is not None:
-            self.trace.join_durations.append(node.joined_at - node.join_started_at)
-
     def _rejoin_later(self, node_id: int) -> None:
         self.network.call_later(1.0, lambda: self._respawn(node_id))
 
     def _respawn(self, node_id: int) -> None:
         handle = self.handles.get(node_id)
-        if handle is None or not handle.alive:
-            return
-        handle.host.shutdown()
-        address = (self._new_address() if self.scenario.rejoin_fresh_address
-                   else handle.address)
-        self.handles.pop(node_id, None)
-        self._spawn(address=address, node_id=node_id)
+        if handle is not None and handle.alive:
+            self._kill(node_id, rejoin=True)
 
     def _harvest_establish(self, handle: _Handle) -> None:
         node = handle.node

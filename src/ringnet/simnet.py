@@ -2,9 +2,9 @@
 
 Hosts many overlay nodes over virtual datagram endpoints with a
 configurable latency model, optional loss, and per-host NAT boxes.  The
-event queue is a single heap ordered by (time, insertion seq), so runs
-are bit-deterministic for a fixed seed: same config, same events, same
-metrics.
+event queue is the ``TimerQueue`` the real transports use too: events
+fire by time, then in scheduling order, so runs are bit-deterministic
+for a fixed seed: same config, same events, same metrics.
 
 Simulated time is the clock for every protocol timer; nothing here reads
 the wall clock.
@@ -13,14 +13,13 @@ the wall clock.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
-from .transport import format_ta, parse_ta
+from .transport import Timer, TimerQueue, format_ta, parse_ta
 
 log = logging.getLogger(__name__)
 
@@ -48,20 +47,6 @@ class UniformLatency:
 
     def sample(self, rng: Random, src: str, dst: str) -> float:
         return rng.uniform(self.low, self.high)
-
-
-@dataclass(frozen=True)
-class PairLatency:
-    """Fixed per-(src ip, dst ip) latencies with a default."""
-
-    table: tuple[tuple[tuple[str, str], float], ...]
-    default: float = 0.01
-
-    def sample(self, rng: Random, src: str, dst: str) -> float:
-        for (a, b), value in self.table:
-            if a == src and b == dst:
-                return value
-        return self.default
 
 
 @dataclass
@@ -157,24 +142,8 @@ class NatBox:
         return key[0], key[1]
 
 
-def nat_filter(box: NatBox, ext_port: int, src_ip: str, src_port: int) -> bool:
-    """Would the box pass an inbound datagram to its external port?"""
-    return box.inbound_allowed(ext_port, src_ip, src_port)
-
-
 # ----------------------------------------------------------------------
 # simulator core
-
-
-class SimTimer:
-    __slots__ = ("fn", "cancelled")
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class SimNetwork:
@@ -182,8 +151,7 @@ class SimNetwork:
         self.config = config or SimConfig()
         self.rng = Random(self.config.seed)
         self.now = 0.0
-        self._heap: list[tuple[float, int, SimTimer]] = []
-        self._seq = itertools.count()
+        self._timers = TimerQueue()
         self._host_seq = itertools.count(1)
         self.hosts: dict[str, "SimHost"] = {}          # plain ip -> host
         self.nat_externals: dict[str, NatBox] = {}     # external ip -> box
@@ -191,27 +159,15 @@ class SimNetwork:
 
     # -- scheduling --
 
-    def call_later(self, delay: float, fn) -> SimTimer:
-        timer = SimTimer(fn)
-        heapq.heappush(self._heap, (self.now + max(0.0, delay),
-                                    next(self._seq), timer))
-        return timer
+    def call_later(self, delay: float, fn) -> Timer:
+        return self._timers.push(self.now + max(0.0, delay), fn)
 
     def run_until(self, t: float) -> None:
-        while self._heap and self._heap[0][0] <= t:
-            when, _, timer = heapq.heappop(self._heap)
-            self.now = when
-            if not timer.cancelled:
-                timer.fn()
+        self._timers.fire_due(t, self)
         self.now = max(self.now, t)
 
     def run_for(self, duration: float) -> None:
         self.run_until(self.now + duration)
-
-    def run_while(self, predicate, step: float = 1.0, limit: float = 1e9) -> None:
-        deadline = self.now + limit
-        while predicate() and self.now < deadline:
-            self.run_until(min(self.now + step, deadline))
 
     # -- topology --
 
@@ -277,12 +233,8 @@ class SimNetwork:
             internal = box.internal_for(dst_port)
             if internal is None:
                 return None
-            inner = None
-            for h in self.hosts.values():
-                if h.ip == internal[0] and h.port == internal[1]:
-                    inner = h
-                    break
-            if inner is not None and inner.alive:
+            inner = self.hosts.get(internal[0])
+            if inner is not None and inner.port == internal[1] and inner.alive:
                 return inner
         return None
 
@@ -336,7 +288,7 @@ class SimHost:
     def now(self) -> float:
         return self.network.now
 
-    def call_later(self, delay: float, fn) -> SimTimer:
+    def call_later(self, delay: float, fn) -> Timer:
         def guarded():
             if self.alive:
                 fn()

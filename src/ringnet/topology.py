@@ -10,11 +10,11 @@ a full protocol bootstrap.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from random import Random
 
 from .address import MODULUS, random_class0
-from .connections import Connection, LEAF, NEAR, SHORTCUT
+from .connections import Connection, NEAR, SHORTCUT
 from .metrics import NEAR_LABEL, SHORTCUT_LABEL, TopologySnapshot
 from .node import NodeState, OverlayConfig, sample_shortcut_distance
 from .simnet import SimNetwork
@@ -51,16 +51,16 @@ def ideal_near_edges(ring: list[int], per_side: int = 2) -> set[tuple[int, int]]
     return edges
 
 
-def law_shortcut_edges(ring: list[int], k: int,
-                       rng: Random) -> list[tuple[int, int]]:
-    """k clockwise shortcuts per node with 1/d-distributed offsets.
+def law_shortcut_edges(ring: list[int], k: int, rng_of):
+    """Yield k clockwise shortcuts per node with 1/d-distributed offsets,
+    drawn from ``rng_of(node)``.
 
     Edges are oriented (requester, endpoint).  Draws that resolve to the
     requester itself are redrawn.
     """
     d_ave = MODULUS // len(ring)
-    edges: list[tuple[int, int]] = []
     for a in ring:
+        rng = rng_of(a)
         made = 0
         guard = 0
         while made < k and guard < 50 * k:
@@ -69,9 +69,8 @@ def law_shortcut_edges(ring: list[int], k: int,
             b = ring[closest_index(ring, (a + d) % MODULUS)]
             if b == a:
                 continue
-            edges.append((a, b))
+            yield a, b
             made += 1
-    return edges
 
 
 def synthetic_snapshot(n: int, k: int, seed: int,
@@ -82,7 +81,7 @@ def synthetic_snapshot(n: int, k: int, seed: int,
     edges: list[tuple[int, int, str]] = []
     for a, b in sorted(ideal_near_edges(ring, per_side)):
         edges.append((a, b, NEAR_LABEL))
-    for a, b in law_shortcut_edges(ring, k, rng):
+    for a, b in law_shortcut_edges(ring, k, lambda a: rng):
         edges.append((a, b, SHORTCUT_LABEL))
     return TopologySnapshot(0.0, tuple(ring), tuple(edges))
 
@@ -108,9 +107,7 @@ def install_connection(node_a: NodeState, node_b: NodeState, roles: set[str],
             for role in roles:
                 me.table.add_role(conn, role)
         if SHORTCUT in roles and initiator is me:
-            conn.initiated_shortcut = True
-            conn.shortcut_offset = (other.address - me.address) % MODULUS
-            conn.sampled_gap = sampled_gap
+            me._own_shortcut(conn, sampled_gap)
 
 
 def seed_ring(network: SimNetwork, n: int, rng: Random,
@@ -119,7 +116,8 @@ def seed_ring(network: SimNetwork, n: int, rng: Random,
     """Create n nodes pre-wired into a correct ring, keyed by address.
 
     Near links follow the per-side rule; when k is given each node also
-    holds k law-distributed shortcuts, sampled against the true mean gap.
+    holds k law-distributed shortcuts, sampled against the true mean gap
+    with the node's own rng.
     """
     ring = sorted(addresses) if addresses else ring_addresses(n, rng)
     nodes: dict[int, NodeState] = {}
@@ -127,7 +125,6 @@ def seed_ring(network: SimNetwork, n: int, rng: Random,
         host = network.new_host()
         node = NodeState(a, host, overlay, Random(rng.getrandbits(64)))
         node.joined = True
-        node.joined_at = network.now
         host.attach(node)
         nodes[a] = node
     count = len(ring)
@@ -138,18 +135,9 @@ def seed_ring(network: SimNetwork, n: int, rng: Random,
                 install_connection(nodes[a], nodes[b], {NEAR})
     if k:
         d_ave = MODULUS // count
-        for a in ring:
-            made = 0
-            guard = 0
-            while made < k and guard < 50 * k:
-                guard += 1
-                d = sample_shortcut_distance(d_ave, nodes[a].rng)
-                b = ring[closest_index(ring, (a + d) % MODULUS)]
-                if b == a:
-                    continue
-                install_connection(nodes[a], nodes[b], {SHORTCUT},
-                                   initiator=nodes[a], sampled_gap=d_ave)
-                made += 1
+        for a, b in law_shortcut_edges(ring, k, lambda a: nodes[a].rng):
+            install_connection(nodes[a], nodes[b], {SHORTCUT},
+                               initiator=nodes[a], sampled_gap=d_ave)
     for node in nodes.values():
         node._update_gap_ewma()
     return nodes

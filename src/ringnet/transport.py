@@ -71,15 +71,13 @@ def format_ta(protocol: str, host: str, port: int) -> str:
     return f"{TA_NAMESPACE}.{protocol.lower()}:{host}:{port}"
 
 
-def format_transport_address(ta: TransportAddress) -> str:
-    return format_ta(ta.protocol, ta.host, ta.port)
-
-
 # ----------------------------------------------------------------------
-# event loop
+# timers, shared with the simulator
 
 
-class RealTimer:
+class Timer:
+    """A callback waiting in a ``TimerQueue``; ``cancel()`` stops it firing."""
+
     __slots__ = ("fn", "cancelled")
 
     def __init__(self, fn) -> None:
@@ -90,22 +88,50 @@ class RealTimer:
         self.cancelled = True
 
 
+class TimerQueue:
+    """Timers in due order; timers due at the same time fire in the order
+    they were scheduled, which keeps simulated runs deterministic."""
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, Timer]] = []
+        self._seq = itertools.count()
+
+    def push(self, when: float, fn) -> Timer:
+        timer = Timer(fn)
+        heapq.heappush(self._heap, (when, next(self._seq), timer))
+        return timer
+
+    def fire_due(self, until: float, clock=None) -> float | None:
+        """Fire every timer due by ``until``, the ones they schedule too, and
+        return the next due time.  A ``clock``'s ``now`` is set to each due
+        time in turn, cancelled timers' included."""
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and heap[0][0] <= until:
+            when, _, timer = pop(heap)
+            if clock is not None:
+                clock.now = when
+            if not timer.cancelled:
+                timer.fn()
+        return heap[0][0] if heap else None
+
+
+# ----------------------------------------------------------------------
+# event loop
+
+
 class RealNetwork:
     """select()-based loop hosting in-process nodes over real sockets."""
 
     def __init__(self) -> None:
-        self._timers: list[tuple[float, int, RealTimer]] = []
-        self._seq = itertools.count()
+        self._timers = TimerQueue()
         self.hosts: list[RealHost] = []
 
     def now(self) -> float:
         return time.monotonic()
 
-    def call_later(self, delay: float, fn) -> RealTimer:
-        timer = RealTimer(fn)
-        heapq.heappush(self._timers, (self.now() + max(0.0, delay),
-                                      next(self._seq), timer))
-        return timer
+    def call_later(self, delay: float, fn) -> Timer:
+        return self._timers.push(self.now() + max(0.0, delay), fn)
 
     def new_host(self, transports: tuple[str, ...] = ("udp",),
                  bind_ip: str = "127.0.0.1") -> "RealHost":
@@ -114,15 +140,10 @@ class RealNetwork:
         return host
 
     def _fire_due_timers(self) -> float:
-        while True:
-            now = self.now()
-            while self._timers and self._timers[0][0] <= now:
-                _, _, timer = heapq.heappop(self._timers)
-                if not timer.cancelled:
-                    timer.fn()
-            if not self._timers:
-                return 0.05
-            return max(0.0, min(0.05, self._timers[0][0] - self.now()))
+        due = self._timers.fire_due(self.now())
+        if due is None:
+            return 0.05
+        return max(0.0, min(0.05, due - self.now()))
 
     def poll(self) -> None:
         timeout = self._fire_due_timers()
@@ -287,7 +308,7 @@ class RealHost:
     def now(self) -> float:
         return self.network.now()
 
-    def call_later(self, delay: float, fn) -> RealTimer:
+    def call_later(self, delay: float, fn) -> Timer:
         return self.network.call_later(delay, fn)
 
     def local_tas(self) -> list[str]:

@@ -171,15 +171,15 @@ def test_smoke_node_decision_trace_is_pinned():
 
 
 SYNTHETIC_SNAPSHOT = "347dab185dae657246714cb9aaaa38284d2509b513492ebb48a000fa3068dadd"
-SEED_RING = "02e1e8214e8ec74d4451e674bc87c0a4f59f0397a8896632de44b2571ffb352b"
+SEED_RING = "ee35de4822852fd196b496afaf26456a7a265b21693f8c462a439e2410ab3e48"
 SMALL_RUNS = {
-    "churn": "3476fd86488894ba932af325a0c81f6001e31712effce7bcd949efa2801065cc",
-    "merge": "8695aa828d1e37d35bcc2493b9653a6da89bf7ee03a047434b22c942a6391600",
+    "churn": "2d538ee165284356ac3c488fd0be5eb8e24d27e21db10863669a1ac36dc24b41",
+    "merge": "ec5fedfaa157552c2d6780f462e69fd2f90c7f763ccbe8da800c29ce7c84642e",
 }
 
 
-def _text_sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _repr_sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def test_synthetic_snapshot_file_is_pinned(tmp_path):
@@ -196,51 +196,40 @@ def test_seed_ring_tables_are_pinned():
     rng = Random(1)
     nodes = topology.seed_ring(SimNetwork(SimConfig(seed=1)), 64, rng,
                                OverlayConfig(k_shortcuts=4), k=4)
-    rows = sorted((a, c.peer, tuple(sorted(c.roles)), c.initiated_shortcut,
+    rows = sorted((a, c.peer, sorted(c.roles), c.initiated_shortcut,
                    c.shortcut_offset, c.sampled_gap)
                   for a, node in nodes.items() for c in node.table.by_peer.values())
-    draws = [rng.random()] + [nodes[a].rng.random() for a in sorted(nodes)]
-    got = _text_sha256(repr((rows, draws)))
+    got = _repr_sha256((rows, rng.random(), [nodes[a].rng.random() for a in sorted(nodes)]))
     _report("seed_ring", got)
     assert got == SEED_RING
 
 
-def _small_scenario(name: str) -> sc.Scenario:
-    start = ([sc.Merge(16, 16, settle=2.0)] if name == "merge"
-             else [sc.Bootstrap(16, 0.3)])
-    return sc.Scenario(start + [sc.Wait(5.0), sc.Churn(20.0, 0.05), sc.Wait(5.0)],
-                       measurement_interval=2.0, pair_budget=200)
-
-
 @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
-def test_small_run_with_respawns_is_pinned(tmp_path, name):
+def test_small_run_with_respawns_is_pinned(name):
     """Seed 1 with 15 % loss: churn departures rejoin through _kill and
-    failed joins through _respawn, and the run's files, establish times
-    and counters are pinned."""
+    failed joins through _respawn; rows, snapshots, establish times and
+    counters are pinned."""
+    start = sc.Merge(16, 16, settle=2.0) if name == "merge" else sc.Bootstrap(16, 0.3)
     runner = sc.ScenarioRunner(
-        _small_scenario(name),
+        sc.Scenario([start, sc.Wait(5.0), sc.Churn(20.0, 0.05), sc.Wait(5.0)],
+                    measurement_interval=2.0, pair_budget=200),
         SimConfig(seed=1, latency=ConstantLatency(0.01), loss_rate=0.15),
         OverlayConfig(k_shortcuts=2, status_interval=1.5))
-    calls = {"kill_rejoin": 0, "respawn": 0}
+    calls = set()
     kill, respawn = runner._kill, runner._respawn
 
     def counting_kill(node_id, rejoin):
-        calls["kill_rejoin"] += rejoin
+        calls.add(("kill", rejoin))
         kill(node_id, rejoin)
 
     def counting_respawn(node_id):
-        handle = runner.handles.get(node_id)
-        calls["respawn"] += handle is not None and handle.alive
+        calls.add(("respawn", node_id in runner.handles))
         respawn(node_id)
 
     runner._kill, runner._respawn = counting_kill, counting_respawn
     trace = runner.run()
-    assert calls["kill_rejoin"] > 0 and calls["respawn"] > 0, calls
-    trace.to_csv(str(tmp_path / "trace.csv"))
-    files = [tmp_path / "trace.csv"] + [
-        tmp_path.joinpath(p) for p in trace.write_snapshots(str(tmp_path))]
-    text = "".join(f"{p.name} {_sha256(p)}\n" for p in files)
-    text += repr((trace.establish_durations, sorted(trace.counters.items())))
-    got = _text_sha256(text)
+    assert {("kill", True), ("respawn", True)} <= calls
+    got = _repr_sha256((trace.rows, trace.snapshots, trace.establish_durations,
+                        sorted(trace.counters.items())))
     _report(name, got)
     assert got == SMALL_RUNS[name]

@@ -1,7 +1,7 @@
 """Every name a ``ringnet`` module imports is used in that module.
 
-Uses of a name count wherever they appear, annotations included; a
-string annotation such as ``"Any"`` is parsed for the names it holds.
+A name counts as used wherever it appears; a string that parses as an
+expression, such as the annotation ``"Any"``, counts for the names in it.
 """
 
 import ast
@@ -12,18 +12,8 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ringnet"
 
 
-def _annotations(tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            for arg in args.posonlyargs + args.args + args.kwonlyargs + [
-                    args.vararg, args.kwarg]:
-                if arg is not None and arg.annotation is not None:
-                    yield arg.annotation
-            if node.returns is not None:
-                yield node.returns
-        elif isinstance(node, ast.AnnAssign):
-            yield node.annotation
+def _names(tree: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,15 +26,15 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for annotation in _annotations(tree):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
-                            if isinstance(n, ast.Name))
-    return [f"line {line}: {name}" for name, line in sorted(imported.items(),
-                                                           key=lambda kv: kv[1])
-            if name not in used]
+    used = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                used |= _names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in used)
 
 
 def test_checker_sees_string_annotations_and_unused_names():

@@ -10,7 +10,6 @@ from ringnet.metrics import (
     NEAR_LABEL,
     SHORTCUT_LABEL,
     TopologySnapshot,
-    closest_node,
     ks_distance,
     missing_edges,
     read_snapshot,
@@ -22,7 +21,12 @@ from ringnet.metrics import (
     to_dot,
     write_snapshot,
 )
-from ringnet.topology import synthetic_snapshot, ring_addresses, ideal_near_edges
+from ringnet.topology import (
+    closest_index,
+    ideal_near_edges,
+    ring_addresses,
+    synthetic_snapshot,
+)
 
 
 def drop_edge(snapshot: TopologySnapshot, a: int, b: int) -> TopologySnapshot:
@@ -131,9 +135,9 @@ def test_routability_of_singleton_and_pair():
 
 def test_closest_node_wraps():
     ring = [10, 100, MODULUS - 4]
-    assert closest_node(ring, 1) == MODULUS - 4  # wraps backwards
-    assert closest_node(ring, 3) == 10  # distance tie breaks to smaller address
-    assert closest_node(ring, 80) == 100
+    assert ring[closest_index(ring, 1)] == MODULUS - 4  # wraps backwards
+    assert ring[closest_index(ring, 3)] == 10  # distance tie breaks to smaller address
+    assert ring[closest_index(ring, 80)] == 100
 
 
 def test_shortcut_cdf_on_law_generated_snapshot():

@@ -9,7 +9,6 @@ from ringnet.routing import (
     DecisionKind,
     annealing_next_hop,
     directional_next_hop,
-    exact_next_hop,
     greedy_next_hop,
 )
 
@@ -107,49 +106,6 @@ def test_greedy_does_not_bounce_back_to_prev():
     v, prev, target = 1000, 900, 800
     decision = greedy_next_hop(v, {prev}, prev, target)
     assert decision.kind is DecisionKind.DELIVER_LOCAL
-
-
-# ----------------------------------------------------------------------
-# exact
-
-
-def test_exact_delivers_only_at_target():
-    assert exact_next_hop(42, {50}, None, 42).kind is DecisionKind.DELIVER_LOCAL
-
-
-def test_exact_drops_at_non_target_dead_end():
-    v = 100
-    adj = {5000}
-    assert exact_next_hop(v, adj, None, 90).kind is DecisionKind.DROP
-
-
-def test_exact_forwards_to_exact_neighbor():
-    decision = exact_next_hop(100, {40, 70}, None, 70)
-    assert decision.kind is DecisionKind.FORWARD
-    assert decision.next_hop == 70
-
-
-def test_exact_mode_safety_exhaustive_on_rings():
-    # No node other than the target ever sees a local delivery, for every
-    # (source, target) pair on rings up to 64 nodes.
-    for n in (4, 16, 64):
-        ring = spaced_ring(n)
-        adj = ring_adjacency(ring, per_side=2)
-        for source in ring:
-            for target in ring:
-                delivered, _ = walk(adj, source, target, exact_next_hop)
-                assert all(d == target for d in delivered)
-                if source == target:
-                    assert delivered == [target]
-
-
-def test_exact_undeliverable_address_is_dropped_everywhere():
-    ring = spaced_ring(8)
-    adj = ring_adjacency(ring, per_side=2)
-    ghost = ring[3] + 5  # no node owns this address
-    for source in ring:
-        delivered, _ = walk(adj, source, ghost, exact_next_hop)
-        assert delivered == []
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,9 @@ from ringnet.simnet import (
     NatBox,
     NatKind,
     NatProfile,
-    PairLatency,
     SimConfig,
     SimNetwork,
     UniformLatency,
-    nat_filter,
 )
 
 
@@ -42,29 +40,29 @@ def test_port_restricted_cone_drops_unsolicited_inbound():
     box = NatBox(NatProfile(NatKind.PORT_RESTRICTED_CONE), "172.0.0.1")
     ext_ip, ext_port = box.outbound("192.168.0.2", 7000, "10.0.0.1", 7000)
     # Inbound from a peer the internal host never contacted: dropped.
-    assert nat_filter(box, ext_port, "10.0.0.9", 7000) is False
+    assert box.inbound_allowed(ext_port, "10.0.0.9", 7000) is False
     # Same IP, different source port: still dropped.
-    assert nat_filter(box, ext_port, "10.0.0.1", 7001) is False
+    assert box.inbound_allowed(ext_port, "10.0.0.1", 7001) is False
     # Exactly the contacted (ip, port): passes.
-    assert nat_filter(box, ext_port, "10.0.0.1", 7000) is True
+    assert box.inbound_allowed(ext_port, "10.0.0.1", 7000) is True
 
 
 def test_inbound_before_any_outbound_has_no_mapping():
     box = NatBox(NatProfile(NatKind.PORT_RESTRICTED_CONE), "172.0.0.1")
-    assert nat_filter(box, 30000, "10.0.0.1", 7000) is False
+    assert box.inbound_allowed(30000, "10.0.0.1", 7000) is False
 
 
 def test_restricted_cone_filters_by_ip_only():
     box = NatBox(NatProfile(NatKind.RESTRICTED_CONE), "172.0.0.2")
     _, ext_port = box.outbound("192.168.0.2", 7000, "10.0.0.1", 7000)
-    assert nat_filter(box, ext_port, "10.0.0.1", 9999) is True
-    assert nat_filter(box, ext_port, "10.0.0.9", 7000) is False
+    assert box.inbound_allowed(ext_port, "10.0.0.1", 9999) is True
+    assert box.inbound_allowed(ext_port, "10.0.0.9", 7000) is False
 
 
 def test_full_cone_passes_anyone_once_mapped():
     box = NatBox(NatProfile(NatKind.FULL_CONE), "172.0.0.3")
     _, ext_port = box.outbound("192.168.0.2", 7000, "10.0.0.1", 7000)
-    assert nat_filter(box, ext_port, "10.9.9.9", 1234) is True
+    assert box.inbound_allowed(ext_port, "10.9.9.9", 1234) is True
 
 
 def test_symmetric_allocates_per_destination_mappings():
@@ -73,8 +71,8 @@ def test_symmetric_allocates_per_destination_mappings():
     _, port_b = box.outbound("192.168.0.2", 7000, "10.0.0.2", 7000)
     assert port_a != port_b
     # Only the mapping's own destination may answer on it.
-    assert nat_filter(box, port_a, "10.0.0.1", 7000) is True
-    assert nat_filter(box, port_a, "10.0.0.2", 7000) is False
+    assert box.inbound_allowed(port_a, "10.0.0.1", 7000) is True
+    assert box.inbound_allowed(port_a, "10.0.0.2", 7000) is False
 
 
 def _nated_pair(kind_a: NatKind, kind_b: NatKind, seed: int):
@@ -157,9 +155,6 @@ def test_latency_models_sample_in_range():
     for _ in range(100):
         v = UniformLatency(0.01, 0.05).sample(rng, "a", "b")
         assert 0.01 <= v <= 0.05
-    table = PairLatency(((("a", "b"), 0.5),), default=0.07)
-    assert table.sample(rng, "a", "b") == 0.5
-    assert table.sample(rng, "b", "a") == 0.07
 
 
 def test_uniform_latency_validates_bounds():

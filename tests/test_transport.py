@@ -21,7 +21,6 @@ from ringnet.transport import (
     RealNetwork,
     TransportAddress,
     format_ta,
-    format_transport_address,
     parse_ta,
 )
 
@@ -59,7 +58,7 @@ def test_parse_format_identity():
     for proto in ("udp", "tcp"):
         for port in (1, 10030, 65535):
             value = TransportAddress(proto, "192.168.0.1", port)
-            assert parse_ta(format_transport_address(value)) == value
+            assert parse_ta(format_ta(value.protocol, value.host, value.port)) == value
 
 
 def test_format_normalizes_scheme():
