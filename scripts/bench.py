@@ -34,7 +34,7 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     from ringnet import messages, packet, routing
     from ringnet.address import MODULUS
     from ringnet.connections import NEAR
-    from ringnet.node import NodeState, OverlayConfig
+    from ringnet.node import OverlayConfig
     from ringnet.simnet import SimConfig, SimNetwork
     from ringnet.topology import seed_ring
 
@@ -72,15 +72,11 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     ring = sorted(nodes)
     node, neighbor = nodes[ring[0]], nodes[ring[1]]
     conn = node.table.get(neighbor.address)
-    their_listing = neighbor._neighbor_listing()
+    their_listing = neighbor.table.neighbor_listing()
     assert len(their_listing) == 4 and NEAR in conn.roles
-    if hasattr(NodeState, "_status_body"):
-        cases["node_status_body"] = lambda: node._status_body(
-            messages.STATUS_REQUEST, 9)
-    else:
-        cases["node_status_body"] = lambda: messages.encode_status(
-            messages.StatusMessage(messages.STATUS_REQUEST, 9,
-                                   node._neighbor_listing()))
+    cases["node_status_body"] = lambda: messages.encode_status(
+        messages.StatusMessage(messages.STATUS_REQUEST, 9, node.table.neighbor_listing()),
+        node.table.encoded_listing())
     cases["node_process_status_4"] = lambda: node._process_status(conn, their_listing)
 
     peers = [rng.getrandbits(160) for _ in range(8)]

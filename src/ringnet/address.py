@@ -29,11 +29,6 @@ class Direction(enum.Enum):
     CLOCKWISE = "cw"
     COUNTERCLOCKWISE = "ccw"
 
-    def opposite(self) -> "Direction":
-        if self is Direction.CLOCKWISE:
-            return Direction.COUNTERCLOCKWISE
-        return Direction.CLOCKWISE
-
 
 # Class-124 addresses end in one 0-bit followed by 124 1-bits; the 35 bits
 # above bit 124 are free.  Clockwise keeps them all zero, counterclockwise
@@ -102,8 +97,3 @@ def parse_address(text: str) -> int:
 def address_to_bytes(a: int) -> bytes:
     return a.to_bytes(ADDRESS_BYTES, "big")
 
-
-def address_from_bytes(raw: bytes) -> int:
-    if len(raw) != ADDRESS_BYTES:
-        raise ValueError(f"address must be {ADDRESS_BYTES} bytes, got {len(raw)}")
-    return int.from_bytes(raw, "big")

@@ -43,6 +43,7 @@ The scenario file names its phases one per ``phase =`` line, in order:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -162,8 +163,7 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
     for lineno, key, value in sections["scenario"]:
         if key == "phase":
             phases.append(_build_phase(path, lineno, value))
-        elif key in ("measurement_interval", "pair_budget",
-                     "rejoin_fresh_address"):
+        elif key in ("measurement_interval", "pair_budget"):
             meta[key] = value
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -173,12 +173,11 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
         phases,
         measurement_interval=float(meta.get("measurement_interval", "2.0")),
         pair_budget=int(meta.get("pair_budget", "1000")),
-        rejoin_fresh_address=meta.get("rejoin_fresh_address", "no") == "yes",
     )
 
     sim_kwargs = {}
     sim = _known_keys(path, sections.get("sim", []),
-                      {"latency", "loss_rate", "tick_interval"})
+                      {"latency", "loss_rate"})
     if "latency" in sim:
         lineno, value = sim["latency"]
         parts = value.split()
@@ -195,19 +194,18 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
                               f"'constant S' or 'uniform LO HI'")
     if "loss_rate" in sim:
         sim_kwargs["loss_rate"] = float(sim["loss_rate"][1])
-    if "tick_interval" in sim:
-        sim_kwargs["tick_interval"] = float(sim["tick_interval"][1])
     sim_config = SimConfig(**sim_kwargs)
 
-    overlay = OverlayConfig(tick_interval=sim_config.tick_interval)
-    allowed = {"near_per_side", "k_shortcuts", "k_max", "status_interval",
-               "default_ttl"}
+    overlay = OverlayConfig()
+    allowed = {"near_per_side", "k_shortcuts", "status_interval", "tick_interval"}
     for key, (lineno, value) in _known_keys(
             path, sections.get("overlay", []), allowed).items():
         try:
             if key == "status_interval":
                 overlay.status_interval = (None if value == "off"
                                            else float(value))
+            elif key == "tick_interval":
+                overlay.tick_interval = float(value)
             else:
                 setattr(overlay, key, int(value))
         except ValueError:
@@ -298,10 +296,7 @@ def cmd_run(args) -> int:
     os.makedirs(manifest["output"], exist_ok=True)
     failed = False
     for seed in manifest["seeds"]:
-        config = SimConfig(seed=seed, latency=sim_config.latency,
-                           loss_rate=sim_config.loss_rate,
-                           tick_interval=sim_config.tick_interval)
-        trace = sc.run(scenario, config, overlay)
+        trace = sc.run(scenario, dataclasses.replace(sim_config, seed=seed), overlay)
         seed_dir = os.path.join(manifest["output"], f"seed-{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         trace.to_csv(os.path.join(seed_dir, "trace.csv"))

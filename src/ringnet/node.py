@@ -13,9 +13,10 @@ The node is transport-agnostic.  Its environment ("host") must provide::
     host.local_tas() -> list[str]
 
 and edges must provide ``send(bytes)``, ``close()``, ``remote_ta``,
-``local_ta`` and a writable ``peer_address``.  Incoming datagrams are fed
-to ``on_datagram(edge, data)``.  All events for one node must be
-delivered serially; distinct nodes may run concurrently.
+``local_ta`` and a writable ``peer_address`` that starts as None.
+Incoming datagrams are fed to ``on_datagram(edge, data)``.  All events
+for one node must be delivered serially; distinct nodes may run
+concurrently.
 
 Connection establishment is a two round trip handshake over a fresh
 edge: a link request/response that exchanges addresses, transport
@@ -70,6 +71,7 @@ from .messages import (
     StatusMessage,
 )
 from .packet import (
+    DEFAULT_TTL,
     PAYLOAD_APP,
     PAYLOAD_CONNECT,
     PAYLOAD_LINK,
@@ -89,17 +91,25 @@ from .routing import DecisionKind
 
 log = logging.getLogger(__name__)
 
-D_MAX = MODULUS
-
-
-class NotReady(Exception):
-    """Raised when an estimate is requested before the node has near links."""
+# Cap on the density-sized shortcut count (k_shortcuts = None).
+K_MAX = 16
+JOIN_RETRIES = 4
+# A required neighbor candidate farther than this many mean gaps is
+# treated as "no plausible candidate known" and triggers discovery.
+REPAIR_HORIZON_GAPS = 8.0
+# Resample a shortcut when the density estimate has moved by more than
+# this factor since it was drawn.  In a static network the two values
+# coincide, so refresh traffic only appears while the local density is
+# actually shifting.
+SHORTCUT_STALE_FACTOR = 2.0
+GAP_EWMA_ALPHA = 0.25
+MAX_ADVERTISED_TAS = 4
 
 
 def shortcut_distance_from_uniform(d_ave: int, x: float) -> int:
     """Map a uniform draw x in [0, 1] to a shortcut distance.
 
-    d = d_ave * (d_max / d_ave) ** x, which gives Prob(d <= L) =
+    d = d_ave * (d_max / d_ave) ** x with d_max = MODULUS, which gives Prob(d <= L) =
     log(L / d_ave) / log(d_max / d_ave), i.e. density proportional to 1/d
     over [d_ave, d_max].
     """
@@ -108,9 +118,9 @@ def shortcut_distance_from_uniform(d_ave: int, x: float) -> int:
     if x <= 0.0:
         return d_ave
     if x >= 1.0:
-        return D_MAX
-    d = int(d_ave * (D_MAX / d_ave) ** x)
-    return min(max(d, d_ave), D_MAX)
+        return MODULUS
+    d = int(d_ave * (MODULUS / d_ave) ** x)
+    return min(max(d, d_ave), MODULUS)
 
 
 def sample_shortcut_distance(d_ave: int, rng: Random) -> int:
@@ -120,10 +130,9 @@ def sample_shortcut_distance(d_ave: int, rng: Random) -> int:
 @dataclass
 class OverlayConfig:
     near_per_side: int = 2
-    # None picks k from the local density estimate (about log2 N), capped.
+    # None picks k from the local density estimate (about log2 N), capped
+    # at K_MAX.
     k_shortcuts: int | None = None
-    k_max: int = 16
-    default_ttl: int = 100
     tick_interval: float = 1.0
     # None disables idle probing entirely (quiet networks).
     status_interval: float | None = 5.0
@@ -132,20 +141,9 @@ class OverlayConfig:
     handshake_timeout: float = 0.5
     handshake_retries: int = 4
     join_retry_timeout: float = 4.0
-    join_retries: int = 4
     leaf_grace_ticks: int = 1
     connreq_timeout: float = 6.0
     push_status_debounce: float = 0.25
-    # A required neighbor candidate farther than this many mean gaps is
-    # treated as "no plausible candidate known" and triggers discovery.
-    repair_horizon_gaps: float = 8.0
-    # Resample a shortcut when the density estimate has moved by more
-    # than this factor since it was drawn.  In a static network the two
-    # values coincide, so refresh traffic only appears while the local
-    # density is actually shifting.
-    shortcut_stale_factor: float = 2.0
-    gap_ewma_alpha: float = 0.25
-    max_advertised_tas: int = 4
     trace: bool = False
 
 
@@ -257,12 +255,12 @@ class NodeState:
         for ta in self.host.local_tas():
             if ta not in tas:
                 tas.append(ta)
-        return tas[: self.cfg.max_advertised_tas]
+        return tas[: MAX_ADVERTISED_TAS]
 
     def _learn_self_ta(self, ta: str) -> None:
         if ta and ta not in self.learned_tas and ta not in self.host.local_tas():
             self.learned_tas.append(ta)
-            del self.learned_tas[: -self.cfg.max_advertised_tas]
+            del self.learned_tas[: -MAX_ADVERTISED_TAS]
 
     # ------------------------------------------------------------------
     # joining
@@ -270,7 +268,7 @@ class NodeState:
     def start_join(self, proxy_ta: str) -> None:
         """Bootstrap into the ring through a proxy reachable at proxy_ta."""
         self.join_started_at = self.host.now()
-        self._join_attempts_left = self.cfg.join_retries
+        self._join_attempts_left = JOIN_RETRIES
         self.initiate_link([proxy_ta], CT_LEAF,
                            on_established=self._leaf_ready,
                            on_failed=lambda reason: self._join_failed(reason))
@@ -295,7 +293,7 @@ class NodeState:
                                 CT_NEAR, tuple(self.advertised_tas()),
                                 via=leaf.peer)
         pkt = make_routed(self.address, self.address, PAYLOAD_CONNECT,
-                          messages.encode_connect(req), ttl=self.cfg.default_ttl)
+                          messages.encode_connect(req))
         leaf.edge.send(encode(pkt))
         self.stats["join_requests"] += 1
 
@@ -333,7 +331,7 @@ class NodeState:
                       on_established: Callable | None = None,
                       on_failed: Callable | None = None) -> int | None:
         tas = [t for t in tas if t]
-        if not tas:
+        if not tas or expect_addr in self._dialing_addrs():
             return None
         token = self._next_token()
         attempt = _LinkAttempt(token, tas, conn_type, expect_addr, req_token,
@@ -366,12 +364,10 @@ class NodeState:
             msg = LinkMessage(messages.LINK_REQUEST, at.token, self.address,
                               at.conn_type, messages.LINK_OK, at.req_token,
                               at.tas[at.ta_index], tuple(self.advertised_tas()))
-            body = messages.encode_link(msg)
-            pkt = make_link(self.address, at.expect_addr or 0, PAYLOAD_LINK, body)
+            self._send_link(at.edge, at.expect_addr or 0, PAYLOAD_LINK,
+                            messages.encode_link(msg))
         else:
-            pkt = make_link(self.address, at.peer or 0, PAYLOAD_STATUS,
-                            self._status_body(messages.STATUS_REQUEST, at.token))
-        at.edge.send(encode(pkt))
+            self._send_status(at.edge, at.peer or 0, messages.STATUS_REQUEST, at.token)
         at.timer = self.host.call_later(
             at.backoff, lambda: self._attempt_timeout(at.token))
 
@@ -432,11 +428,10 @@ class NodeState:
                       format_address(self.address)[:8], exc)
             self.stats["bad_packet"] += 1
             return
-        peer = getattr(edge, "peer_address", None)
-        if peer is not None:
-            conn = self.table.get(peer)
-            if conn is not None:
-                conn.last_seen = self.host.now()
+        peer = edge.peer_address
+        conn = self.table.get(peer)
+        if conn is not None:
+            conn.last_seen = self.host.now()
         if pkt.header.type == TYPE_LINK:
             self._dispatch_link(edge, pkt)
         elif pkt.header.type == TYPE_ROUTED:
@@ -462,9 +457,9 @@ class NodeState:
         elif isinstance(body, RoleChange):
             self._handle_role(edge, body)
         elif isinstance(body, CloseMessage):
-            peer = getattr(edge, "peer_address", None)
-            if peer is not None:
-                self._drop_connection(peer, notify=False, reason="peer closed")
+            if edge.peer_address is not None:
+                self._drop_connection(edge.peer_address, notify=False,
+                                      reason="peer closed")
 
     # ------------------------------------------------------------------
     # link handshake, responder side
@@ -474,8 +469,7 @@ class NodeState:
             reply = LinkMessage(messages.LINK_RESPONSE, msg.token, self.address,
                                 msg.conn_type, messages.LINK_COLLISION,
                                 msg.req_token, edge.remote_ta, ())
-            edge.send(encode(make_link(self.address, msg.sender, PAYLOAD_LINK,
-                                       messages.encode_link(reply))))
+            self._send_link(edge, msg.sender, PAYLOAD_LINK, messages.encode_link(reply))
             self.stats["address_collision"] += 1
             return
         self._learn_self_ta(msg.observed_remote)
@@ -489,8 +483,7 @@ class NodeState:
         reply = LinkMessage(messages.LINK_RESPONSE, msg.token, self.address,
                             msg.conn_type, messages.LINK_OK, msg.req_token,
                             edge.remote_ta, tuple(self.advertised_tas()))
-        edge.send(encode(make_link(self.address, msg.sender, PAYLOAD_LINK,
-                                   messages.encode_link(reply))))
+        self._send_link(edge, msg.sender, PAYLOAD_LINK, messages.encode_link(reply))
 
     def _handle_link_response(self, edge, msg: LinkMessage) -> None:
         at = self.pending_links.get(msg.token)
@@ -519,14 +512,12 @@ class NodeState:
                                 req_token=prov.req_token, initiated_by_me=False)
             self._process_status(conn, msg.neighbors)
         else:
-            peer = getattr(edge, "peer_address", None)
-            conn = self.table.get(peer) if peer is not None else None
+            conn = self.table.get(edge.peer_address)
             if conn is None:
                 return
             self._process_status(conn, msg.neighbors)
-        body = self._status_body(messages.STATUS_RESPONSE, msg.token)
-        edge.send(encode(make_link(self.address, edge.peer_address or 0,
-                                   PAYLOAD_STATUS, body)))
+        self._send_status(edge, edge.peer_address or 0, messages.STATUS_RESPONSE,
+                          msg.token)
 
     def _handle_status_response(self, edge, msg: StatusMessage) -> None:
         at = self.pending_links.pop(msg.token, None)
@@ -542,15 +533,13 @@ class NodeState:
         probe = self.pending_probes.pop(msg.token, None)
         if probe is not None and probe.timer is not None:
             probe.timer.cancel()
-        peer = getattr(edge, "peer_address", None)
-        conn = self.table.get(peer) if peer is not None else None
+        conn = self.table.get(edge.peer_address)
         if conn is not None:
             self._process_status(conn, msg.neighbors)
 
     def _handle_role(self, edge, msg: RoleChange) -> None:
         pend = self.pending_requests.pop(msg.token, None)
-        peer = getattr(edge, "peer_address", None)
-        conn = self.table.get(peer) if peer is not None else None
+        conn = self.table.get(edge.peer_address)
         if conn is None:
             return
         label = label_for(msg.conn_type)
@@ -600,9 +589,8 @@ class NodeState:
             return
         if notify:
             try:
-                conn.edge.send(encode(make_link(
-                    self.address, peer, PAYLOAD_LINK,
-                    messages.encode_close(CloseMessage()))))
+                self._send_link(conn.edge, peer, PAYLOAD_LINK,
+                                messages.encode_close(CloseMessage()))
             except Exception:  # edge may already be dead
                 pass
         conn.edge.close()
@@ -628,14 +616,15 @@ class NodeState:
     # ------------------------------------------------------------------
     # neighbor lists and ring zipping
 
-    def _neighbor_listing(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
-        return self.table.neighbor_listing()
+    def _send_link(self, edge, peer: int, payload_type: int, body: bytes) -> None:
+        edge.send(encode(make_link(self.address, peer, payload_type, body)))
 
-    def _status_body(self, kind: int, token: int) -> bytes:
-        """A status body listing our neighbors, from the table's cached
-        listing and its encoded bytes."""
+    def _send_status(self, edge, peer: int, kind: int, token: int) -> None:
+        """Send a status body listing our neighbors, from the table's
+        cached listing and its encoded bytes."""
         msg = StatusMessage(kind, token, self.table.neighbor_listing())
-        return messages.encode_status(msg, self.table.encoded_listing())
+        self._send_link(edge, peer, PAYLOAD_STATUS,
+                        messages.encode_status(msg, self.table.encoded_listing()))
 
     def _process_status(self, conn: Connection, neighbors) -> None:
         conn.last_seen = self.host.now()
@@ -648,7 +637,6 @@ class NodeState:
         me = self.address
         by_peer = self.table.by_peer
         cw_bound, ccw_bound = self.table.near_bounds()
-        dialing = None
         for a, tas in neighbors:
             if a == me or not tas or a in by_peer:
                 continue
@@ -657,13 +645,8 @@ class NodeState:
                 closer = cw < cw_bound
             else:
                 closer = MODULUS - cw < ccw_bound
-            if not closer:
-                continue
-            if dialing is None:
-                dialing = self._dialing_addrs()
-            if a not in dialing:
+            if closer:
                 self.initiate_link(list(tas), CT_NEAR, expect_addr=a)
-                dialing.add(a)
 
     def _push_status_soon(self) -> None:
         if self._push_timer is not None or not self.alive:
@@ -676,14 +659,10 @@ class NodeState:
         if not self.alive:
             return
         for c in self.table.near():
-            body = self._status_body(messages.STATUS_REQUEST, self._next_token())
-            c.edge.send(encode(make_link(self.address, c.peer, PAYLOAD_STATUS, body)))
+            self._send_status(c.edge, c.peer, messages.STATUS_REQUEST, self._next_token())
 
     # ------------------------------------------------------------------
     # routed packets
-
-    def adjacency(self) -> list[int]:
-        return self.table.structured_peers()
 
     def _proxy_leaf(self) -> Connection | None:
         """The leaf this node opened to its own proxy, if it still has one."""
@@ -720,7 +699,7 @@ class NodeState:
             else:
                 self.stats["unroutable"] += 1
             return
-        adj = self.adjacency()
+        adj = self.table.structured_peers()
         if hdr.source != self.address:
             # A packet never revisits its source; this also keeps requests
             # from chasing a stale entry for a node that died and rejoined
@@ -785,7 +764,7 @@ class NodeState:
     def send_connect_request(self, target: int, conn_type: int, *,
                              kind: str, probe_dir: Direction | None = None,
                              depth: int = 0, sampled_gap: int | None = None,
-                             ttl: int | None = None,
+                             ttl: int = DEFAULT_TTL,
                              expires_in: float | None = None) -> int:
         token = self._next_token()
         timeout = self.cfg.connreq_timeout if expires_in is None else expires_in
@@ -795,8 +774,7 @@ class NodeState:
         req = ConnectionRequest(messages.CONNECT_REQUEST, token, self.address,
                                 conn_type, tuple(self.advertised_tas()))
         pkt = make_routed(self.address, target, PAYLOAD_CONNECT,
-                          messages.encode_connect(req),
-                          ttl=self.cfg.default_ttl if ttl is None else ttl)
+                          messages.encode_connect(req), ttl=ttl)
         self.originate(pkt)
         self.stats["connect_requests"] += 1
         return token
@@ -815,26 +793,22 @@ class NodeState:
             label = label_for(body.conn_type)
             if self.table.add_role(conn, label) and label == NEAR:
                 self._near_changed()
-            conn.edge.send(encode(make_link(
-                self.address, body.sender, PAYLOAD_LINK,
-                messages.encode_role(RoleChange(body.token, body.conn_type)))))
+            self._send_link(conn.edge, body.sender, PAYLOAD_LINK,
+                            messages.encode_role(RoleChange(body.token, body.conn_type)))
             return
-        if body.sender not in self._dialing_addrs():
-            self.initiate_link(list(body.transport_addresses), body.conn_type,
-                               expect_addr=body.sender, req_token=body.token)
+        self.initiate_link(list(body.transport_addresses), body.conn_type,
+                           expect_addr=body.sender, req_token=body.token)
         resp = ConnectionRequest(messages.CONNECT_RESPONSE, body.token,
                                  self.address, body.conn_type,
                                  tuple(self.advertised_tas()))
         resp_pkt = make_routed(self.address, body.sender, PAYLOAD_CONNECT,
-                               messages.encode_connect(resp),
-                               ttl=self.cfg.default_ttl)
+                               messages.encode_connect(resp))
         if body.via and body.via != self.address:
             # The requester is not routable yet; courier the response to
             # its proxy, which hands it down the leaf edge.
             self.originate(make_routed(
                 self.address, body.via, PAYLOAD_CONNECT,
-                messages.encode_relay(encode(resp_pkt)),
-                ttl=self.cfg.default_ttl))
+                messages.encode_relay(encode(resp_pkt))))
         else:
             self.originate(resp_pkt)
 
@@ -873,21 +847,12 @@ class NodeState:
             return
         if self.table.get(body.sender) is not None:
             return
-        if body.sender in self._dialing_addrs():
-            return
         # The responder could not reach us; dial it ourselves.
         self.initiate_link(list(body.transport_addresses), body.conn_type,
                            expect_addr=body.sender, req_token=body.token)
 
     # ------------------------------------------------------------------
     # density estimate and shortcut sampling
-
-    def estimate_d_ave(self) -> int:
-        """Mean clockwise gap seen across self and the near neighborhood."""
-        est = self.table.gap_estimate()
-        if est is None:
-            raise NotReady("need at least one near connection per side")
-        return est
 
     def _update_gap_ewma(self) -> None:
         est = self.table.gap_estimate()
@@ -896,7 +861,7 @@ class NodeState:
         if self.gap_ewma is None:
             self.gap_ewma = float(est)
         else:
-            a = self.cfg.gap_ewma_alpha
+            a = GAP_EWMA_ALPHA
             self.gap_ewma = (1 - a) * self.gap_ewma + a * est
 
     def _target_k(self) -> int:
@@ -904,8 +869,8 @@ class NodeState:
             return self.cfg.k_shortcuts
         if self.gap_ewma is None:
             return 0
-        n_est = max(2.0, D_MAX / self.gap_ewma)
-        return max(1, min(self.cfg.k_max, math.ceil(math.log2(n_est))))
+        n_est = max(2.0, MODULUS / self.gap_ewma)
+        return max(1, min(K_MAX, math.ceil(math.log2(n_est))))
 
     # ------------------------------------------------------------------
     # maintenance pass
@@ -961,8 +926,7 @@ class NodeState:
         if conn is None:
             self.pending_probes.pop(token, None)
             return
-        body = self._status_body(messages.STATUS_REQUEST, token)
-        conn.edge.send(encode(make_link(self.address, conn.peer, PAYLOAD_STATUS, body)))
+        self._send_status(conn.edge, conn.peer, messages.STATUS_REQUEST, token)
         rec.timer = self.host.call_later(
             rec.backoff, lambda: self._probe_timeout(token))
 
@@ -1018,9 +982,7 @@ class NodeState:
         known = self._known_neighborhood()
         k = self.cfg.near_per_side
         slots = min(k, len(known))
-        horizon = (self.cfg.repair_horizon_gaps * self.gap_ewma
-                   if self.gap_ewma else None)
-        dialing = None
+        horizon = REPAIR_HORIZON_GAPS * self.gap_ewma if self.gap_ewma else None
         converged = True
         me = self.address
         for direction in Direction:
@@ -1039,20 +1001,15 @@ class NodeState:
                     # Linked for another role; claim it as a ring neighbor.
                     self.table.add_role(conn, NEAR)
                     self._near_changed()
-                    conn.edge.send(encode(make_link(
-                        self.address, a, PAYLOAD_LINK,
-                        messages.encode_role(RoleChange(0, CT_NEAR)))))
+                    self._send_link(conn.edge, a, PAYLOAD_LINK,
+                                    messages.encode_role(RoleChange(0, CT_NEAR)))
                     continue
                 if acted:
                     continue
                 dist = directed_distance(self.address, a, direction)
                 plausible = horizon is None or dist <= horizon
                 if plausible and known[a]:
-                    if dialing is None:
-                        dialing = self._dialing_addrs()
-                    if a not in dialing:
-                        self.initiate_link(list(known[a]), CT_NEAR, expect_addr=a)
-                        dialing.add(a)
+                    self.initiate_link(list(known[a]), CT_NEAR, expect_addr=a)
                     acted = True
                 else:
                     self._discover(direction)
@@ -1130,7 +1087,7 @@ class NodeState:
         # from the estimate it was sampled under.  The realized offset is
         # left alone: landing nearer than the sampled distance is normal
         # closest-node resolution, not a contract violation.
-        factor = self.cfg.shortcut_stale_factor
+        factor = SHORTCUT_STALE_FACTOR
         gap = self.gap_ewma
         for conn in sorted(mine, key=lambda c: c.established_at):
             sampled = conn.sampled_gap

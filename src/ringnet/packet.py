@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 
-from .address import address_from_bytes, address_to_bytes
+from .address import address_to_bytes
 
 HEADER_LEN = 46
 
@@ -95,8 +95,8 @@ def decode(data: bytes) -> Packet:
     ptype, hops, ttl, src, dst, payload_type = _HEADER.unpack_from(data)
     if ptype not in _KNOWN_TYPES:
         raise UnknownType(f"unknown packet type 0x{ptype:02x}")
-    header = PacketHeader(ptype, hops, ttl, address_from_bytes(src),
-                          address_from_bytes(dst), payload_type)
+    header = PacketHeader(ptype, hops, ttl, int.from_bytes(src, "big"),
+                          int.from_bytes(dst, "big"), payload_type)
     return Packet(header, bytes(data[HEADER_LEN:]))
 
 

@@ -7,8 +7,8 @@ snapshots, and the network's message counters.  Runs are deterministic
 for a fixed (scenario, seed) pair; rerunning writes byte-identical CSV.
 
 Departures here are always abrupt: a node's endpoints vanish and every
-edge it held dies silently; rejoining nodes keep their address by
-default and bootstrap again through a random live proxy.
+edge it held dies silently; rejoining nodes keep their address and
+bootstrap again through a random live proxy.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class Scenario:
     phases: list
     measurement_interval: float = 2.0
     pair_budget: int = 1000
-    rejoin_fresh_address: bool = False
 
     def validate(self) -> None:
         if self.measurement_interval <= 0:
@@ -196,7 +195,7 @@ class ScenarioRunner:
         self.scenario = scenario
         self.config = config
         self.network = SimNetwork(config)
-        self.overlay = overlay or OverlayConfig(tick_interval=config.tick_interval)
+        self.overlay = overlay or OverlayConfig()
         self.rng = Random((config.seed << 1) ^ 0x5CE)
         self.metrics_seed = config.seed ^ 0xA17
         self.handles: dict[int, _Handle] = {}
@@ -272,9 +271,7 @@ class ScenarioRunner:
         handle.alive = False
         handle.host.shutdown()
         if rejoin:
-            address = (self._new_address() if self.scenario.rejoin_fresh_address
-                       else handle.address)
-            self._spawn(address=address, node_id=node_id)
+            self._spawn(address=handle.address, node_id=node_id)
 
     # -- measurement ------------------------------------------------------
 

@@ -54,7 +54,6 @@ class SimConfig:
     seed: int = 0
     latency: object = field(default_factory=ConstantLatency)
     loss_rate: float = 0.0
-    tick_interval: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate <= 1.0:

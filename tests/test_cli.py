@@ -100,6 +100,7 @@ loss_rate = 0.1
 [overlay]
 near_per_side = 3
 status_interval = off
+tick_interval = 0.5
 """)
     scenario, sim_config, overlay = cli.load_scenario(path)
     assert scenario.measurement_interval == 1.5
@@ -107,6 +108,7 @@ status_interval = off
     assert sim_config.loss_rate == 0.1
     assert overlay.near_per_side == 3
     assert overlay.status_interval is None
+    assert overlay.tick_interval == 0.5
 
 
 # ----------------------------------------------------------------------

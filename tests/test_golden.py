@@ -159,8 +159,7 @@ def test_smoke_node_decision_trace_is_pinned():
         os.path.join(REPO, "scenarios", "smoke.cfg"))
     overlay.trace = True
     config = SimConfig(seed=1, latency=sim_config.latency,
-                       loss_rate=sim_config.loss_rate,
-                       tick_interval=sim_config.tick_interval)
+                       loss_rate=sim_config.loss_rate)
     runner = sc.ScenarioRunner(scenario, config, overlay)
     runner.run()
     events = runner.handles[SMOKE_NODE].node.trace

@@ -1,7 +1,10 @@
-"""Every name a ``ringnet`` module imports is used in that module.
+"""Every name a ``ringnet`` module imports is used in that module, and
+every private name it defines is used somewhere in ``ringnet``.
 
 A name counts as used wherever it appears; a string that parses as an
 expression, such as the annotation ``"Any"``, counts for the names in it.
+A private name is a ``_``-prefixed ``def``, ``class`` or module-level
+assignment; dunders are exempt.
 """
 
 import ast
@@ -46,3 +49,52 @@ def test_checker_sees_string_annotations_and_unused_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name):
+                defined[target.id] = node.lineno
+    return {name: line for name, line in defined.items()
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+
+
+def references(source: str) -> set[str]:
+    """Names read, attributes read and names imported; definitions and
+    assignments are not references."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_private_name_checker_skips_dunders_and_stores():
+    source = ("_USED = 1\n_STORED = 2\nclass _C:\n"
+              "    def __init__(self):\n        self._stored = _USED\n"
+              "    def _unread(self):\n        pass\n")
+    assert private_definitions(source) == {"_USED": 1, "_STORED": 2, "_C": 3,
+                                           "_unread": 6}
+    assert references(source) & {"_USED", "_STORED", "_C", "_unread"} == {"_USED"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_private_names_are_used(module):
+    used: set[str] = set()
+    for path in SRC.glob("*.py"):
+        used |= references(path.read_text(encoding="utf-8"))
+    defined = private_definitions((SRC / module).read_text(encoding="utf-8"))
+    assert sorted(f"line {line}: {name}" for name, line in defined.items()
+                  if name not in used) == []

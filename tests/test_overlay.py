@@ -12,7 +12,6 @@ from ringnet.demo import demo_overlay_config
 from ringnet.metrics import ks_distance, ring_correct, shortcut_law_cdf
 from ringnet.node import (
     NodeState,
-    NotReady,
     OverlayConfig,
     sample_shortcut_distance,
     shortcut_distance_from_uniform,
@@ -198,6 +197,18 @@ def test_handshake_commits_on_both_sides_with_two_round_trips():
     assert net.stats["datagrams"] <= 8
 
 
+def test_address_already_being_dialed_is_not_dialed_again():
+    net = SimNetwork(SimConfig(seed=6))
+    cfg = quiet_config()
+    a = new_node(net, 1000, cfg, seed=1, joined=True)
+    b = new_node(net, 2000, cfg, seed=2, joined=True)
+    first = a.initiate_link([b.host.ta], messages.CT_NEAR, expect_addr=b.address)
+    second = a.initiate_link([b.host.ta], messages.CT_NEAR, expect_addr=b.address)
+    assert first is not None and second is None
+    assert list(a.pending_links) == [first]
+    assert net.stats["datagrams"] == 1  # one link request
+
+
 def test_handshake_with_own_address_is_rejected():
     net = SimNetwork(SimConfig(seed=7))
     cfg = quiet_config()
@@ -308,7 +319,7 @@ def test_status_listing_only_current_neighbors_is_a_fixed_point():
     net.run_for(3)
     node = nodes[sorted(nodes)[0]]
     before = net.stats["datagrams"]
-    listing = node._neighbor_listing()
+    listing = node.table.neighbor_listing()
     conn = node.table.with_role(NEAR)[0]
     node._process_status(conn, listing)
     net.run_for(2)
@@ -440,7 +451,7 @@ def test_estimate_d_ave_four_evenly_spaced_nodes():
     ring = [i * (MODULUS // 4) for i in range(4)]
     nodes = seed_ring(net, 4, Random(3), cfg, addresses=ring)
     for node in nodes.values():
-        assert node.estimate_d_ave() == MODULUS // 4
+        assert node.table.gap_estimate() == MODULUS // 4
 
 
 def test_estimate_d_ave_two_node_ring():
@@ -449,15 +460,14 @@ def test_estimate_d_ave_two_node_ring():
     a = new_node(net, 100, cfg, seed=1, joined=True)
     b = new_node(net, 100 + (1 << 100), cfg, seed=2, joined=True)
     install_connection(a, b, {NEAR})
-    assert a.estimate_d_ave() == MODULUS // 2
-    assert b.estimate_d_ave() == MODULUS // 2
+    assert a.table.gap_estimate() == MODULUS // 2
+    assert b.table.gap_estimate() == MODULUS // 2
 
 
 def test_estimate_d_ave_not_ready_without_near_links():
     net = SimNetwork(SimConfig(seed=21))
     node = new_node(net, 100, quiet_config(), seed=1, joined=True)
-    with pytest.raises(NotReady):
-        node.estimate_d_ave()
+    assert node.table.gap_estimate() is None
 
 
 def test_estimate_d_ave_tracks_true_density_on_random_rings():
@@ -466,7 +476,7 @@ def test_estimate_d_ave_tracks_true_density_on_random_rings():
     nodes = seed_ring(net, 256, Random(41), cfg)
     true_gap = MODULUS // 256
     good = sum(1 for node in nodes.values()
-               if true_gap / 4 <= node.estimate_d_ave() <= true_gap * 4)
+               if true_gap / 4 <= node.table.gap_estimate() <= true_gap * 4)
     assert good >= 0.9 * len(nodes)
 
 
