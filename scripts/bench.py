@@ -2,14 +2,16 @@
 """Per-layer micro-benchmarks of one ringnet checkout, written to JSON.
 
 Times, with ``timeit``, the per-message work of the packet codec, one
-forwarding hop, the status body codec, the node's status path and a
-greedy routing decision.  ``--src`` names the ``src`` directory to
-import ringnet from, so one script times two checkouts on one machine:
+forwarding hop (in the codec and in a node), the status body codec, the
+node's status path, a greedy routing decision and the simulator's
+transmit-to-receive of one datagram.  ``--src`` names the ``src``
+directory to import ringnet from, so one script times two checkouts on
+one machine:
 
     python3 scripts/bench.py --src /path/to/parent/src --label before
     python3 scripts/bench.py --src src --label after
 
-Each run adds its label to the output file (``BENCH_3.json`` by default)
+Each run adds its label to the output file (``BENCH_6.json`` by default)
 and, once both ``before`` and ``after`` are there, the after/before
 ratio of every case.  A case's figure is microseconds per call: the
 fastest of ``--repeat`` timing runs, taken round-robin over the cases,
@@ -35,7 +37,7 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     from ringnet.address import MODULUS
     from ringnet.connections import NEAR
     from ringnet.node import OverlayConfig
-    from ringnet.simnet import SimConfig, SimNetwork
+    from ringnet.simnet import ConstantLatency, SimConfig, SimNetwork
     from ringnet.topology import seed_ring
 
     rng = Random(3)
@@ -79,6 +81,34 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         node.table.encoded_listing())
     cases["node_process_status_4"] = lambda: node._process_status(conn, their_listing)
 
+    # One routed hop through a node: a 16-byte lookup for the address
+    # across the ring arrives and is forwarded.  The node's edges discard
+    # what they are given, so only the node's own work is timed.
+    class DiscardEdge:
+        peer_address = None
+
+        def send(self, data: bytes) -> None:
+            pass
+
+    for c in node.table.by_peer.values():
+        c.edge = DiscardEdge()
+    lookup = packet.encode(packet.make_routed(
+        rng.getrandbits(160), ring[8], packet.PAYLOAD_APP, bytes(16)))
+    assert routing.greedy_next_hop(node.address, node.table.structured_peers(), None,
+                                   ring[8]).kind is routing.DecisionKind.FORWARD
+    inbound = DiscardEdge()
+    cases["node_forward_one_hop"] = lambda: node.on_datagram(inbound, lookup)
+
+    # One datagram from a host to a plain host's own ta, sent and received
+    # (no node is attached, so the receiver drops it on arrival).
+    plain = SimNetwork(SimConfig(seed=7, latency=ConstantLatency(0.0)))
+    sender, receiver = plain.new_host(), plain.new_host()
+
+    def transmit_plain_host() -> None:
+        plain.transmit(sender, receiver.ta, lookup)
+        plain.run_until(plain.now)
+    cases["transmit_plain_host"] = transmit_plain_host
+
     peers = [rng.getrandbits(160) for _ in range(8)]
     me, target = rng.getrandbits(160), rng.getrandbits(160)
     cases["greedy_decision_8"] = lambda: routing.greedy_next_hop(me, peers, None, target)
@@ -105,7 +135,7 @@ def main() -> int:
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
                         help="directory holding the ringnet package to time")
     parser.add_argument("--label", default="after", help="key for this run's results")
-    parser.add_argument("--out", default="BENCH_3.json")
+    parser.add_argument("--out", default="BENCH_6.json")
     parser.add_argument("--repeat", type=int, default=25)
     args = parser.parse_args()
 

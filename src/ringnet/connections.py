@@ -7,10 +7,10 @@ an existing ring neighbor is recorded on the same connection rather than
 opening a second edge).
 
 The table is the only writer of entries, roles and transport addresses,
-and every write bumps ``version``.  The near set, and what the node
-sends and decides from it (the neighbor listing and its encoded bytes,
-the zipping bounds), are computed once per version and kept until the
-next write.
+and every write bumps ``version``.  The structured peers the node routes
+over, the near set, and what the node sends and decides from it (the
+neighbor listing and its encoded bytes, the zipping bounds), are
+computed once per version and kept until the next write.
 """
 
 from __future__ import annotations
@@ -69,15 +69,16 @@ class Connection:
 
 
 class _NearView:
-    """What the table derives from its near set at one version.  The near
+    """What the table derives from its entries at one version.  The near
     list is built at once and the rest on first use; none of it is
     mutated afterwards."""
 
-    __slots__ = ("version", "near", "closest", "strict", "listing", "encoded")
+    __slots__ = ("version", "near", "peers", "closest", "strict", "listing", "encoded")
 
     def __init__(self, table: "ConnectionTable") -> None:
         self.version = table.version
         self.near = [c for c in table.by_peer.values() if NEAR in c.roles]
+        self.peers: tuple[int, ...] | None = None
         self.closest: list[Connection] | None = None
         self.strict: tuple[list[int], list[int]] | None = None
         self.listing: tuple | None = None
@@ -142,8 +143,12 @@ class ConnectionTable:
     def with_role(self, role: str) -> list[Connection]:
         return [c for c in self.by_peer.values() if role in c.roles]
 
-    def structured_peers(self) -> list[int]:
-        return [c.peer for c in self.by_peer.values() if c.is_structured()]
+    def structured_peers(self) -> tuple[int, ...]:
+        """Peers holding a near or shortcut role, in table order."""
+        view = self._near_view()
+        if view.peers is None:
+            view.peers = tuple(c.peer for c in self.by_peer.values() if c.is_structured())
+        return view.peers
 
     def _near_view(self) -> _NearView:
         view = self._view

@@ -80,9 +80,9 @@ from .packet import (
     TYPE_LINK,
     TYPE_ROUTED,
     PacketError,
-    advance_hop,
     decode,
     encode,
+    forwarded,
     make_link,
     make_routed,
 )
@@ -435,7 +435,7 @@ class NodeState:
         if pkt.header.type == TYPE_LINK:
             self._dispatch_link(edge, pkt)
         elif pkt.header.type == TYPE_ROUTED:
-            self._route_packet(pkt, prev=peer)
+            self._route_packet(pkt, peer, data)
 
     def _dispatch_link(self, edge, pkt: Packet) -> None:
         try:
@@ -678,16 +678,18 @@ class NodeState:
         leaf.  A node that has not joined likewise passes routed traffic
         for others up that leaf and never answers for the ring itself.
         """
+        data = encode(pkt)
         if self.table.structured_peers():
-            self._route_packet(pkt, prev=None)
+            self._route_packet(pkt, None, data)
             return
         proxy = self._proxy_leaf()
         if proxy is not None:
-            proxy.edge.send(encode(pkt))
+            proxy.edge.send(data)
         else:
             self.stats["unroutable"] += 1
 
-    def _route_packet(self, pkt: Packet, prev: int | None) -> None:
+    def _route_packet(self, pkt: Packet, prev: int | None, data: bytes) -> None:
+        """Route ``pkt``, which arrived (or leaves) as the bytes ``data``."""
         hdr = pkt.header
         if not self.joined and hdr.destination != self.address:
             # We hold no ring position yet: delivering here would let a
@@ -695,12 +697,12 @@ class NodeState:
             # both on an island the ring never hears of.
             proxy = self._proxy_leaf()
             if proxy is not None:
-                self._forward(pkt, proxy.peer)
+                self._forward(pkt, proxy.peer, data)
             else:
                 self.stats["unroutable"] += 1
             return
         adj = self.table.structured_peers()
-        if hdr.source != self.address:
+        if hdr.source != self.address and hdr.source in adj:
             # A packet never revisits its source; this also keeps requests
             # from chasing a stale entry for a node that died and rejoined
             # under the same address.
@@ -718,25 +720,25 @@ class NodeState:
                                                hdr.destination)
         self._trace("route", hdr.destination, decision.kind.value, decision.next_hop)
         if decision.kind is DecisionKind.FORWARD:
-            self._forward(pkt, decision.next_hop)
+            self._forward(pkt, decision.next_hop, data)
         elif decision.kind is DecisionKind.DELIVER_LOCAL:
             self._deliver_local(pkt)
         elif decision.kind is DecisionKind.DELIVER_AND_FORWARD:
             self._deliver_local(pkt)
-            self._forward(pkt, decision.next_hop)
+            self._forward(pkt, decision.next_hop, data)
         else:
             self.stats["dropped_packets"] += 1
 
-    def _forward(self, pkt: Packet, next_hop: int) -> None:
-        advanced = advance_hop(pkt)
-        if advanced is None:
+    def _forward(self, pkt: Packet, next_hop: int, data: bytes) -> None:
+        hops = pkt.header.hops
+        if hops >= pkt.header.ttl:
             self.stats["expired_packets"] += 1
             return
         conn = self.table.get(next_hop)
         if conn is None:
             self.stats["forward_no_edge"] += 1
             return
-        conn.edge.send(encode(advanced))
+        conn.edge.send(forwarded(data, hops))
 
     def _deliver_local(self, pkt: Packet) -> None:
         ptype = pkt.header.payload_type

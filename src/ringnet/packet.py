@@ -11,6 +11,9 @@ payload.  Layout, all integers big-endian:
     25      20    destination address
     45      1     payload type
 
+A node that forwards a routed packet rewrites only the 2-byte ``hops``
+field (bytes 1-2) and relays every other byte unchanged.
+
 There is deliberately no checksum: edges are required to deliver whole,
 uncorrupted packets, so integrity lives a layer down.
 """
@@ -98,6 +101,13 @@ def decode(data: bytes) -> Packet:
     header = PacketHeader(ptype, hops, ttl, int.from_bytes(src, "big"),
                           int.from_bytes(dst, "big"), payload_type)
     return Packet(header, bytes(data[HEADER_LEN:]))
+
+
+def forwarded(data: bytes, hops: int) -> bytes:
+    """The packet ``data``, whose header says ``hops``, as the next hop gets
+    it: ``encode(advance_hop(decode(data)))`` without the decode and
+    encode.  The caller checks that ``hops < ttl``."""
+    return data[:1] + (hops + 1).to_bytes(2, "big") + data[3:]
 
 
 def advance_hop(p: Packet) -> Packet | None:

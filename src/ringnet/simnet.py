@@ -153,6 +153,9 @@ class SimNetwork:
         self._timers = TimerQueue()
         self._host_seq = itertools.count(1)
         self.hosts: dict[str, "SimHost"] = {}          # plain ip -> host
+        # Each live host without a NAT under its own ``ta``: the spelling
+        # nearly every datagram is sent to, found without parsing it.
+        self.plain_tas: dict[str, "SimHost"] = {}
         self.nat_externals: dict[str, NatBox] = {}     # external ip -> box
         self.stats: Counter = Counter()
 
@@ -177,6 +180,8 @@ class SimNetwork:
         self.hosts[ip] = host
         if host.nat_box is not None:
             self.nat_externals[host.nat_box.external_ip] = host.nat_box
+        else:
+            self.plain_tas[host.ta] = host
         return host
 
     def remove_host(self, host: "SimHost") -> None:
@@ -184,35 +189,45 @@ class SimNetwork:
         self.hosts.pop(host.ip, None)
         if host.nat_box is not None:
             self.nat_externals.pop(host.nat_box.external_ip, None)
+        else:
+            self.plain_tas.pop(host.ta, None)
 
     # -- datagram plane --
 
     def transmit(self, src_host: "SimHost", dst_ta: str, data: bytes) -> None:
         self.stats["datagrams"] += 1
         self.stats["bytes"] += len(data)
-        try:
-            dst = parse_ta(dst_ta)
-        except ValueError:
-            self.stats["bad_destination"] += 1
-            return
+        # A plain host's own ta needs no parsing; any other spelling, a NAT
+        # mapping, a dead host or a malformed ta goes through parse_ta.
+        target = self.plain_tas.get(dst_ta)
+        if target is not None:
+            dst_ip, dst_port = target.ip, target.port
+        else:
+            try:
+                dst = parse_ta(dst_ta)
+            except ValueError:
+                self.stats["bad_destination"] += 1
+                return
+            dst_ip, dst_port = dst.host, dst.port
         # Source address as the receiver will see it.
         if src_host.nat_box is not None:
             ext_ip, ext_port = src_host.nat_box.outbound(
-                src_host.ip, src_host.port, dst.host, dst.port)
+                src_host.ip, src_host.port, dst_ip, dst_port)
             visible_src = format_ta("udp", ext_ip, ext_port)
             src_ip, src_port = ext_ip, ext_port
         else:
             visible_src = src_host.ta
             src_ip, src_port = src_host.ip, src_host.port
 
-        target = self._resolve(dst.host, dst.port, src_ip, src_port)
         if target is None:
-            self.stats["undeliverable"] += 1
-            return
+            target = self._resolve(dst_ip, dst_port, src_ip, src_port)
+            if target is None:
+                self.stats["undeliverable"] += 1
+                return
         if self.config.loss_rate > 0.0 and self.rng.random() < self.config.loss_rate:
             self.stats["lost"] += 1
             return
-        delay = self.config.latency.sample(self.rng, src_host.ip, dst.host)
+        delay = self.config.latency.sample(self.rng, src_host.ip, dst_ip)
         self.call_later(delay, lambda: target._receive(visible_src, data))
 
     def _resolve(self, dst_ip: str, dst_port: int,

@@ -106,3 +106,36 @@ def test_every_write_bumps_the_version_and_refreshes_views():
     assert bumps(lambda: table.remove(100)) == 1
     assert bumps(lambda: table.remove(100)) == 0
 
+
+
+_pool = st.sampled_from([3, 1 << 80, MODULUS - 1, 12345])
+_tas = st.lists(st.sampled_from(["ring.udp:10.0.0.1:7000", "ring.tcp:10.0.0.1:7000",
+                                 "ring.udp:10.0.0.2:7000"]), max_size=2)
+_writes = st.one_of(
+    st.tuples(st.just("add"), _pool, role_sets),
+    st.tuples(st.just("remove"), _pool),
+    st.tuples(st.just("add_role"), _pool, st.sampled_from([NEAR, SHORTCUT, LEAF])),
+    st.tuples(st.just("discard_role"), _pool, st.sampled_from([NEAR, SHORTCUT, LEAF])),
+    st.tuples(st.just("add_tas"), _pool, _tas),
+)
+
+
+@given(st.lists(_writes, max_size=30))
+def test_structured_peers_follow_every_write(writes):
+    table = ConnectionTable(0, 2)
+    returned = []
+    for op, peer, *arg in writes:
+        conn = table.get(peer)
+        if op == "add":
+            table.add(Connection(peer, None, frozenset(arg[0])))
+        elif op == "remove":
+            table.remove(peer)
+        elif conn is not None:
+            getattr(table, op)(conn, arg[0])
+        got = table.structured_peers()
+        assert got == tuple(c.peer for c in table.by_peer.values() if c.is_structured())
+        assert table.structured_peers() is got
+        returned.append((got, list(got)))
+    # What an earlier call returned stays as it was after later writes.
+    for got, then in returned:
+        assert isinstance(got, tuple) and list(got) == then

@@ -1,4 +1,4 @@
-"""Packet codec tests."""
+"""Packet codec tests, and the hop field a forwarding node rewrites."""
 
 from random import Random
 
@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ringnet.address import MODULUS
+from ringnet.node import OverlayConfig
 from ringnet.packet import (
     DEFAULT_TTL,
     HEADER_LEN,
+    PAYLOAD_APP,
     Packet,
     PacketHeader,
     TYPE_LINK,
@@ -18,9 +20,12 @@ from ringnet.packet import (
     advance_hop,
     decode,
     encode,
+    forwarded,
     make_link,
     make_routed,
 )
+from ringnet.simnet import SimConfig, SimNetwork
+from ringnet.topology import seed_ring
 
 headers = st.builds(
     PacketHeader,
@@ -107,3 +112,66 @@ def test_advance_hop_expires_at_ttl():
 
 def test_default_ttl():
     assert make_routed(0, 1, 0, b"").header.ttl == DEFAULT_TTL
+
+
+# ----------------------------------------------------------------------
+# forwarding: the hop field is the only byte pair that changes
+
+@st.composite
+def unexpired_packets(draw):
+    ttl = draw(st.integers(1, 0xFFFF))
+    header = PacketHeader(
+        draw(st.sampled_from([TYPE_LINK, TYPE_ROUTED])),
+        draw(st.integers(0, ttl - 1)),
+        ttl,
+        draw(st.one_of(st.sampled_from([0, MODULUS - 1]), st.integers(0, MODULUS - 1))),
+        draw(st.one_of(st.sampled_from([0, MODULUS - 1]), st.integers(0, MODULUS - 1))),
+        draw(st.integers(0, 0xFF)),
+    )
+    return Packet(header, draw(st.binary(max_size=300)))
+
+
+@given(unexpired_packets())
+def test_forwarded_bytes_equal_reencoded_advanced_packet(pkt):
+    data = encode(pkt)
+    assert forwarded(data, pkt.header.hops) == encode(advance_hop(decode(data)))
+
+
+def _forwarding_node(monkeypatch):
+    """A node of a pre-wired 16-node ring, the datagrams its network is asked
+    to send, and a destination the node forwards toward."""
+    net = SimNetwork(SimConfig(seed=6))
+    nodes = seed_ring(net, 16, Random(6), OverlayConfig(status_interval=None,
+                                                        k_shortcuts=0))
+    ring = sorted(nodes)
+    sent = []
+    monkeypatch.setattr(net, "transmit", lambda src, ta, data: sent.append(data))
+    return nodes[ring[0]], sent, ring[8]
+
+
+def test_node_forwards_the_received_bytes_with_only_hops_bumped(monkeypatch):
+    node, sent, far = _forwarding_node(monkeypatch)
+    edge = node.host.dial("ring.udp:10.9.9.9:7000")
+    rng = Random(7)
+    expected = []
+    for size in (0, 1, 16, 300):
+        ttl = rng.randint(1, 0xFFFF)
+        data = encode(make_routed(rng.getrandbits(160), far, PAYLOAD_APP,
+                                  rng.randbytes(size), ttl=ttl,
+                                  hops=rng.randrange(ttl)))
+        node.on_datagram(edge, data)
+        expected.append(encode(advance_hop(decode(data))))
+    assert sent == expected
+    assert node.stats["expired_packets"] == 0
+
+
+def test_node_drops_a_routed_packet_whose_hops_reached_ttl(monkeypatch):
+    node, sent, far = _forwarding_node(monkeypatch)
+    edge = node.host.dial("ring.udp:10.9.9.9:7000")
+    node.on_datagram(edge, encode(make_routed(12345, far, PAYLOAD_APP, bytes(16),
+                                              ttl=5, hops=5)))
+    assert sent == []
+    assert node.stats["expired_packets"] == 1
+    node.on_datagram(edge, encode(make_routed(12345, far, PAYLOAD_APP, bytes(16),
+                                              ttl=5, hops=4)))
+    assert len(sent) == 1

@@ -287,3 +287,152 @@ def test_merge_requires_empty_population():
                         measurement_interval=5, pair_budget=50)
     with pytest.raises(ScenarioInvalid):
         run(scenario, SimConfig(seed=3))
+
+
+# ----------------------------------------------------------------------
+# transmit: destination lookup
+
+
+class _Probe:
+    """Records (sender ta as seen by the receiver, bytes) per datagram."""
+
+    def __init__(self):
+        self.got = []
+
+    def on_datagram(self, edge, data):
+        self.got.append((edge.remote_ta, data))
+
+    def stop(self):
+        pass
+
+
+def _probed_host(net, nat=None):
+    host = net.new_host(nat=nat)
+    probe = _Probe()
+    host.attach(probe)
+    return host, probe
+
+
+def test_alias_spellings_reach_the_host_of_its_own_ta():
+    net = SimNetwork(SimConfig(seed=40))
+    sender = net.new_host()
+    target, probe = _probed_host(net)
+    assert target.ta == f"ring.udp:{target.ip}:7000"
+    for ta in (target.ta, f"udp:{target.ip}:7000", f"RING.UDP:{target.ip}:7000"):
+        net.transmit(sender, ta, ta.encode())
+    net.run_for(1)
+    assert [data for _, data in probe.got] == [
+        target.ta.encode(), f"udp:{target.ip}:7000".encode(),
+        f"RING.UDP:{target.ip}:7000".encode()]
+    assert {src for src, _ in probe.got} == {sender.ta}
+    assert net.stats["datagrams"] == 3
+    assert net.stats["undeliverable"] == net.stats["bad_destination"] == 0
+
+
+def test_removed_host_ta_is_undeliverable():
+    net = SimNetwork(SimConfig(seed=41))
+    sender = net.new_host()
+    target, probe = _probed_host(net)
+    ta = target.ta
+    target.shutdown()
+    net.transmit(sender, ta, b"late")
+    net.transmit(sender, f"udp:{target.ip}:7000", b"late alias")
+    net.run_for(1)
+    assert probe.got == []
+    assert net.stats["undeliverable"] == 2
+
+
+def test_wrong_port_of_a_live_host_is_undeliverable():
+    net = SimNetwork(SimConfig(seed=42))
+    sender = net.new_host()
+    target, probe = _probed_host(net)
+    net.transmit(sender, f"ring.udp:{target.ip}:7001", b"x")
+    net.run_for(1)
+    assert probe.got == []
+    assert net.stats["undeliverable"] == 1
+
+
+def test_nated_host_is_reached_only_through_its_external_mapping():
+    net = SimNetwork(SimConfig(seed=43))
+    outsider, outsider_probe = _probed_host(net)
+    inner, inner_probe = _probed_host(
+        net, nat=NatProfile(NatKind.PORT_RESTRICTED_CONE))
+    # The NATed host speaks first, to the outsider's own ta.
+    net.transmit(inner, outsider.ta, b"hello")
+    net.run_for(1)
+    [(external_ta, data)] = outsider_probe.got
+    assert data == b"hello"
+    assert external_ta != inner.ta
+    assert external_ta.startswith(f"ring.udp:{inner.nat_box.external_ip}:")
+    net.transmit(outsider, inner.ta, b"to internal address")
+    net.transmit(outsider, external_ta, b"to external mapping")
+    net.run_for(1)
+    assert inner_probe.got == [(outsider.ta, b"to external mapping")]
+    assert net.stats["undeliverable"] == 1
+
+
+def test_malformed_destination_counts_bad_destination():
+    net = SimNetwork(SimConfig(seed=44))
+    sender = net.new_host()
+    _, probe = _probed_host(net)
+    for ta in ("garbage", "ring.udp:10.0.0.2", "ring.sctp:10.0.0.2:7000",
+               "ring.udp:10.0.0.2:0", "ring.udp::7000", "ring.udp:10.0.0.2:x"):
+        net.transmit(sender, ta, b"x")
+    net.run_for(1)
+    assert probe.got == []
+    assert net.stats["bad_destination"] == 6
+    assert net.stats["datagrams"] == 6
+
+
+def test_every_datagram_is_delivered_dropped_or_in_flight(monkeypatch):
+    """datagrams = delivered + undeliverable + bad_destination + lost + in
+    flight, on a lossy 16-node ring with a NATed member.  A datagram a NAT
+    filters counts both ``nat_dropped`` and ``undeliverable``."""
+    from ringnet.simnet import SimHost
+    from ringnet.topology import seed_ring
+
+    delivered = [0]
+    receive = SimHost._receive
+
+    def counting_receive(self, src_ta, data):
+        delivered[0] += 1
+        receive(self, src_ta, data)
+
+    monkeypatch.setattr(SimHost, "_receive", counting_receive)
+    net = SimNetwork(SimConfig(seed=45, latency=UniformLatency(0.01, 0.08),
+                               loss_rate=0.05))
+    nodes = seed_ring(net, 16, Random(45), OverlayConfig(status_interval=0.5), k=2)
+    nated, _ = _probed_host(net, nat=NatProfile(NatKind.PORT_RESTRICTED_CONE))
+    ring = sorted(nodes)
+    dead = nodes[ring[3]].host
+    net.run_for(3)
+    dead.shutdown()
+    for i in range(40):
+        src = nodes[ring[i % 16]].host
+        if src is not dead:
+            net.transmit(src, nated.ta if i % 2 else nated.ta + ":x", b"stray")
+    net.transmit(nated, nodes[ring[0]].host.ta, bytes(46))
+    net.run_for(1)
+    external = next(iter(nated.nat_box.mappings.values()))
+    external_ta = f"ring.udp:{nated.nat_box.external_ip}:{external}"
+    net.transmit(nodes[ring[0]].host, external_ta, b"answer")
+    net.transmit(nodes[ring[5]].host, external_ta, b"unsolicited")
+    net.run_for(3)
+
+    def dropped():
+        s = net.stats
+        return s["undeliverable"] + s["bad_destination"] + s["lost"]
+
+    sent_at_cut = net.stats["datagrams"]
+    settled_at_cut = delivered[0] + dropped()
+    for node in nodes.values():
+        node.host.shutdown()
+    nated.shutdown()
+    net.run_for(1)
+    # Nothing is sent after the cut; what was in flight then lands now.
+    assert net.stats["datagrams"] == sent_at_cut
+    assert sent_at_cut == delivered[0] + dropped()
+    assert 0 < sent_at_cut - settled_at_cut
+    assert net.stats["nat_dropped"] < net.stats["undeliverable"]
+    for key in ("undeliverable", "bad_destination", "nat_dropped", "lost"):
+        assert net.stats[key] > 0, key
