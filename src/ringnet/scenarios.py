@@ -185,7 +185,6 @@ class _Handle:
     address: int
     host: object
     node: NodeState
-    alive: bool = True
 
 
 class ScenarioRunner:
@@ -207,7 +206,7 @@ class ScenarioRunner:
     # -- population -------------------------------------------------------
 
     def live_nodes(self) -> list[NodeState]:
-        return [h.node for h in self.handles.values() if h.alive]
+        return [h.node for h in self.handles.values()]
 
     def _new_address(self) -> int:
         while True:
@@ -218,10 +217,9 @@ class ScenarioRunner:
 
     def _pick_proxy(self, exclude: int | None = None) -> _Handle | None:
         ready = [h for h in self.handles.values()
-                 if h.alive and h.node.joined and h.node_id != exclude]
+                 if h.node.joined and h.node_id != exclude]
         if not ready:
-            ready = [h for h in self.handles.values()
-                     if h.alive and h.node_id != exclude]
+            ready = [h for h in self.handles.values() if h.node_id != exclude]
         if not ready:
             return None
         return ready[self.rng.randrange(len(ready))]
@@ -253,9 +251,7 @@ class ScenarioRunner:
         self.network.call_later(1.0, lambda: self._respawn(node_id))
 
     def _respawn(self, node_id: int) -> None:
-        handle = self.handles.get(node_id)
-        if handle is not None and handle.alive:
-            self._kill(node_id, rejoin=True)
+        self._kill(node_id, rejoin=True)
 
     def _harvest_establish(self, handle: _Handle) -> None:
         node = handle.node
@@ -268,7 +264,6 @@ class ScenarioRunner:
         if handle is None:
             return
         self._harvest_establish(handle)
-        handle.alive = False
         handle.host.shutdown()
         if rejoin:
             self._spawn(address=handle.address, node_id=node_id)
@@ -311,7 +306,7 @@ class ScenarioRunner:
             self._spawn()
 
     def _run_massive_fail(self, phase: MassiveFail) -> None:
-        live = sorted(nid for nid, h in self.handles.items() if h.alive)
+        live = sorted(self.handles)
         count = phase.count
         if count is None:
             count = int(round(phase.fraction * len(live)))
@@ -321,7 +316,7 @@ class ScenarioRunner:
             self._kill(nid, rejoin=False)
 
     def _run_churn(self, phase: Churn) -> None:
-        ids = sorted(nid for nid, h in self.handles.items() if h.alive)
+        ids = sorted(self.handles)
         events = churn_events(ids, phase.p_leave, phase.duration, self.rng)
         cursor = 0
         start = self.network.now
@@ -330,8 +325,7 @@ class ScenarioRunner:
             while cursor < len(events) and events[cursor][0] <= second:
                 nid = events[cursor][1]
                 cursor += 1
-                if nid in self.handles and self.handles[nid].alive:
-                    self._kill(nid, rejoin=True)
+                self._kill(nid, rejoin=True)
 
     def _run_merge(self, phase: Merge) -> None:
         if self.handles:
@@ -372,8 +366,7 @@ class ScenarioRunner:
                 raise ScenarioInvalid(f"unknown phase {phase!r}")
         self._measure()
         for handle in self.handles.values():
-            if handle.alive:
-                self._harvest_establish(handle)
+            self._harvest_establish(handle)
         self.trace.counters = dict(self.network.stats)
         return self.trace
 

@@ -15,6 +15,11 @@ Wire rules:
 The ``RealNetwork`` event loop drives any number of in-process nodes
 over loopback or LAN sockets from a single thread, delivering each
 node's events serially, which mirrors the simulator's execution model.
+It is one ``selectors.DefaultSelector`` (epoll on Linux, so no
+``FD_SETSIZE`` ceiling): every socket is registered once, when it is
+created, with the bound method that handles it, and a TCP edge's write
+interest is switched on only while it has bytes queued.  Timers,
+including each TCP open deadline, live in one ``TimerQueue``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import errno
 import heapq
 import itertools
 import logging
-import select
+import selectors
 import socket
 import struct
 import time
@@ -35,6 +40,7 @@ TA_NAMESPACE = "ring"
 MAX_FRAME = 0xFFFF
 UDP_SOFT_MTU = 1400
 EDGE_OPEN_TIMEOUT = 5.0
+_FRAME_LENGTH = struct.Struct(">H")
 
 
 class MalformedTA(ValueError):
@@ -121,10 +127,16 @@ class TimerQueue:
 
 
 class RealNetwork:
-    """select()-based loop hosting in-process nodes over real sockets."""
+    """Selector loop hosting in-process nodes over real sockets.
+
+    Each socket is registered with ``selector`` once, when it is created,
+    and its key's ``data`` is the bound method that handles it; ``poll``
+    fires the due timers and then calls each ready key's handler with the
+    ready event mask."""
 
     def __init__(self) -> None:
         self._timers = TimerQueue()
+        self.selector = selectors.DefaultSelector()
         self.hosts: list[RealHost] = []
 
     def now(self) -> float:
@@ -139,28 +151,11 @@ class RealNetwork:
         self.hosts.append(host)
         return host
 
-    def _fire_due_timers(self) -> float:
-        due = self._timers.fire_due(self.now())
-        if due is None:
-            return 0.05
-        return max(0.0, min(0.05, due - self.now()))
-
     def poll(self) -> None:
-        timeout = self._fire_due_timers()
-        readers: dict[socket.socket, tuple] = {}
-        writers: dict[socket.socket, tuple] = {}
-        for host in self.hosts:
-            host.register(readers, writers)
-        if not readers and not writers:
-            time.sleep(timeout)
-            return
-        rlist, wlist, _ = select.select(list(readers), list(writers), [], timeout)
-        for sock in wlist:
-            owner, tag = writers[sock]
-            owner.on_writable(tag)
-        for sock in rlist:
-            owner, tag = readers[sock]
-            owner.on_readable(tag)
+        due = self._timers.fire_due(self.now())
+        timeout = 0.05 if due is None else max(0.0, min(0.05, due - self.now()))
+        for key, mask in self.selector.select(timeout):
+            key.data(mask)
 
     def run_until(self, predicate, timeout: float) -> bool:
         deadline = self.now() + timeout
@@ -178,6 +173,7 @@ class RealNetwork:
     def close(self) -> None:
         for host in self.hosts:
             host.close()
+        self.selector.close()
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +210,11 @@ class UdpEdge:
 
 
 class TcpEdge:
+    """One TCP connection.  ``_ready`` is its selector handler; write
+    interest is on only while the connect is pending or ``tx`` holds
+    bytes, and an open that takes longer than ``EDGE_OPEN_TIMEOUT``
+    fails the edge."""
+
     def __init__(self, host: "RealHost", sock: socket.socket, remote_ta: str,
                  opening: bool) -> None:
         self.host = host
@@ -223,50 +224,89 @@ class TcpEdge:
         self.peer_address = None
         self.state = "opening" if opening else "open"
         self.dialed = opening
-        self.rx = b""
-        self.tx = b""
-        self.open_deadline = host.network.now() + EDGE_OPEN_TIMEOUT
+        self.rx = bytearray()
+        self.tx = bytearray()
+        self._open_timer = (host.call_later(EDGE_OPEN_TIMEOUT, self._fail)
+                            if opening else None)
+        host.network.selector.register(
+            sock, selectors.EVENT_WRITE if opening else selectors.EVENT_READ,
+            self._ready)
+        host.tcp_edges[id(sock)] = self
 
     def send(self, data: bytes) -> None:
         if self.state == "closed":
             return
         if len(data) > MAX_FRAME:
-            raise ValueError(f"packet of {len(data)} bytes exceeds the "
-                             f"{MAX_FRAME}-byte frame limit")
-        self.tx += struct.pack(">H", len(data)) + data
+            log.warning("dropping a %d-byte packet: a TCP frame holds at most "
+                        "%d bytes", len(data), MAX_FRAME)
+            return
+        self.tx += _FRAME_LENGTH.pack(len(data))
+        self.tx += data
         if self.state == "open":
             self._flush()
 
-    def _flush(self) -> None:
-        while self.tx:
+    def _ready(self, mask: int) -> None:
+        if self.state == "opening":
+            self._open_timer.cancel()
+            if self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+                self._fail()
+                return
+            self.state = "open"
+            self._flush()
+            return
+        if self.state == "open" and mask & selectors.EVENT_WRITE:
+            self._flush()
+        if self.state == "open" and mask & selectors.EVENT_READ:
             try:
-                n = self.sock.send(self.tx)
+                data = self.sock.recv(65536)
             except BlockingIOError:
                 return
             except OSError:
+                data = b""
+            if data:
+                self.feed(data)
+            else:
                 self.close()
-                return
-            self.tx = self.tx[n:]
 
-    def on_connected(self) -> None:
-        self.state = "open"
-        self._flush()
+    def _flush(self) -> None:
+        try:
+            del self.tx[:self.sock.send(self.tx)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self.close()
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self.tx else 0)
+        selector = self.host.network.selector
+        if selector.get_key(self.sock).events != events:
+            selector.modify(self.sock, events, self._ready)
 
     def feed(self, data: bytes) -> None:
-        self.rx += data
-        while len(self.rx) >= 2:
-            size = struct.unpack(">H", self.rx[:2])[0]
-            if len(self.rx) < 2 + size:
-                return
-            frame = self.rx[2:2 + size]
-            self.rx = self.rx[2 + size:]
+        rx = self.rx
+        rx += data
+        pos = 0
+        while len(rx) - pos >= 2:
+            end = pos + 2 + _FRAME_LENGTH.unpack_from(rx, pos)[0]
+            if len(rx) < end:
+                break
+            frame = bytes(rx[pos + 2:end])
+            pos = end
             if self.host.node is not None:
                 self.host.node.on_datagram(self, frame)
+        del rx[:pos]
+
+    def _fail(self) -> None:
+        self.close()
+        if self.host.node is not None:
+            self.host.node.on_edge_failed(self)
 
     def close(self) -> None:
         if self.state == "closed":
             return
         self.state = "closed"
+        if self._open_timer is not None:
+            self._open_timer.cancel()
+        self.host.network.selector.unregister(self.sock)
         try:
             self.sock.close()
         except OSError:
@@ -293,6 +333,8 @@ class RealHost:
             self.udp_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             self.udp_sock.bind((bind_ip, 0))
             self.udp_sock.setblocking(False)
+            network.selector.register(self.udp_sock, selectors.EVENT_READ,
+                                      self._udp_ready)
             ip, port = self.udp_sock.getsockname()
             self.udp_ta = format_ta("udp", ip, port)
         if "tcp" in transports:
@@ -300,6 +342,8 @@ class RealHost:
             self.tcp_listener.bind((bind_ip, 0))
             self.tcp_listener.listen(64)
             self.tcp_listener.setblocking(False)
+            network.selector.register(self.tcp_listener, selectors.EVENT_READ,
+                                      self._accept_ready)
             ip, port = self.tcp_listener.getsockname()
             self.tcp_ta = format_ta("tcp", ip, port)
 
@@ -338,96 +382,42 @@ class RealHost:
         if err not in (0, errno.EINPROGRESS, errno.EWOULDBLOCK):
             sock.close()
             return None
-        edge = TcpEdge(self, sock, ta_text, opening=True)
-        self.tcp_edges[id(sock)] = edge
-        return edge
+        return TcpEdge(self, sock, ta_text, opening=True)
 
     def attach(self, node) -> None:
         self.node = node
 
-    # loop integration ----------------------------------------------------
+    # selector handlers -------------------------------------------------
 
-    def register(self, readers: dict, writers: dict) -> None:
-        if self.udp_sock is not None:
-            readers[self.udp_sock] = (self, ("udp",))
-        if self.tcp_listener is not None:
-            readers[self.tcp_listener] = (self, ("accept",))
-        now = self.network.now()
-        for edge in list(self.tcp_edges.values()):
-            if edge.state == "opening":
-                if now > edge.open_deadline:
-                    edge.close()
-                    if self.node is not None:
-                        self.node.on_edge_failed(edge)
-                    continue
-                writers[edge.sock] = (self, ("connect", edge))
-            elif edge.state == "open":
-                readers[edge.sock] = (self, ("tcp", edge))
-                if edge.tx:
-                    writers[edge.sock] = (self, ("flush", edge))
-
-    def on_readable(self, tag) -> None:
-        kind = tag[0]
-        if kind == "udp":
-            for _ in range(64):
-                try:
-                    data, addr = self.udp_sock.recvfrom(65536)
-                except BlockingIOError:
-                    return
-                except OSError:
-                    return
-                ta_text = format_ta("udp", addr[0], addr[1])
-                edge = self.udp_edges.get(ta_text)
-                if edge is None:
-                    edge = UdpEdge(self, ta_text, addr)
-                    self.udp_edges[ta_text] = edge
-                if self.node is not None:
-                    self.node.on_datagram(edge, data)
-        elif kind == "accept":
+    def _udp_ready(self, mask: int) -> None:
+        for _ in range(64):
             try:
-                sock, addr = self.tcp_listener.accept()
+                data, addr = self.udp_sock.recvfrom(65536)
             except OSError:
                 return
-            sock.setblocking(False)
-            edge = TcpEdge(self, sock, format_ta("tcp", addr[0], addr[1]),
-                           opening=False)
-            self.tcp_edges[id(sock)] = edge
-        elif kind == "tcp":
-            edge = tag[1]
-            try:
-                data = edge.sock.recv(65536)
-            except BlockingIOError:
-                return
-            except OSError:
-                edge.close()
-                return
-            if not data:
-                edge.close()
-                return
-            edge.feed(data)
+            ta_text = format_ta("udp", addr[0], addr[1])
+            edge = self.udp_edges.get(ta_text)
+            if edge is None:
+                edge = UdpEdge(self, ta_text, addr)
+                self.udp_edges[ta_text] = edge
+            if self.node is not None:
+                self.node.on_datagram(edge, data)
 
-    def on_writable(self, tag) -> None:
-        kind = tag[0]
-        edge = tag[1] if len(tag) > 1 else None
-        if kind == "connect":
-            err = edge.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            if err:
-                edge.close()
-                if self.node is not None:
-                    self.node.on_edge_failed(edge)
-            else:
-                edge.on_connected()
-        elif kind == "flush":
-            edge._flush()
+    def _accept_ready(self, mask: int) -> None:
+        try:
+            sock, addr = self.tcp_listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        TcpEdge(self, sock, format_ta("tcp", addr[0], addr[1]), opening=False)
 
     def close(self) -> None:
         if self.node is not None:
             self.node.stop()
         for edge in list(self.tcp_edges.values()):
             edge.close()
-        if self.udp_sock is not None:
-            self.udp_sock.close()
-            self.udp_sock = None
-        if self.tcp_listener is not None:
-            self.tcp_listener.close()
-            self.tcp_listener = None
+        for sock in (self.udp_sock, self.tcp_listener):
+            if sock is not None:
+                self.network.selector.unregister(sock)
+                sock.close()
+        self.udp_sock = self.tcp_listener = None

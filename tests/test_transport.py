@@ -1,5 +1,6 @@
 """Real transport tests: address parsing, loopback edges, parity with sim."""
 
+import resource
 from random import Random
 
 import pytest
@@ -167,14 +168,76 @@ def test_tcp_framing_round_trips_a_thousand_packets():
         net.close()
 
 
-def test_tcp_rejects_oversized_frame():
+def test_tcp_feed_reassembles_frames_from_any_chunking():
     net = RealNetwork()
     try:
         a = net.new_host(("tcp",))
         b = net.new_host(("tcp",))
+        script = Script()
+        a.attach(script)
         edge = a.dial(b.tcp_ta)
-        with pytest.raises(ValueError):
-            edge.send(b"\x00" * 65536)
+        rng = Random(11)
+        frames = [rng.randbytes(rng.choice((0, 1, 2, 50, 300, 2000)))
+                  for _ in range(1000)]
+        stream = b"".join(len(f).to_bytes(2, "big") + f for f in frames)
+        pos = 0
+        while pos < len(stream):
+            size = rng.choice((1, 1, 1, 2, 3, 17, 256, 4096))
+            edge.feed(stream[pos:pos + size])
+            pos += size
+        assert [d for _, d in script.got] == frames
+        assert all(type(d) is bytes for _, d in script.got)
+        assert not edge.rx
+    finally:
+        net.close()
+
+
+def test_tcp_rejects_oversized_frame():
+    # An oversize packet is logged and dropped, like a failed UDP send;
+    # the edge keeps carrying the packets that follow it.
+    net = RealNetwork()
+    try:
+        a = net.new_host(("tcp",))
+        b = net.new_host(("tcp",))
+        script = Script()
+        b.attach(script)
+        edge = a.dial(b.tcp_ta)
+        assert edge.send(b"\x00" * 65536) is None
+        assert not edge.tx
+        packet = bytes(range(100))
+        edge.send(packet)
+        assert net.run_until(lambda: script.got, timeout=5.0)
+        assert [d for _, d in script.got] == [packet]
+    finally:
+        net.close()
+
+
+def test_oversize_link_reply_is_dropped_not_raised_into_the_node():
+    # Two link requests whose peer-supplied observed_remote strings are
+    # 40 kB each make the node's next reply advertise both, which is more
+    # than one TCP frame holds.
+    net = RealNetwork()
+    try:
+        hn = net.new_host(("tcp",))
+        node = NodeState(1 << 150, hn, quiet_config(), Random(1))
+        hn.attach(node)
+        node.joined = True
+        peer = net.new_host(("tcp",))
+        script = Script()
+        peer.attach(script)
+        edge = peer.dial(hn.tcp_ta)
+        for token, fill in ((1, "a"), (2, "b")):
+            link = messages.LinkMessage(
+                messages.LINK_REQUEST, token, PEER_ADDR, messages.CT_NEAR,
+                messages.LINK_OK, 0, fill * 40_000, (edge.local_ta,))
+            edge.send(encode(make_link(PEER_ADDR, node.address, PAYLOAD_LINK,
+                                       messages.encode_link(link))))
+        edge.send(encode(make_routed(PEER_ADDR, node.address, 0, b"after")))
+        assert net.run_until(
+            lambda: node.stats["app_delivered"] > 0 and script.got, timeout=10.0)
+        net.run_for(0.2)
+        assert len(node.learned_tas) == 2
+        assert len(script.got) == 1  # the first reply; the second is dropped
     finally:
         net.close()
 
@@ -214,6 +277,27 @@ def test_tcp_connect_refused_reports_edge_failure():
                         messages.CT_NEAR)
         assert net.run_until(lambda: a.stats["link_failed"] > 0, timeout=10.0)
         assert a.table.get(2000) is None
+    finally:
+        net.close()
+
+
+def test_loop_serves_descriptors_past_fd_setsize():
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft != resource.RLIM_INFINITY and soft < 1200:
+        pytest.skip(f"RLIMIT_NOFILE {soft} is too low for 1,040 sockets")
+    net = RealNetwork()
+    try:
+        hosts = [net.new_host(("udp", "tcp")) for _ in range(520)]
+        a, b = hosts[-2], hosts[-1]
+        assert b.tcp_listener.fileno() >= 1024
+        got_a, got_b = Script(), Script()
+        a.attach(got_a)
+        b.attach(got_b)
+        a.dial(b.udp_ta).send(b"ping")
+        assert net.run_until(lambda: got_b.got, timeout=5.0)
+        got_b.got[0][0].send(b"pong")
+        assert net.run_until(lambda: got_a.got, timeout=5.0)
+        assert [d for _, d in got_a.got] == [b"pong"]
     finally:
         net.close()
 
