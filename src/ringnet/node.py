@@ -88,6 +88,7 @@ from .packet import (
 )
 from . import routing
 from .routing import DecisionKind
+from .transport import MAX_TA_LEN, MalformedTA, parse_ta
 
 log = logging.getLogger(__name__)
 
@@ -258,9 +259,17 @@ class NodeState:
         return tas[: MAX_ADVERTISED_TAS]
 
     def _learn_self_ta(self, ta: str) -> None:
-        if ta and ta not in self.learned_tas and ta not in self.host.local_tas():
-            self.learned_tas.append(ta)
-            del self.learned_tas[: -MAX_ADVERTISED_TAS]
+        # The peer writes this string.  Keep only a well-formed TA, so no
+        # peer can push this node's advertised TA list past one frame.
+        if (not ta or len(ta) > MAX_TA_LEN or ta in self.learned_tas
+                or ta in self.host.local_tas()):
+            return
+        try:
+            parse_ta(ta)
+        except MalformedTA:
+            return
+        self.learned_tas.append(ta)
+        del self.learned_tas[: -MAX_ADVERTISED_TAS]
 
     # ------------------------------------------------------------------
     # joining

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 log = logging.getLogger(__name__)
 
 TA_NAMESPACE = "ring"
+# Room for a namespaced scheme, a 253-byte DNS name and a port.
+MAX_TA_LEN = 300
 MAX_FRAME = 0xFFFF
 UDP_SOFT_MTU = 1400
 EDGE_OPEN_TIMEOUT = 5.0
@@ -270,7 +272,8 @@ class TcpEdge:
 
     def _flush(self) -> None:
         try:
-            del self.tx[:self.sock.send(self.tx)]
+            while self.tx:
+                del self.tx[:self.sock.send(self.tx)]
         except BlockingIOError:
             pass
         except OSError:

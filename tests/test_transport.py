@@ -12,12 +12,14 @@ from ringnet.packet import (
     PAYLOAD_LINK,
     PAYLOAD_STATUS,
     PAYLOAD_CONNECT,
+    decode,
     encode,
     make_link,
     make_routed,
 )
 from ringnet.simnet import SimConfig, SimNetwork
 from ringnet.transport import (
+    MAX_TA_LEN,
     MalformedTA,
     RealNetwork,
     TransportAddress,
@@ -212,10 +214,11 @@ def test_tcp_rejects_oversized_frame():
         net.close()
 
 
-def test_oversize_link_reply_is_dropped_not_raised_into_the_node():
+def test_oversize_observed_remote_does_not_block_link_replies():
     # Two link requests whose peer-supplied observed_remote strings are
-    # 40 kB each make the node's next reply advertise both, which is more
-    # than one TCP frame holds.
+    # 40 kB each.  Were both learned, the node's next reply would advertise
+    # them and outgrow one TCP frame; the node keeps neither, and answers
+    # both requests.
     net = RealNetwork()
     try:
         hn = net.new_host(("tcp",))
@@ -234,10 +237,27 @@ def test_oversize_link_reply_is_dropped_not_raised_into_the_node():
                                        messages.encode_link(link))))
         edge.send(encode(make_routed(PEER_ADDR, node.address, 0, b"after")))
         assert net.run_until(
-            lambda: node.stats["app_delivered"] > 0 and script.got, timeout=10.0)
-        net.run_for(0.2)
-        assert len(node.learned_tas) == 2
-        assert len(script.got) == 1  # the first reply; the second is dropped
+            lambda: node.stats["app_delivered"] > 0 and len(script.got) == 2,
+            timeout=10.0)
+        assert node.learned_tas == []
+        replies = [messages.decode_link_body(decode(d).payload) for _, d in script.got]
+        assert [(r.kind, r.token) for r in replies] == [
+            (messages.LINK_RESPONSE, 1), (messages.LINK_RESPONSE, 2)]
+    finally:
+        net.close()
+
+
+def test_learn_self_ta_keeps_only_well_formed_tas():
+    net = RealNetwork()
+    try:
+        hn = net.new_host(("udp",))
+        node = NodeState(1, hn, quiet_config(), Random(1))
+        for ta in ("", "x" * 40_000, "ring.udp:h:99999", "not a ta",
+                   "ring.udp:" + "h" * MAX_TA_LEN + ":4000", hn.udp_ta):
+            node._learn_self_ta(ta)
+        assert node.learned_tas == []
+        node._learn_self_ta("ring.udp:192.0.2.7:4000")
+        assert node.learned_tas == ["ring.udp:192.0.2.7:4000"]
     finally:
         net.close()
 
