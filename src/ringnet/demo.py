@@ -19,11 +19,10 @@ def demo_overlay_config() -> OverlayConfig:
 
 
 def run_loopback_demo(n: int, transport: str = "udp", budget: float = 60.0,
-                      seed: int = 7, network: RealNetwork | None = None,
-                      ) -> tuple[float, float]:
+                      seed: int = 7) -> tuple[float, float]:
     """Bootstrap n loopback nodes; returns (ring_correct fraction, seconds)."""
     rng = Random(seed)
-    net = network or RealNetwork()
+    net = RealNetwork()
     config = demo_overlay_config()
     nodes: list[NodeState] = []
     started = time.monotonic()
@@ -52,5 +51,4 @@ def run_loopback_demo(n: int, transport: str = "udp", budget: float = 60.0,
         _, fraction = ring_correct(take_snapshot(nodes, net.now()))
         return fraction, time.monotonic() - started
     finally:
-        if network is None:
-            net.close()
+        net.close()

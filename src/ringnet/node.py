@@ -13,10 +13,16 @@ The node is transport-agnostic.  Its environment ("host") must provide::
     host.local_tas() -> list[str]
 
 and edges must provide ``send(bytes)``, ``close()``, ``remote_ta``,
-``local_ta`` and a writable ``peer_address`` that starts as None.
-Incoming datagrams are fed to ``on_datagram(edge, data)``.  All events
-for one node must be delivered serially; distinct nodes may run
+``local_ta`` and a writable ``peer_address`` that starts as None.  A TCP
+edge also carries ``dialed``: False when the peer opened it, so that its
+``remote_ta`` names the peer's ephemeral source port, which nobody can
+dial.  Incoming datagrams are fed to ``on_datagram(edge, data)``.  All
+events for one node must be delivered serially; distinct nodes may run
 concurrently.
+
+``stop()`` ends a node's life on every host: it cancels every timer the
+node holds, and ``on_datagram`` drops what is still in flight to it.  A
+host therefore need not guard the node's timers.
 
 Connection establishment is a two round trip handshake over a fresh
 edge: a link request/response that exchanges addresses, transport
@@ -128,6 +134,12 @@ def sample_shortcut_distance(d_ave: int, rng: Random) -> int:
     return shortcut_distance_from_uniform(d_ave, rng.random())
 
 
+def _dialable_remote(edge) -> str:
+    """The peer's endpoint as ``edge`` sees it, or "" for a TCP edge the
+    peer opened, whose ``remote_ta`` is an ephemeral port."""
+    return edge.remote_ta if getattr(edge, "dialed", True) else ""
+
+
 @dataclass
 class OverlayConfig:
     near_per_side: int = 2
@@ -186,7 +198,6 @@ class _PendingRequest:
     kind: str  # join | anchor | probe | shortcut
     expires: float
     probe_dir: Direction | None = None
-    depth: int = 0
     sampled_gap: int | None = None
 
 
@@ -239,7 +250,10 @@ class NodeState:
 
     def stop(self) -> None:
         self.alive = False
-        for t in (self._tick_timer, self._join_timer, self._push_timer):
+        timers = [self._tick_timer, self._join_timer, self._push_timer]
+        timers += [at.timer for at in self.pending_links.values()]
+        timers += [probe.timer for probe in self.pending_probes.values()]
+        for t in timers:
             if t is not None:
                 t.cancel()
 
@@ -308,7 +322,7 @@ class NodeState:
 
     def _join_check(self) -> None:
         self._join_timer = None
-        if self.joined or not self.alive:
+        if self.joined:
             return
         proxy = self._proxy_leaf()
         if self._join_attempts_left > 0 and proxy is not None:
@@ -320,7 +334,7 @@ class NodeState:
             self._join_failed("timeout")
 
     def _join_failed(self, reason: str) -> None:
-        if self.joined or not self.alive:
+        if self.joined:
             return
         self.stats["join_failed"] += 1
         if self.on_join_failed is not None:
@@ -477,7 +491,7 @@ class NodeState:
         if msg.sender == self.address:
             reply = LinkMessage(messages.LINK_RESPONSE, msg.token, self.address,
                                 msg.conn_type, messages.LINK_COLLISION,
-                                msg.req_token, edge.remote_ta, ())
+                                msg.req_token, _dialable_remote(edge), ())
             self._send_link(edge, msg.sender, PAYLOAD_LINK, messages.encode_link(reply))
             self.stats["address_collision"] += 1
             return
@@ -491,7 +505,7 @@ class NodeState:
                 msg.req_token, edge, self.host.now() + window)
         reply = LinkMessage(messages.LINK_RESPONSE, msg.token, self.address,
                             msg.conn_type, messages.LINK_OK, msg.req_token,
-                            edge.remote_ta, tuple(self.advertised_tas()))
+                            _dialable_remote(edge), tuple(self.advertised_tas()))
         self._send_link(edge, msg.sender, PAYLOAD_LINK, messages.encode_link(reply))
 
     def _handle_link_response(self, edge, msg: LinkMessage) -> None:
@@ -658,15 +672,13 @@ class NodeState:
                 self.initiate_link(list(tas), CT_NEAR, expect_addr=a)
 
     def _push_status_soon(self) -> None:
-        if self._push_timer is not None or not self.alive:
+        if self._push_timer is not None:
             return
         self._push_timer = self.host.call_later(
             self.cfg.push_status_debounce, self._push_status)
 
     def _push_status(self) -> None:
         self._push_timer = None
-        if not self.alive:
-            return
         for c in self.table.near():
             self._send_status(c.edge, c.peer, messages.STATUS_REQUEST, self._next_token())
 
@@ -774,14 +786,14 @@ class NodeState:
 
     def send_connect_request(self, target: int, conn_type: int, *,
                              kind: str, probe_dir: Direction | None = None,
-                             depth: int = 0, sampled_gap: int | None = None,
+                             sampled_gap: int | None = None,
                              ttl: int = DEFAULT_TTL,
                              expires_in: float | None = None) -> int:
         token = self._next_token()
         timeout = self.cfg.connreq_timeout if expires_in is None else expires_in
         self.pending_requests[token] = _PendingRequest(
             kind, self.host.now() + timeout,
-            probe_dir=probe_dir, depth=depth, sampled_gap=sampled_gap)
+            probe_dir=probe_dir, sampled_gap=sampled_gap)
         req = ConnectionRequest(messages.CONNECT_REQUEST, token, self.address,
                                 conn_type, tuple(self.advertised_tas()))
         pkt = make_routed(self.address, target, PAYLOAD_CONNECT,
@@ -824,16 +836,11 @@ class NodeState:
             self.originate(resp_pkt)
 
     def _peer_moved(self, conn: Connection, advertised) -> bool:
-        # A datagram edge's remote TA is the peer's canonical endpoint, so
-        # a mismatch against the freshly advertised list means the peer
-        # came back on new endpoints.  Accepted TCP edges carry ephemeral
-        # ports that never match a listener, and dead TCP sockets announce
-        # themselves anyway, so they are exempt.
-        if not advertised or conn.edge.remote_ta in advertised:
-            return False
-        if ".tcp:" in conn.edge.remote_ta and not getattr(conn.edge, "dialed", True):
-            return False
-        return True
+        # An endpoint the edge can name that the peer no longer advertises
+        # means the peer came back on new endpoints.  An accepted TCP edge
+        # names none, and a dead TCP socket announces itself anyway.
+        seen = _dialable_remote(conn.edge)
+        return bool(advertised and seen) and seen not in advertised
 
     def _relay_to_leaf(self, inner: bytes) -> None:
         """Hand a couriered packet to the leaf peer it is addressed to."""
@@ -887,8 +894,6 @@ class NodeState:
     # maintenance pass
 
     def tick(self) -> None:
-        if not self.alive:
-            return
         self._tick_count += 1
         now = self.host.now()
         self._expire_pending(now)
@@ -1046,7 +1051,7 @@ class NodeState:
             depth = side + 1
             self.send_connect_request(
                 directional_address(direction), CT_NEAR, kind="probe",
-                probe_dir=direction, depth=depth, ttl=depth,
+                probe_dir=direction, ttl=depth,
                 expires_in=self.cfg.tick_interval * 0.9)
         else:
             if self._has_pending("anchor", None):

@@ -179,14 +179,6 @@ class SimTrace:
         return paths
 
 
-@dataclass
-class _Handle:
-    node_id: int
-    address: int
-    host: object
-    node: NodeState
-
-
 class ScenarioRunner:
     def __init__(self, scenario: Scenario, config: SimConfig,
                  overlay: OverlayConfig | None = None) -> None:
@@ -197,7 +189,7 @@ class ScenarioRunner:
         self.overlay = overlay or OverlayConfig()
         self.rng = Random((config.seed << 1) ^ 0x5CE)
         self.metrics_seed = config.seed ^ 0xA17
-        self.handles: dict[int, _Handle] = {}
+        self.handles: dict[int, NodeState] = {}  # node id -> live node
         self._next_id = 0
         self._addresses: set[int] = set()
         self.trace = SimTrace()
@@ -206,7 +198,7 @@ class ScenarioRunner:
     # -- population -------------------------------------------------------
 
     def live_nodes(self) -> list[NodeState]:
-        return [h.node for h in self.handles.values()]
+        return list(self.handles.values())
 
     def _new_address(self) -> int:
         while True:
@@ -215,17 +207,15 @@ class ScenarioRunner:
                 self._addresses.add(a)
                 return a
 
-    def _pick_proxy(self, exclude: int | None = None) -> _Handle | None:
-        ready = [h for h in self.handles.values()
-                 if h.node.joined and h.node_id != exclude]
-        if not ready:
-            ready = [h for h in self.handles.values() if h.node_id != exclude]
+    def _pick_proxy(self, exclude: int | None = None) -> NodeState | None:
+        others = [n for nid, n in self.handles.items() if nid != exclude]
+        ready = [n for n in others if n.joined] or others
         if not ready:
             return None
         return ready[self.rng.randrange(len(ready))]
 
     def _spawn(self, address: int | None = None, node_id: int | None = None,
-               proxy_ta: str | None = None) -> _Handle:
+               proxy_ta: str | None = None) -> NodeState:
         if node_id is None:
             node_id = self._next_id
             self._next_id += 1
@@ -235,8 +225,7 @@ class ScenarioRunner:
         node = NodeState(address, host, self.overlay,
                          Random(self.rng.getrandbits(64)))
         host.attach(node)
-        handle = _Handle(node_id, address, host, node)
-        self.handles[node_id] = handle
+        self.handles[node_id] = node
         node.on_join_failed = lambda n, reason: self._rejoin_later(node_id)
         if proxy_ta is None:
             proxy = self._pick_proxy(exclude=node_id)
@@ -245,7 +234,7 @@ class ScenarioRunner:
             node.joined = True  # genesis node anchors the ring
         else:
             node.start_join(proxy_ta)
-        return handle
+        return node
 
     def _rejoin_later(self, node_id: int) -> None:
         self.network.call_later(1.0, lambda: self._respawn(node_id))
@@ -253,20 +242,19 @@ class ScenarioRunner:
     def _respawn(self, node_id: int) -> None:
         self._kill(node_id, rejoin=True)
 
-    def _harvest_establish(self, handle: _Handle) -> None:
-        node = handle.node
+    def _harvest_establish(self, node: NodeState) -> None:
         if node.join_started_at is not None and node.established_at is not None:
             self.trace.establish_durations.append(
                 node.established_at - node.join_started_at)
 
     def _kill(self, node_id: int, rejoin: bool) -> None:
-        handle = self.handles.pop(node_id, None)
-        if handle is None:
+        node = self.handles.pop(node_id, None)
+        if node is None:
             return
-        self._harvest_establish(handle)
-        handle.host.shutdown()
+        self._harvest_establish(node)
+        node.host.shutdown()
         if rejoin:
-            self._spawn(address=handle.address, node_id=node_id)
+            self._spawn(address=node.address, node_id=node_id)
 
     # -- measurement ------------------------------------------------------
 
@@ -335,15 +323,14 @@ class ScenarioRunner:
             seeded = topology.seed_ring(self.network, size, self.rng, self.overlay)
             for addr, node in seeded.items():
                 self._addresses.add(addr)
-                handle = _Handle(self._next_id, addr, node.host, node)
-                self.handles[self._next_id] = handle
+                self.handles[self._next_id] = node
                 self._next_id += 1
             sides.append(seeded)
         self._advance(phase.settle)
         left_proxy = next(iter(sides[0].values()))
         right_proxy = next(iter(sides[1].values()))
         bridge = self._spawn(proxy_ta=left_proxy.host.ta)
-        bridge.node.add_bootstrap(right_proxy.host.ta)
+        bridge.add_bootstrap(right_proxy.host.ta)
 
     # -- entry point --------------------------------------------------------
 
@@ -365,8 +352,8 @@ class ScenarioRunner:
             else:
                 raise ScenarioInvalid(f"unknown phase {phase!r}")
         self._measure()
-        for handle in self.handles.values():
-            self._harvest_establish(handle)
+        for node in self.handles.values():
+            self._harvest_establish(node)
         self.trace.counters = dict(self.network.stats)
         return self.trace
 

@@ -65,17 +65,11 @@ class SimConfig:
 
 
 class NatKind(enum.Enum):
-    NONE = "none"
     FULL_CONE = "full_cone"
     RESTRICTED_CONE = "restricted_cone"
     PORT_RESTRICTED_CONE = "port_restricted_cone"
     # Unsupported by the traversal protocol; modeled as a negative control.
     SYMMETRIC = "symmetric"
-
-
-@dataclass(frozen=True)
-class NatProfile:
-    kind: NatKind = NatKind.PORT_RESTRICTED_CONE
 
 
 class NatBox:
@@ -86,8 +80,8 @@ class NatBox:
     external port per destination, which is what defeats hole punching.
     """
 
-    def __init__(self, profile: NatProfile, external_ip: str) -> None:
-        self.profile = profile
+    def __init__(self, kind: NatKind, external_ip: str) -> None:
+        self.kind = kind
         self.external_ip = external_ip
         self._next_port = 30000
         # cone: (int_ip, int_port) -> ext_port
@@ -105,7 +99,7 @@ class NatBox:
     def outbound(self, int_ip: str, int_port: int,
                  dst_ip: str, dst_port: int) -> tuple[str, int]:
         """Translate an outgoing datagram; returns the external (ip, port)."""
-        if self.profile.kind is NatKind.SYMMETRIC:
+        if self.kind is NatKind.SYMMETRIC:
             key = (int_ip, int_port, dst_ip, dst_port)
         else:
             key = (int_ip, int_port)
@@ -121,8 +115,8 @@ class NatBox:
     def inbound_allowed(self, ext_port: int, src_ip: str, src_port: int) -> bool:
         if ext_port not in self.reverse:
             return False
-        kind = self.profile.kind
-        if kind is NatKind.NONE or kind is NatKind.FULL_CONE:
+        kind = self.kind
+        if kind is NatKind.FULL_CONE:
             return True
         sent = self.permitted.get(ext_port, set())
         if kind is NatKind.RESTRICTED_CONE:
@@ -173,7 +167,7 @@ class SimNetwork:
 
     # -- topology --
 
-    def new_host(self, nat: NatProfile | None = None) -> "SimHost":
+    def new_host(self, nat: NatKind | None = None) -> "SimHost":
         index = next(self._host_seq)
         ip = f"10.{(index >> 16) & 255}.{(index >> 8) & 255}.{index & 255}"
         host = SimHost(self, ip, 7000, nat)
@@ -185,7 +179,6 @@ class SimNetwork:
         return host
 
     def remove_host(self, host: "SimHost") -> None:
-        host.alive = False
         self.hosts.pop(host.ip, None)
         if host.nat_box is not None:
             self.nat_externals.pop(host.nat_box.external_ip, None)
@@ -233,7 +226,7 @@ class SimNetwork:
     def _resolve(self, dst_ip: str, dst_port: int,
                  src_ip: str, src_port: int) -> "SimHost | None":
         host = self.hosts.get(dst_ip)
-        if host is not None and host.alive and host.port == dst_port:
+        if host is not None and host.port == dst_port:
             if host.nat_box is not None:
                 # A NATed host's internal address is not routable from
                 # outside; only its external mapping is.
@@ -248,7 +241,7 @@ class SimNetwork:
             if internal is None:
                 return None
             inner = self.hosts.get(internal[0])
-            if inner is not None and inner.port == internal[1] and inner.alive:
+            if inner is not None and inner.port == internal[1]:
                 return inner
         return None
 
@@ -256,18 +249,17 @@ class SimNetwork:
 class SimEdge:
     """Virtual datagram edge: a (local host, remote ta) pair."""
 
-    __slots__ = ("host", "remote_ta", "local_ta", "peer_address", "state", "dialed")
+    __slots__ = ("host", "remote_ta", "local_ta", "peer_address", "state")
 
-    def __init__(self, host: "SimHost", remote_ta: str, dialed: bool = True) -> None:
+    def __init__(self, host: "SimHost", remote_ta: str) -> None:
         self.host = host
         self.remote_ta = remote_ta
         self.local_ta = host.ta
         self.peer_address: int | None = None
         self.state = "open"
-        self.dialed = dialed
 
     def send(self, data: bytes) -> None:
-        if self.state != "open" or not self.host.alive:
+        if self.state != "open":
             return
         self.host.network.transmit(self.host, self.remote_ta, data)
 
@@ -283,14 +275,13 @@ class SimHost:
     """One simulated endpoint; implements the host interface nodes need."""
 
     def __init__(self, network: SimNetwork, ip: str, port: int,
-                 nat: NatProfile | None) -> None:
+                 nat: NatKind | None) -> None:
         self.network = network
         self.ip = ip
         self.port = port
-        self.alive = True
         self.node = None
         self.edges: dict[str, SimEdge] = {}
-        if nat is not None and nat.kind is not NatKind.NONE:
+        if nat is not None:
             ext_index = ip.split(".")[1:]
             self.nat_box: NatBox | None = NatBox(nat, "172." + ".".join(ext_index))
         else:
@@ -303,10 +294,7 @@ class SimHost:
         return self.network.now
 
     def call_later(self, delay: float, fn) -> Timer:
-        def guarded():
-            if self.alive:
-                fn()
-        return self.network.call_later(delay, guarded)
+        return self.network.call_later(delay, fn)
 
     def dial(self, ta: str) -> SimEdge | None:
         try:
@@ -329,17 +317,16 @@ class SimHost:
 
     def shutdown(self) -> None:
         """Abrupt removal: every edge dies with no goodbye."""
-        self.alive = False
         if self.node is not None:
             self.node.stop()
         self.edges.clear()
         self.network.remove_host(self)
 
     def _receive(self, src_ta: str, data: bytes) -> None:
-        if not self.alive or self.node is None:
+        if self.node is None:
             return
         edge = self.edges.get(src_ta)
         if edge is None:
-            edge = SimEdge(self, src_ta, dialed=False)
+            edge = SimEdge(self, src_ta)
             self.edges[src_ta] = edge
         self.node.on_datagram(edge, data)

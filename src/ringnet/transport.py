@@ -184,16 +184,15 @@ class RealNetwork:
 
 class UdpEdge:
     __slots__ = ("host", "remote_ta", "local_ta", "peer_address", "state",
-                 "dialed", "_remote")
+                 "_remote")
 
     def __init__(self, host: "RealHost", remote_ta: str,
-                 remote: tuple[str, int], dialed: bool = True) -> None:
+                 remote: tuple[str, int]) -> None:
         self.host = host
         self.remote_ta = remote_ta
         self.local_ta = host.udp_ta
         self.peer_address = None
         self.state = "open"
-        self.dialed = dialed
         self._remote = remote
 
     def send(self, data: bytes) -> None:
@@ -225,6 +224,7 @@ class TcpEdge:
         self.local_ta = host.tcp_ta
         self.peer_address = None
         self.state = "opening" if opening else "open"
+        # False when the peer opened it: remote_ta is then its ephemeral port.
         self.dialed = opening
         self.rx = bytearray()
         self.tx = bytearray()

@@ -37,7 +37,6 @@ from ringnet.scenarios import (
 )
 from ringnet.simnet import (
     NatKind,
-    NatProfile,
     SimConfig,
     SimNetwork,
     UniformLatency,

@@ -227,17 +227,8 @@ def test_demo_real_single_node(capsys):
     assert "ring_correct=1.0000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("transport", ["udp", "mixed"])
+@pytest.mark.parametrize("transport", ["udp", "mixed", "tcp"])
 def test_demo_real_converges_at_the_largest_advertised_size(capsys, transport):
     assert cli.main(["demo-real", "-n", "64", "--transport", transport,
                      "--budget", "60"]) == EXIT_OK
     assert "ring_correct=1.0000" in capsys.readouterr().out
-
-
-def test_demo_real_tcp_at_the_largest_advertised_size_reaches_a_verdict(capsys):
-    # TCP convergence at this size is not asserted, only that the run ends
-    # in a verdict line rather than an exception.
-    code = cli.main(["demo-real", "-n", "64", "--transport", "tcp",
-                     "--budget", "10"])
-    assert code in (EXIT_OK, EXIT_THRESHOLD)
-    assert "ring_correct=" in capsys.readouterr().out

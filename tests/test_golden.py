@@ -162,7 +162,7 @@ def test_smoke_node_decision_trace_is_pinned():
                        loss_rate=sim_config.loss_rate)
     runner = sc.ScenarioRunner(scenario, config, overlay)
     runner.run()
-    events = runner.handles[SMOKE_NODE].node.trace
+    events = runner.handles[SMOKE_NODE].trace
     text = "".join(repr(event) + "\n" for event in events)
     got = (len(events), hashlib.sha256(text.encode()).hexdigest())
     _report("node trace", got)

@@ -1,10 +1,13 @@
-"""Every name a ``ringnet`` module imports is used in that module, and
-every private name it defines is used somewhere in ``ringnet``.
+"""Every name a ``ringnet`` module imports is used in that module, every
+private name it defines is used somewhere in ``ringnet``, and every field
+of a private class is read somewhere in ``ringnet``.
 
 A name counts as used wherever it appears; a string that parses as an
 expression, such as the annotation ``"Any"``, counts for the names in it.
 A private name is a ``_``-prefixed ``def``, ``class`` or module-level
-assignment; dunders are exempt.
+assignment; dunders are exempt.  A field of a ``_``-prefixed class is an
+annotated class attribute or a ``self.x =`` store in its methods, and it
+is read where an attribute of that name is loaded.
 """
 
 import ast
@@ -98,3 +101,50 @@ def test_module_private_names_are_used(module):
     defined = private_definitions((SRC / module).read_text(encoding="utf-8"))
     assert sorted(f"line {line}: {name}" for name, line in defined.items()
                   if name not in used) == []
+
+
+def private_class_fields(source: str) -> dict[str, int]:
+    """``Class.field`` -> line for each field of a ``_``-prefixed class."""
+    fields: dict[str, int] = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                fields[f"{cls.name}.{node.target.id}"] = node.lineno
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                fields.setdefault(f"{cls.name}.{node.attr}", node.lineno)
+    return fields
+
+
+def attribute_reads(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+
+
+def unread_fields(fields: dict[str, int], read: set[str]) -> list[str]:
+    return sorted(f"line {line}: {name}" for name, line in fields.items()
+                  if name.split(".", 1)[1] not in read)
+
+
+def test_field_checker_sees_annotations_and_self_stores_of_private_classes():
+    source = ("class _C:\n    read: int\n    unread: int = 0\n"
+              "    def __init__(self):\n        self.stored = 1\n"
+              "        self.read = 2\n"
+              "class Public:\n    hidden: int\n"
+              "def f(c, stored):\n    c.unread = 3\n    return c.read, stored\n")
+    fields = private_class_fields(source)
+    assert fields == {"_C.read": 2, "_C.unread": 3, "_C.stored": 5}
+    assert unread_fields(fields, attribute_reads(source)) == [
+        "line 3: _C.unread", "line 5: _C.stored"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_private_class_fields_are_read(module):
+    read: set[str] = set()
+    for path in SRC.glob("*.py"):
+        read |= attribute_reads(path.read_text(encoding="utf-8"))
+    fields = private_class_fields((SRC / module).read_text(encoding="utf-8"))
+    assert unread_fields(fields, read) == []

@@ -252,11 +252,11 @@ def test_half_open_handshake_commits_nowhere():
 
 
 def test_nated_node_learns_translated_address_from_echo():
-    from ringnet.simnet import NatKind, NatProfile
+    from ringnet.simnet import NatKind
     net = SimNetwork(SimConfig(seed=9))
     cfg = quiet_config()
     public = new_node(net, 5000, cfg, seed=1, joined=True)
-    host = net.new_host(nat=NatProfile(NatKind.PORT_RESTRICTED_CONE))
+    host = net.new_host(nat=NatKind.PORT_RESTRICTED_CONE)
     hidden = NodeState(6000, host, cfg, Random(2))
     host.attach(hidden)
     hidden.start_join(public.host.ta)

@@ -25,7 +25,6 @@ from ringnet.simnet import (
     ConstantLatency,
     NatBox,
     NatKind,
-    NatProfile,
     SimConfig,
     SimNetwork,
     UniformLatency,
@@ -37,7 +36,7 @@ from ringnet.simnet import (
 
 
 def test_port_restricted_cone_drops_unsolicited_inbound():
-    box = NatBox(NatProfile(NatKind.PORT_RESTRICTED_CONE), "172.0.0.1")
+    box = NatBox(NatKind.PORT_RESTRICTED_CONE, "172.0.0.1")
     ext_ip, ext_port = box.outbound("192.168.0.2", 7000, "10.0.0.1", 7000)
     # Inbound from a peer the internal host never contacted: dropped.
     assert box.inbound_allowed(ext_port, "10.0.0.9", 7000) is False
@@ -48,25 +47,25 @@ def test_port_restricted_cone_drops_unsolicited_inbound():
 
 
 def test_inbound_before_any_outbound_has_no_mapping():
-    box = NatBox(NatProfile(NatKind.PORT_RESTRICTED_CONE), "172.0.0.1")
+    box = NatBox(NatKind.PORT_RESTRICTED_CONE, "172.0.0.1")
     assert box.inbound_allowed(30000, "10.0.0.1", 7000) is False
 
 
 def test_restricted_cone_filters_by_ip_only():
-    box = NatBox(NatProfile(NatKind.RESTRICTED_CONE), "172.0.0.2")
+    box = NatBox(NatKind.RESTRICTED_CONE, "172.0.0.2")
     _, ext_port = box.outbound("192.168.0.2", 7000, "10.0.0.1", 7000)
     assert box.inbound_allowed(ext_port, "10.0.0.1", 9999) is True
     assert box.inbound_allowed(ext_port, "10.0.0.9", 7000) is False
 
 
 def test_full_cone_passes_anyone_once_mapped():
-    box = NatBox(NatProfile(NatKind.FULL_CONE), "172.0.0.3")
+    box = NatBox(NatKind.FULL_CONE, "172.0.0.3")
     _, ext_port = box.outbound("192.168.0.2", 7000, "10.0.0.1", 7000)
     assert box.inbound_allowed(ext_port, "10.9.9.9", 1234) is True
 
 
 def test_symmetric_allocates_per_destination_mappings():
-    box = NatBox(NatProfile(NatKind.SYMMETRIC), "172.0.0.4")
+    box = NatBox(NatKind.SYMMETRIC, "172.0.0.4")
     _, port_a = box.outbound("192.168.0.2", 7000, "10.0.0.1", 7000)
     _, port_b = box.outbound("192.168.0.2", 7000, "10.0.0.2", 7000)
     assert port_a != port_b
@@ -91,7 +90,7 @@ def _nated_pair(kind_a: NatKind, kind_b: NatKind, seed: int):
 
     nodes = []
     for i, kind in enumerate((kind_a, kind_b)):
-        host = net.new_host(nat=NatProfile(kind))
+        host = net.new_host(nat=kind)
         node = NodeState(1000 + i * (1 << 120), host, cfg, Random(seed + i))
         host.attach(node)
         node.joined = True
@@ -130,7 +129,7 @@ def test_symmetric_nat_defeats_the_handshake():
 
 def test_nated_internal_address_is_unroutable_from_outside():
     net = SimNetwork(SimConfig(seed=33))
-    host = net.new_host(nat=NatProfile(NatKind.PORT_RESTRICTED_CONE))
+    host = net.new_host(nat=NatKind.PORT_RESTRICTED_CONE)
     received = []
     class Probe:
         def on_datagram(self, edge, data):
@@ -356,7 +355,7 @@ def test_nated_host_is_reached_only_through_its_external_mapping():
     net = SimNetwork(SimConfig(seed=43))
     outsider, outsider_probe = _probed_host(net)
     inner, inner_probe = _probed_host(
-        net, nat=NatProfile(NatKind.PORT_RESTRICTED_CONE))
+        net, nat=NatKind.PORT_RESTRICTED_CONE)
     # The NATed host speaks first, to the outsider's own ta.
     net.transmit(inner, outsider.ta, b"hello")
     net.run_for(1)
@@ -402,7 +401,7 @@ def test_every_datagram_is_delivered_dropped_or_in_flight(monkeypatch):
     net = SimNetwork(SimConfig(seed=45, latency=UniformLatency(0.01, 0.08),
                                loss_rate=0.05))
     nodes = seed_ring(net, 16, Random(45), OverlayConfig(status_interval=0.5), k=2)
-    nated, _ = _probed_host(net, nat=NatProfile(NatKind.PORT_RESTRICTED_CONE))
+    nated, _ = _probed_host(net, nat=NatKind.PORT_RESTRICTED_CONE)
     ring = sorted(nodes)
     dead = nodes[ring[3]].host
     net.run_for(3)

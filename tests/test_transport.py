@@ -276,6 +276,10 @@ def test_full_link_handshake_over_tcp_loopback():
         assert net.run_until(
             lambda: a.table.get(2000) is not None and b.table.get(1000) is not None,
             timeout=10.0)
+        # The responder saw only a's ephemeral source port, which nobody
+        # can dial, so it reported no endpoint for a to learn.
+        assert a.learned_tas == []
+        assert a.advertised_tas() == [ha.tcp_ta]
     finally:
         net.close()
 
@@ -298,6 +302,34 @@ def test_tcp_connect_refused_reports_edge_failure():
         assert net.run_until(lambda: a.stats["link_failed"] > 0, timeout=10.0)
         assert a.table.get(2000) is None
     finally:
+        net.close()
+
+
+def test_closed_host_runs_none_of_its_nodes_timers():
+    # A link attempt is in flight to a UDP socket that never answers.
+    # Closing the host stops the node, so none of the attempt's retries
+    # fires and the attempt never fails.
+    import socket
+    net = RealNetwork()
+    silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        silent.bind(("127.0.0.1", 0))
+        silent.settimeout(5.0)
+        host = net.new_host(("udp",))
+        node = NodeState(1000, host, quiet_config(handshake_timeout=0.05), Random(1))
+        host.attach(node)
+        node.joined = True
+        node.initiate_link([format_ta("udp", *silent.getsockname())],
+                           messages.CT_NEAR)
+        assert silent.recv(2048)  # the first link request
+        host.close()
+        net.run_for(1.5)  # retries were due at 0.05, 0.15 and 0.35 s, failure at 0.75 s
+        assert node.stats["link_failed"] == 0
+        silent.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            silent.recv(2048)
+    finally:
+        silent.close()
         net.close()
 
 
@@ -432,4 +464,15 @@ def test_loopback_demo_three_nodes():
 def test_loopback_demo_single_node_is_trivially_correct():
     from ringnet.demo import run_loopback_demo
     fraction, _ = run_loopback_demo(1, "udp", budget=5.0)
+    assert fraction == 1.0
+
+
+# TCP seeds that ended 20 s runs short of a correct ring while responders
+# still reported the initiator's ephemeral source port back to it.
+@pytest.mark.parametrize("n,transport,seed", [
+    (32, "tcp", 1), (32, "tcp", 12), (32, "tcp", 13), (64, "tcp", 1),
+    (64, "tcp", 3), (32, "mixed", 1), (64, "mixed", 1)])
+def test_loopback_stream_rings_converge(n, transport, seed):
+    from ringnet.demo import run_loopback_demo
+    fraction, _ = run_loopback_demo(n, transport, budget=60.0, seed=seed)
     assert fraction == 1.0
