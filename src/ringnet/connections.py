@@ -54,12 +54,10 @@ class Connection:
     # True on the side that dialed the link handshake; the dialer owns
     # leaf teardown.
     initiated_by_me: bool = False
-    # Set on the side that asked for the shortcut; the clockwise offset it
-    # realized is what the distance law is checked against, and the gap
-    # estimate used at sampling time tells the maintainer when the sample
-    # has gone stale relative to the current network density.
+    # Set on the side that asked for the shortcut; the gap estimate used
+    # at sampling time tells the maintainer when the sample has gone stale
+    # relative to the current network density.
     initiated_shortcut: bool = False
-    shortcut_offset: int | None = None
     sampled_gap: int | None = None
     # Latest neighbor list received from this peer: ((addr, tas), ...).
     last_neighbors: tuple = ()

@@ -12,13 +12,14 @@ The node is transport-agnostic.  Its environment ("host") must provide::
     host.dial(ta) -> edge | None          start opening an edge
     host.local_tas() -> list[str]
 
-and edges must provide ``send(bytes)``, ``close()``, ``remote_ta``,
-``local_ta`` and a writable ``peer_address`` that starts as None.  A TCP
-edge also carries ``dialed``: False when the peer opened it, so that its
-``remote_ta`` names the peer's ephemeral source port, which nobody can
-dial.  Incoming datagrams are fed to ``on_datagram(edge, data)``.  All
-events for one node must be delivered serially; distinct nodes may run
-concurrently.
+and edges must provide ``send(bytes)``, ``close()``, ``remote_ta`` and
+a writable ``peer_address`` that starts as None.  ``transport.Host`` is
+the core the simulated and real hosts share: node attachment, timers and
+one ``DatagramEdge`` per remote ta.  A TCP edge also carries ``dialed``:
+False when the peer opened it, so that its ``remote_ta`` names the
+peer's ephemeral source port, which nobody can dial.  Incoming datagrams
+are fed to ``on_datagram(edge, data)``.  All events for one node must be
+delivered serially; distinct nodes may run concurrently.
 
 ``stop()`` ends a node's life on every host: it cancels every timer the
 node holds, and ``on_datagram`` drops what is still in flight to it.  A
@@ -602,8 +603,6 @@ class NodeState:
     def _own_shortcut(self, conn: Connection, sampled_gap: int | None) -> None:
         """Record conn as a shortcut this node asked for (see Connection)."""
         conn.initiated_shortcut = True
-        conn.shortcut_offset = directed_distance(self.address, conn.peer,
-                                                 Direction.CLOCKWISE)
         conn.sampled_gap = sampled_gap
 
     def _drop_connection(self, peer: int, *, notify: bool, reason: str) -> None:
@@ -1115,7 +1114,6 @@ class NodeState:
 
     def _demote_shortcut(self, conn: Connection) -> None:
         conn.initiated_shortcut = False
-        conn.shortcut_offset = None
         conn.sampled_gap = None
         if NEAR in conn.roles or LEAF in conn.roles:
             self.table.discard_role(conn, SHORTCUT)

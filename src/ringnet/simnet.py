@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
-from .transport import Timer, TimerQueue, format_ta, parse_ta
-
-log = logging.getLogger(__name__)
+from .transport import DatagramEdge, Host, Timer, TimerQueue, format_ta, parse_ta
 
 
 # ----------------------------------------------------------------------
@@ -128,12 +125,6 @@ class NatBox:
         key = self.reverse[ext_port]
         return key[2] == src_ip and key[3] == src_port
 
-    def internal_for(self, ext_port: int) -> tuple[str, int] | None:
-        key = self.reverse.get(ext_port)
-        if key is None:
-            return None
-        return key[0], key[1]
-
 
 # ----------------------------------------------------------------------
 # simulator core
@@ -237,50 +228,22 @@ class SimNetwork:
             if not box.inbound_allowed(dst_port, src_ip, src_port):
                 self.stats["nat_dropped"] += 1
                 return None
-            internal = box.internal_for(dst_port)
-            if internal is None:
-                return None
-            inner = self.hosts.get(internal[0])
-            if inner is not None and inner.port == internal[1]:
+            int_ip, int_port = box.reverse[dst_port][:2]
+            inner = self.hosts.get(int_ip)
+            if inner is not None and inner.port == int_port:
                 return inner
         return None
 
 
-class SimEdge:
-    """Virtual datagram edge: a (local host, remote ta) pair."""
-
-    __slots__ = ("host", "remote_ta", "local_ta", "peer_address", "state")
-
-    def __init__(self, host: "SimHost", remote_ta: str) -> None:
-        self.host = host
-        self.remote_ta = remote_ta
-        self.local_ta = host.ta
-        self.peer_address: int | None = None
-        self.state = "open"
-
-    def send(self, data: bytes) -> None:
-        if self.state != "open":
-            return
-        self.host.network.transmit(self.host, self.remote_ta, data)
-
-    def close(self) -> None:
-        self.state = "closed"
-        self.host.edges.pop(self.remote_ta, None)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<SimEdge {self.local_ta} -> {self.remote_ta}>"
-
-
-class SimHost:
-    """One simulated endpoint; implements the host interface nodes need."""
+class SimHost(Host):
+    """One simulated endpoint; its datagram edges send through
+    ``SimNetwork.transmit`` with the remote ta as the send key."""
 
     def __init__(self, network: SimNetwork, ip: str, port: int,
                  nat: NatKind | None) -> None:
-        self.network = network
+        super().__init__(network)
         self.ip = ip
         self.port = port
-        self.node = None
-        self.edges: dict[str, SimEdge] = {}
         if nat is not None:
             ext_index = ip.split(".")[1:]
             self.nat_box: NatBox | None = NatBox(nat, "172." + ".".join(ext_index))
@@ -293,27 +256,20 @@ class SimHost:
     def now(self) -> float:
         return self.network.now
 
-    def call_later(self, delay: float, fn) -> Timer:
-        return self.network.call_later(delay, fn)
-
-    def dial(self, ta: str) -> SimEdge | None:
+    def dial(self, ta: str) -> DatagramEdge | None:
         try:
             parse_ta(ta)
         except ValueError:
             return None
-        edge = self.edges.get(ta)
-        if edge is None or edge.state != "open":
-            edge = SimEdge(self, ta)
-            self.edges[ta] = edge
-        return edge
+        return self.datagram_edge(ta, ta)
 
     def local_tas(self) -> list[str]:
         return [self.ta]
 
-    # plumbing ----------------------------------------------------------
+    def send_datagram(self, remote_ta: str, data: bytes) -> None:
+        self.network.transmit(self, remote_ta, data)
 
-    def attach(self, node) -> None:
-        self.node = node
+    # plumbing ----------------------------------------------------------
 
     def shutdown(self) -> None:
         """Abrupt removal: every edge dies with no goodbye."""
@@ -325,8 +281,4 @@ class SimHost:
     def _receive(self, src_ta: str, data: bytes) -> None:
         if self.node is None:
             return
-        edge = self.edges.get(src_ta)
-        if edge is None:
-            edge = SimEdge(self, src_ta)
-            self.edges[src_ta] = edge
-        self.node.on_datagram(edge, data)
+        self.node.on_datagram(self.datagram_edge(src_ta, src_ta), data)

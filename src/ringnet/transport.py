@@ -1,4 +1,5 @@
-"""Real transports behind the same edge interface the simulator uses.
+"""Transport addresses, the host core and datagram edge the simulator
+shares with the real transports, and real UDP/TCP over one event loop.
 
 Transport addresses are written ``<namespace>.<proto>:host:port``; the
 namespace tag is free-form (parsing is liberal, and a bare
@@ -182,32 +183,52 @@ class RealNetwork:
 # edges
 
 
-class UdpEdge:
-    __slots__ = ("host", "remote_ta", "local_ta", "peer_address", "state",
-                 "_remote")
+class DatagramEdge:
+    """A datagram edge: a (local host, remote ta) pair.  ``remote`` is the
+    host's send key for that ta: the ta itself in the simulator, an
+    ``(ip, port)`` pair for UDP.  A closed edge sends nothing."""
 
-    def __init__(self, host: "RealHost", remote_ta: str,
-                 remote: tuple[str, int]) -> None:
+    __slots__ = ("host", "remote_ta", "remote", "peer_address", "state")
+
+    def __init__(self, host: "Host", remote_ta: str, remote) -> None:
         self.host = host
         self.remote_ta = remote_ta
-        self.local_ta = host.udp_ta
-        self.peer_address = None
+        self.remote = remote
+        self.peer_address: int | None = None
         self.state = "open"
-        self._remote = remote
 
     def send(self, data: bytes) -> None:
-        if self.state != "open" or self.host.udp_sock is None:
-            return
-        if len(data) > UDP_SOFT_MTU:
-            log.warning("UDP datagram of %d bytes exceeds the soft MTU", len(data))
-        try:
-            self.host.udp_sock.sendto(data, self._remote)
-        except OSError as exc:
-            log.debug("udp send failed: %s", exc)
+        if self.state == "open":
+            self.host.send_datagram(self.remote, data)
 
     def close(self) -> None:
         self.state = "closed"
-        self.host.udp_edges.pop(self.remote_ta, None)
+        self.host.edges.pop(self.remote_ta, None)
+
+
+class Host:
+    """What the simulated and real hosts share: the network, the attached
+    node, its timers, and one datagram edge per remote ta in ``edges``.
+    A subclass supplies ``now``, ``dial``, ``local_tas`` and
+    ``send_datagram(remote, data)``."""
+
+    def __init__(self, network) -> None:
+        self.network = network
+        self.node = None
+        self.edges: dict[str, DatagramEdge] = {}
+
+    def attach(self, node) -> None:
+        self.node = node
+
+    def call_later(self, delay: float, fn) -> Timer:
+        return self.network.call_later(delay, fn)
+
+    def datagram_edge(self, remote_ta: str, remote) -> DatagramEdge:
+        """The open edge to ``remote_ta``, made on first use."""
+        edge = self.edges.get(remote_ta)
+        if edge is None:
+            edge = self.edges[remote_ta] = DatagramEdge(self, remote_ta, remote)
+        return edge
 
 
 class TcpEdge:
@@ -221,7 +242,6 @@ class TcpEdge:
         self.host = host
         self.sock = sock
         self.remote_ta = remote_ta
-        self.local_ta = host.tcp_ta
         self.peer_address = None
         self.state = "opening" if opening else "open"
         # False when the peer opened it: remote_ta is then its ephemeral port.
@@ -317,19 +337,15 @@ class TcpEdge:
         self.host.tcp_edges.pop(id(self.sock), None)
 
 
-class RealHost:
-    """Sockets and timers for one node: a UDP endpoint, a TCP listener,
-    or both, on loopback or a LAN address."""
+class RealHost(Host):
+    """Sockets for one node: a UDP endpoint, a TCP listener, or both, on
+    loopback or a LAN address."""
 
     def __init__(self, network: RealNetwork, bind_ip: str,
                  transports: tuple[str, ...]) -> None:
-        self.network = network
-        self.node = None
-        self.udp_sock = None
-        self.udp_ta = None
-        self.udp_edges: dict[str, UdpEdge] = {}
-        self.tcp_listener = None
-        self.tcp_ta = None
+        super().__init__(network)
+        self.udp_sock = self.udp_ta = None
+        self.tcp_listener = self.tcp_ta = None
         self.tcp_edges: dict[int, TcpEdge] = {}
         self.preferred = transports[0]
         if "udp" in transports:
@@ -355,9 +371,6 @@ class RealHost:
     def now(self) -> float:
         return self.network.now()
 
-    def call_later(self, delay: float, fn) -> Timer:
-        return self.network.call_later(delay, fn)
-
     def local_tas(self) -> list[str]:
         order = [self.udp_ta, self.tcp_ta]
         if self.preferred == "tcp":
@@ -372,11 +385,7 @@ class RealHost:
         if ta.protocol == "udp":
             if self.udp_sock is None:
                 return None
-            edge = self.udp_edges.get(ta_text)
-            if edge is None:
-                edge = UdpEdge(self, ta_text, (ta.host, ta.port))
-                self.udp_edges[ta_text] = edge
-            return edge
+            return self.datagram_edge(ta_text, (ta.host, ta.port))
         if self.tcp_listener is None and self.udp_sock is None:
             return None
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -387,8 +396,15 @@ class RealHost:
             return None
         return TcpEdge(self, sock, ta_text, opening=True)
 
-    def attach(self, node) -> None:
-        self.node = node
+    def send_datagram(self, remote: tuple[str, int], data: bytes) -> None:
+        if self.udp_sock is None:
+            return
+        if len(data) > UDP_SOFT_MTU:
+            log.warning("UDP datagram of %d bytes exceeds the soft MTU", len(data))
+        try:
+            self.udp_sock.sendto(data, remote)
+        except OSError as exc:
+            log.debug("udp send failed: %s", exc)
 
     # selector handlers -------------------------------------------------
 
@@ -398,11 +414,7 @@ class RealHost:
                 data, addr = self.udp_sock.recvfrom(65536)
             except OSError:
                 return
-            ta_text = format_ta("udp", addr[0], addr[1])
-            edge = self.udp_edges.get(ta_text)
-            if edge is None:
-                edge = UdpEdge(self, ta_text, addr)
-                self.udp_edges[ta_text] = edge
+            edge = self.datagram_edge(format_ta("udp", addr[0], addr[1]), addr)
             if self.node is not None:
                 self.node.on_datagram(edge, data)
 

@@ -19,6 +19,7 @@ import pytest
 
 from ringnet import cli, topology
 from ringnet import scenarios as sc
+from ringnet.address import Direction, directed_distance
 from ringnet.metrics import write_snapshot
 from ringnet.node import OverlayConfig
 from ringnet.simnet import ConstantLatency, SimConfig, SimNetwork
@@ -196,7 +197,9 @@ def test_seed_ring_tables_are_pinned():
     nodes = topology.seed_ring(SimNetwork(SimConfig(seed=1)), 64, rng,
                                OverlayConfig(k_shortcuts=4), k=4)
     rows = sorted((a, c.peer, sorted(c.roles), c.initiated_shortcut,
-                   c.shortcut_offset, c.sampled_gap)
+                   (directed_distance(a, c.peer, Direction.CLOCKWISE)
+                    if c.initiated_shortcut else None),
+                   c.sampled_gap)
                   for a, node in nodes.items() for c in node.table.by_peer.values())
     got = _repr_sha256((rows, rng.random(), [nodes[a].rng.random() for a in sorted(nodes)]))
     _report("seed_ring", got)

@@ -423,8 +423,7 @@ def test_shortcut_deficit_filled_to_k():
     for node in nodes.values():
         assert len(node.table.initiated_shortcuts()) == 3
         for conn in node.table.initiated_shortcuts():
-            assert conn.shortcut_offset is not None
-            assert conn.shortcut_offset >= 1
+            assert directed_distance(node.address, conn.peer, Direction.CLOCKWISE) >= 1
 
 
 def test_dead_shortcut_peer_is_replaced():

@@ -232,7 +232,7 @@ def test_oversize_observed_remote_does_not_block_link_replies():
         for token, fill in ((1, "a"), (2, "b")):
             link = messages.LinkMessage(
                 messages.LINK_REQUEST, token, PEER_ADDR, messages.CT_NEAR,
-                messages.LINK_OK, 0, fill * 40_000, (edge.local_ta,))
+                messages.LINK_OK, 0, fill * 40_000, (edge.host.local_tas()[0],))
             edge.send(encode(make_link(PEER_ADDR, node.address, PAYLOAD_LINK,
                                        messages.encode_link(link))))
         edge.send(encode(make_routed(PEER_ADDR, node.address, 0, b"after")))
@@ -354,6 +354,45 @@ def test_loop_serves_descriptors_past_fd_setsize():
         net.close()
 
 
+@pytest.fixture(params=["sim", "udp"])
+def datagram_hosts(request):
+    """Two hosts of one kind, their TAs, and a call that lets sent
+    datagrams arrive."""
+    if request.param == "sim":
+        net = SimNetwork(SimConfig(seed=1))
+        a, b = net.new_host(), net.new_host()
+        yield a, b, a.ta, b.ta, lambda: net.run_for(1.0)
+        return
+    net = RealNetwork()
+    try:
+        a, b = net.new_host(("udp",)), net.new_host(("udp",))
+        yield a, b, a.udp_ta, b.udp_ta, lambda: net.run_for(0.5)
+    finally:
+        net.close()
+
+
+def test_datagram_edge_rules_are_shared(datagram_hosts):
+    a, b, a_ta, b_ta, deliver = datagram_hosts
+    got_a, got_b = Script(), Script()
+    a.attach(got_a)
+    b.attach(got_b)
+    edge = a.dial(b_ta)
+    assert a.dial(b_ta) is edge
+    b.dial(a_ta).send(b"ping")
+    deliver()
+    assert got_a.got == [(edge, b"ping")]
+    edge.close()
+    edge.send(b"lost")
+    deliver()
+    assert got_b.got == []
+    fresh = a.dial(b_ta)
+    assert fresh is not edge and fresh.state == "open"
+    fresh.send(b"pong")
+    deliver()
+    assert got_b.got == [(b.dial(a_ta), b"pong")]
+    assert a.dial("not a ta") is None
+
+
 # ----------------------------------------------------------------------
 # sim/real parity
 
@@ -373,7 +412,7 @@ def scripted_exchange(node, node_ta, peer_script, peer_edge_factory, pump):
     edge = peer_edge_factory(node_ta)
     link = messages.LinkMessage(messages.LINK_REQUEST, 9, PEER_ADDR,
                                 messages.CT_NEAR, messages.LINK_OK, 0,
-                                node_ta, (edge.local_ta,))
+                                node_ta, (edge.host.local_tas()[0],))
     edge.send(encode(make_link(PEER_ADDR, node.address, PAYLOAD_LINK,
                                messages.encode_link(link))))
     pump(lambda: len(peer_script.got) >= 1)
