@@ -3,19 +3,21 @@
 
 Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
-node's status path, a greedy routing decision and the simulator's
-transmit-to-receive of one datagram.  ``--src`` names the ``src``
+node's status path (building, sending and receiving a status body), a
+greedy routing decision and the simulator's transmit-to-receive of one
+datagram.  ``--src`` names the ``src``
 directory to import ringnet from, so one script times two checkouts on
 one machine:
 
     python3 scripts/bench.py --src /path/to/parent/src --label before
     python3 scripts/bench.py --src src --label after
 
-Each run adds its label to the output file (``BENCH_6.json`` by default)
+Each run adds its label to the output file (``BENCH_10.json`` by default)
 and, once both ``before`` and ``after`` are there, the after/before
-ratio of every case.  A case's figure is microseconds per call: the
-fastest of ``--repeat`` timing runs, taken round-robin over the cases,
-and their median beside it.
+ratio of every case they share (a checkout without
+``packet.read_header`` has no ``packet_read_header`` case).  A case's
+figure is microseconds per call: the fastest of ``--repeat`` timing
+runs, taken round-robin over the cases, and their median beside it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         bytes(16), ttl=100))
     pkt = packet.decode(routed)
     cases["packet_decode"] = lambda: packet.decode(routed)
+    if hasattr(packet, "read_header"):
+        cases["packet_read_header"] = lambda: packet.read_header(routed)
     cases["packet_encode"] = lambda: packet.encode(pkt)
     cases["forward_one_hop"] = lambda: packet.encode(
         packet.advance_hop(packet.decode(routed)))
@@ -99,6 +103,20 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     inbound = DiscardEdge()
     cases["node_forward_one_hop"] = lambda: node.on_datagram(inbound, lookup)
 
+    # The clockwise neighbor's 4-entry status response arriving on its
+    # edge, and the node sending a status body down an edge.
+    from_neighbor = DiscardEdge()
+    from_neighbor.peer_address = neighbor.address
+    status_response = packet.encode(packet.make_link(
+        neighbor.address, node.address, packet.PAYLOAD_STATUS,
+        messages.encode_status(messages.StatusMessage(
+            messages.STATUS_RESPONSE, 11, their_listing))))
+    cases["node_status_datagram"] = lambda: node.on_datagram(from_neighbor,
+                                                              status_response)
+    status_body = messages.encode_status(status)
+    cases["node_link_send"] = lambda: node._send_link(
+        conn.edge, neighbor.address, packet.PAYLOAD_STATUS, status_body)
+
     # One datagram from a host to a plain host's own ta, sent and received
     # (no node is attached, so the receiver drops it on arrival).
     plain = SimNetwork(SimConfig(seed=7, latency=ConstantLatency(0.0)))
@@ -135,7 +153,7 @@ def main() -> int:
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
                         help="directory holding the ringnet package to time")
     parser.add_argument("--label", default="after", help="key for this run's results")
-    parser.add_argument("--out", default="BENCH_6.json")
+    parser.add_argument("--out", default="BENCH_10.json")
     parser.add_argument("--repeat", type=int, default=25)
     args = parser.parse_args()
 

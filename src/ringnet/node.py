@@ -79,11 +79,13 @@ from .messages import (
 )
 from .packet import (
     DEFAULT_TTL,
+    HEADER_LEN,
     PAYLOAD_APP,
     PAYLOAD_CONNECT,
     PAYLOAD_LINK,
     PAYLOAD_STATUS,
     Packet,
+    PacketHeader,
     TYPE_LINK,
     TYPE_ROUTED,
     PacketError,
@@ -92,6 +94,7 @@ from .packet import (
     forwarded,
     make_link,
     make_routed,
+    read_header,
 )
 from . import routing
 from .routing import DecisionKind
@@ -446,7 +449,7 @@ class NodeState:
         if not self.alive:
             return
         try:
-            pkt = decode(data)
+            hdr = read_header(data)
         except PacketError as exc:
             log.debug("node %s: dropping undecodable datagram: %s",
                       format_address(self.address)[:8], exc)
@@ -456,14 +459,14 @@ class NodeState:
         conn = self.table.get(peer)
         if conn is not None:
             conn.last_seen = self.host.now()
-        if pkt.header.type == TYPE_LINK:
-            self._dispatch_link(edge, pkt)
-        elif pkt.header.type == TYPE_ROUTED:
-            self._route_packet(pkt, peer, data)
+        if hdr.type == TYPE_LINK:
+            self._dispatch_link(edge, data[HEADER_LEN:])
+        elif hdr.type == TYPE_ROUTED:
+            self._route_packet(hdr, peer, data)
 
-    def _dispatch_link(self, edge, pkt: Packet) -> None:
+    def _dispatch_link(self, edge, payload: bytes) -> None:
         try:
-            body = messages.decode_link_body(pkt.payload)
+            body = messages.decode_link_body(payload)
         except messages.MessageError as exc:
             log.debug("bad link body: %s", exc)
             self.stats["bad_body"] += 1
@@ -700,7 +703,7 @@ class NodeState:
         """
         data = encode(pkt)
         if self.table.structured_peers():
-            self._route_packet(pkt, None, data)
+            self._route_packet(pkt.header, None, data)
             return
         proxy = self._proxy_leaf()
         if proxy is not None:
@@ -708,16 +711,16 @@ class NodeState:
         else:
             self.stats["unroutable"] += 1
 
-    def _route_packet(self, pkt: Packet, prev: int | None, data: bytes) -> None:
-        """Route ``pkt``, which arrived (or leaves) as the bytes ``data``."""
-        hdr = pkt.header
+    def _route_packet(self, hdr: PacketHeader, prev: int | None, data: bytes) -> None:
+        """Route the packet ``data``, whose header is ``hdr``, as it arrives
+        (or leaves).  Its payload is read only if it is delivered here."""
         if not self.joined and hdr.destination != self.address:
             # We hold no ring position yet: delivering here would let a
             # joiner link to us as if we were the whole ring, stranding
             # both on an island the ring never hears of.
             proxy = self._proxy_leaf()
             if proxy is not None:
-                self._forward(pkt, proxy.peer, data)
+                self._forward(hdr, proxy.peer, data)
             else:
                 self.stats["unroutable"] += 1
             return
@@ -732,26 +735,27 @@ class NodeState:
             decision = routing.directional_next_hop(
                 self.address, adj, direction, hdr.hops, hdr.ttl)
         elif (hdr.payload_type == PAYLOAD_CONNECT
-              and messages.peek_connect_type(pkt.payload) in (CT_NEAR, CT_LEAF)):
+              and messages.peek_connect_type(data[HEADER_LEN:]) in (CT_NEAR, CT_LEAF)):
             decision = routing.annealing_next_hop(self.address, adj, prev,
                                                   hdr.destination)
         else:
             decision = routing.greedy_next_hop(self.address, adj, prev,
                                                hdr.destination)
-        self._trace("route", hdr.destination, decision.kind.value, decision.next_hop)
-        if decision.kind is DecisionKind.FORWARD:
-            self._forward(pkt, decision.next_hop, data)
-        elif decision.kind is DecisionKind.DELIVER_LOCAL:
-            self._deliver_local(pkt)
-        elif decision.kind is DecisionKind.DELIVER_AND_FORWARD:
-            self._deliver_local(pkt)
-            self._forward(pkt, decision.next_hop, data)
-        else:
+        kind, next_hop = decision
+        if self.cfg.trace:
+            self._trace("route", hdr.destination, kind.value, next_hop)
+        if kind is DecisionKind.FORWARD:
+            self._forward(hdr, next_hop, data)
+        elif kind is DecisionKind.DROP:
             self.stats["dropped_packets"] += 1
+        else:
+            self._deliver_local(Packet(hdr, data[HEADER_LEN:]))
+            if kind is DecisionKind.DELIVER_AND_FORWARD:
+                self._forward(hdr, next_hop, data)
 
-    def _forward(self, pkt: Packet, next_hop: int, data: bytes) -> None:
-        hops = pkt.header.hops
-        if hops >= pkt.header.ttl:
+    def _forward(self, hdr: PacketHeader, next_hop: int, data: bytes) -> None:
+        hops = hdr.hops
+        if hops >= hdr.ttl:
             self.stats["expired_packets"] += 1
             return
         conn = self.table.get(next_hop)
@@ -1000,11 +1004,12 @@ class NodeState:
         horizon = REPAIR_HORIZON_GAPS * self.gap_ewma if self.gap_ewma else None
         converged = True
         me = self.address
+        # No key in ``known`` is this node's own address, so every key is
+        # at a distinct clockwise distance, and the counterclockwise order
+        # is the clockwise one reversed.
+        clockwise = sorted(known, key=lambda a: (a - me) % MODULUS)
         for direction in Direction:
-            if direction is Direction.CLOCKWISE:
-                ordered = sorted(known, key=lambda a: (a - me) % MODULUS)
-            else:
-                ordered = sorted(known, key=lambda a: (me - a) % MODULUS)
+            ordered = clockwise if direction is Direction.CLOCKWISE else clockwise[::-1]
             satisfied = True
             acted = False
             for a in ordered[:slots]:

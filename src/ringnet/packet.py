@@ -11,8 +11,11 @@ payload.  Layout, all integers big-endian:
     25      20    destination address
     45      1     payload type
 
-A node that forwards a routed packet rewrites only the 2-byte ``hops``
-field (bytes 1-2) and relays every other byte unchanged.
+A node that forwards a routed packet reads only its header
+(``read_header``), rewrites only the 2-byte ``hops`` field (bytes 1-2)
+and relays every other byte unchanged; the payload is copied out
+(``decode``) only for a packet delivered to the node itself.
+``PacketHeader`` and ``Packet`` are named tuples.
 
 There is deliberately no checksum: edges are required to deliver whole,
 uncorrupted packets, so integrity lives a layer down.
@@ -21,7 +24,7 @@ uncorrupted packets, so integrity lives a layer down.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .address import address_to_bytes
 
@@ -55,8 +58,7 @@ class UnknownType(PacketError):
     """First octet is not a known packet type; protocol mismatch."""
 
 
-@dataclass(frozen=True)
-class PacketHeader:
+class PacketHeader(NamedTuple):
     type: int
     hops: int
     ttl: int
@@ -65,8 +67,7 @@ class PacketHeader:
     payload_type: int
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     header: PacketHeader
     payload: bytes = b""
 
@@ -92,15 +93,19 @@ def encode(p: Packet) -> bytes:
     ) + p.payload
 
 
-def decode(data: bytes) -> Packet:
+def read_header(data: bytes) -> PacketHeader:
+    """The header of the packet ``data``, leaving its payload unread."""
     if len(data) < HEADER_LEN:
         raise TooShort(f"packet is {len(data)} bytes, header needs {HEADER_LEN}")
     ptype, hops, ttl, src, dst, payload_type = _HEADER.unpack_from(data)
     if ptype not in _KNOWN_TYPES:
         raise UnknownType(f"unknown packet type 0x{ptype:02x}")
-    header = PacketHeader(ptype, hops, ttl, int.from_bytes(src, "big"),
-                          int.from_bytes(dst, "big"), payload_type)
-    return Packet(header, bytes(data[HEADER_LEN:]))
+    return PacketHeader(ptype, hops, ttl, int.from_bytes(src, "big"),
+                        int.from_bytes(dst, "big"), payload_type)
+
+
+def decode(data: bytes) -> Packet:
+    return Packet(read_header(data), bytes(data[HEADER_LEN:]))
 
 
 def forwarded(data: bytes, hops: int) -> bytes:
@@ -114,4 +119,4 @@ def advance_hop(p: Packet) -> Packet | None:
     """Copy with hops+1, or None once the hop budget is spent."""
     if p.header.hops >= p.header.ttl:
         return None
-    return Packet(replace(p.header, hops=p.header.hops + 1), p.payload)
+    return p._replace(header=p.header._replace(hops=p.header.hops + 1))

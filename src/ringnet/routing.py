@@ -25,10 +25,9 @@ decision deterministic for a given input.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .address import Direction, directed_distance, ring_distance
+from .address import HALF_MODULUS, MODULUS, Direction, directed_distance
 
 
 class DecisionKind(enum.Enum):
@@ -38,8 +37,7 @@ class DecisionKind(enum.Enum):
     DROP = "drop"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     kind: DecisionKind
     next_hop: int | None = None
 
@@ -61,17 +59,25 @@ def _best_two(v: int, adj: Iterable[int], target: int) -> tuple[int, int | None]
 
     Ordering key is (distance, candidate-is-not-v, address), so v wins
     ties with neighbors and neighbor ties go to the smaller address.
+    This is the hot loop of every routed hop, so the ring distance is
+    computed inline and a candidate is held as its distance and a tie
+    key: its address, or -1 for v, which orders v before any neighbor
+    at the same distance.
     """
-    best = (ring_distance(v, target), 0, v)
-    second = None
+    d = (v - target) % MODULUS
+    best_d = d if d <= HALF_MODULUS else MODULUS - d
+    best = -1
+    second_d = second = None
     for u in adj:
-        key = (ring_distance(u, target), 1, u)
-        if key < best:
-            second = best
-            best = key
-        elif second is None or key < second:
-            second = key
-    return best[2], (second[2] if second is not None else None)
+        d = (u - target) % MODULUS
+        if d > HALF_MODULUS:
+            d = MODULUS - d
+        if d < best_d or (d == best_d and u < best):
+            second_d, second = best_d, best
+            best_d, best = d, u
+        elif second is None or d < second_d or (d == second_d and u < second):
+            second_d, second = d, u
+    return (v if best == -1 else best), (v if second == -1 else second)
 
 
 def greedy_next_hop(v: int, adj: Iterable[int], prev: int | None, target: int) -> Decision:

@@ -146,8 +146,8 @@ class SimNetwork:
 
     # -- scheduling --
 
-    def call_later(self, delay: float, fn) -> Timer:
-        return self._timers.push(self.now + max(0.0, delay), fn)
+    def call_later(self, delay: float, fn, *args) -> Timer:
+        return self._timers.push(self.now + max(0.0, delay), fn, *args)
 
     def run_until(self, t: float) -> None:
         self._timers.fire_due(t, self)
@@ -212,7 +212,7 @@ class SimNetwork:
             self.stats["lost"] += 1
             return
         delay = self.config.latency.sample(self.rng, src_host.ip, dst_ip)
-        self.call_later(delay, lambda: target._receive(visible_src, data))
+        self.call_later(delay, target._receive, visible_src, data)
 
     def _resolve(self, dst_ip: str, dst_port: int,
                  src_ip: str, src_port: int) -> "SimHost | None":

@@ -85,12 +85,14 @@ def format_ta(protocol: str, host: str, port: int) -> str:
 
 
 class Timer:
-    """A callback waiting in a ``TimerQueue``; ``cancel()`` stops it firing."""
+    """A callback and its arguments waiting in a ``TimerQueue``;
+    ``cancel()`` stops it firing."""
 
-    __slots__ = ("fn", "cancelled")
+    __slots__ = ("fn", "args", "cancelled")
 
-    def __init__(self, fn) -> None:
+    def __init__(self, fn, args: tuple) -> None:
         self.fn = fn
+        self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -105,8 +107,9 @@ class TimerQueue:
         self._heap: list[tuple[float, int, Timer]] = []
         self._seq = itertools.count()
 
-    def push(self, when: float, fn) -> Timer:
-        timer = Timer(fn)
+    def push(self, when: float, fn, *args) -> Timer:
+        """Schedule ``fn(*args)`` at ``when``."""
+        timer = Timer(fn, args)
         heapq.heappush(self._heap, (when, next(self._seq), timer))
         return timer
 
@@ -121,7 +124,7 @@ class TimerQueue:
             if clock is not None:
                 clock.now = when
             if not timer.cancelled:
-                timer.fn()
+                timer.fn(*timer.args)
         return heap[0][0] if heap else None
 
 

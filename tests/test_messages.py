@@ -9,6 +9,7 @@ from ringnet import messages as m
 from ringnet.address import MODULUS
 from ringnet.node import OverlayConfig
 from ringnet.packet import (
+    PAYLOAD_APP,
     PAYLOAD_CONNECT,
     PAYLOAD_LINK,
     PAYLOAD_STATUS,
@@ -227,6 +228,10 @@ def small_ring():
     return net, node, peer, edge
 
 
+# The node ``small_ring`` feeds datagrams to; its ring is seeded, so this
+# is its address in every call.
+RECEIVER = small_ring()[1].address
+
 link_bodies = st.one_of(
     hostile_link_bodies,
     link_messages.map(m.encode_link),
@@ -239,14 +244,29 @@ connect_bodies = st.one_of(hostile_connect_bodies, connects.map(m.encode_connect
 
 @st.composite
 def hostile_datagrams(draw):
-    """Raw bytes, or a well-formed packet around a random or valid body."""
-    kind = draw(st.sampled_from(["raw", "link", "status", "routed"]))
+    """Raw bytes, or a well-formed packet around a random or valid body.
+
+    Routed packets also come addressed to the receiving node, whose
+    payload it reads only on delivery, cut to any length there, and with
+    their hop budget spent."""
+    kind = draw(st.sampled_from(["raw", "link", "status", "routed", "to_receiver",
+                                 "spent"]))
     if kind == "raw":
         return draw(st.binary(max_size=120))
     if kind == "routed":
         body = draw(connect_bodies)
         return encode(make_routed(draw(addr), draw(addr), PAYLOAD_CONNECT, body,
                                   ttl=draw(st.integers(0, 5))))
+    if kind in ("to_receiver", "spent"):
+        body = draw(st.one_of(connect_bodies, st.binary(min_size=8, max_size=24)))
+        body = body[:draw(st.integers(0, len(body)))]
+        ptype = draw(st.sampled_from([PAYLOAD_APP, PAYLOAD_CONNECT, PAYLOAD_LINK]))
+        ttl = draw(st.integers(0, 5))
+        if kind == "to_receiver":
+            return encode(make_routed(draw(addr), RECEIVER, ptype, body, ttl=ttl,
+                                      hops=draw(st.integers(0, ttl))))
+        return encode(make_routed(draw(addr), draw(st.one_of(addr, st.just(RECEIVER))),
+                                  ptype, body, ttl=ttl, hops=ttl))
     ptype = PAYLOAD_LINK if kind == "link" else PAYLOAD_STATUS
     return encode(make_link(draw(addr), draw(addr), ptype, draw(link_bodies)))
 

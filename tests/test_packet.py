@@ -23,6 +23,7 @@ from ringnet.packet import (
     forwarded,
     make_link,
     make_routed,
+    read_header,
 )
 from ringnet.simnet import SimConfig, SimNetwork
 from ringnet.topology import seed_ring
@@ -95,6 +96,24 @@ def test_unknown_type():
     raw[0] = 0x7F
     with pytest.raises(UnknownType):
         decode(bytes(raw))
+
+
+@given(packets)
+def test_read_header_equals_decoded_header(pkt):
+    assert read_header(encode(pkt)) == pkt.header == decode(encode(pkt)).header
+
+
+@given(packets, st.integers(0, 0xFF).filter(lambda t: t not in (TYPE_LINK, TYPE_ROUTED)))
+def test_read_header_rejects_what_decode_rejects(pkt, bad_type):
+    data = encode(pkt)
+    for cut in range(HEADER_LEN):
+        for parse in (read_header, decode):
+            with pytest.raises(TooShort):
+                parse(data[:cut])
+    unknown = bytes([bad_type]) + data[1:]
+    for parse in (read_header, decode):
+        with pytest.raises(UnknownType):
+            parse(unknown)
 
 
 def test_advance_hop_increments():

@@ -4,9 +4,10 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from ringnet.address import Direction, MODULUS, ring_distance
+from ringnet.address import Direction, HALF_MODULUS, MODULUS, ring_distance
 from ringnet.routing import (
     DecisionKind,
+    _best_two,
     annealing_next_hop,
     directional_next_hop,
     greedy_next_hop,
@@ -98,6 +99,30 @@ def test_greedy_forward_strictly_improves(v, adj, target):
     decision = greedy_next_hop(v, adj, None, target)
     if decision.kind is DecisionKind.FORWARD:
         assert ring_distance(decision.next_hop, target) < ring_distance(v, target)
+
+
+@st.composite
+def tied_adjacencies(draw):
+    """(v, adjacency, target), the adjacency holding exact distance ties:
+    two candidates at target ± d, and the neighbor at v's own distance
+    on the other side of the target."""
+    address = st.one_of(st.sampled_from([0, 1, HALF_MODULUS, MODULUS - 1]),
+                        st.integers(0, MODULUS - 1))
+    v, target = draw(address), draw(address)
+    d = draw(st.one_of(st.sampled_from([0, 1, HALF_MODULUS]),
+                       st.integers(0, HALF_MODULUS)))
+    adj = {(target + d) % MODULUS, (target - d) % MODULUS,
+           (2 * target - v) % MODULUS}
+    adj |= draw(st.sets(address, max_size=6))
+    adj.discard(v)
+    return v, draw(st.permutations(sorted(adj))), target
+
+
+@given(tied_adjacencies())
+def test_best_two_matches_sorted_reference(case):
+    v, adj, target = case
+    ranked = sorted(set(adj) | {v}, key=lambda u: (ring_distance(u, target), u != v, u))
+    assert _best_two(v, adj, target) == (ranked[0], ranked[1] if len(ranked) > 1 else None)
 
 
 def test_greedy_does_not_bounce_back_to_prev():
