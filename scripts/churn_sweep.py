@@ -1,24 +1,16 @@
 #!/usr/bin/env python3
 """Steady-state routability as a function of mean session time.
 
-Bootstraps a ring, measures how long late joiners take to establish
-(ring position plus first shortcut), then churns the network at session
-times that are multiples of that baseline.  Prints one CSV row per
-sweep point.
+Runs ``scenarios.churn_sweep``: bootstraps a ring, measures how long late
+joiners take to establish (ring position plus first shortcut), then
+churns the network at session times that are multiples of that baseline.
+Prints one CSV row per sweep point; the defaults are acceptance 08's run.
 """
 
 import argparse
 from statistics import mean
 
-from ringnet.node import OverlayConfig
-from ringnet.scenarios import Bootstrap, Churn, MassiveJoin, Scenario, ScenarioRunner, Wait
-from ringnet.simnet import SimConfig
-
-
-def overlay() -> OverlayConfig:
-    return OverlayConfig(k_shortcuts=4, status_interval=1.0, probe_timeout=0.3,
-                         probe_retries=2, tick_interval=0.5,
-                         handshake_timeout=0.3, join_retry_timeout=1.5)
+from ringnet.scenarios import churn_sweep
 
 
 def main() -> None:
@@ -30,26 +22,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
 
-    probe = Scenario([Bootstrap(args.nodes, spacing=0.25), Wait(5),
-                      MassiveJoin(8), Wait(10)],
-                     measurement_interval=60, pair_budget=100)
-    trace = ScenarioRunner(probe, SimConfig(seed=args.seed), overlay()).run()
-    t_join = mean(trace.establish_durations[-8:])
+    t_join, sweep = churn_sweep(args.nodes, args.multiples, args.duration, args.seed)
     print(f"# mean establish time: {t_join:.2f}s")
     print("session_multiple,session_s,routability_mean,routability_min,"
           "ring_correct_mean")
-    for mult in args.multiples:
-        session = t_join * mult
-        scenario = Scenario([Bootstrap(args.nodes, spacing=0.25), Wait(10),
-                             Churn(args.duration, 1.0 / session)],
-                            measurement_interval=5, pair_budget=1200)
-        t = ScenarioRunner(scenario, SimConfig(seed=args.seed), overlay()).run()
-        start = args.nodes * 0.25 + 10
-        rows = [r for r in t.rows if r.simulated_time_s > start + args.duration / 3]
+    for mult, rows in sweep.items():
         rts = [r.routability for r in rows]
-        rings = [r.ring_correct_fraction for r in rows]
-        print(f"{mult},{session:.1f},{mean(rts):.4f},{min(rts):.4f},"
-              f"{mean(rings):.4f}")
+        print(f"{mult},{t_join * mult:.1f},{mean(rts):.4f},{min(rts):.4f},"
+              f"{mean(r.ring_correct_fraction for r in rows):.4f}")
 
 
 if __name__ == "__main__":

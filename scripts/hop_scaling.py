@@ -3,13 +3,13 @@
 
 Builds law-distributed ring topologies directly (no protocol run) and
 replays greedy routing over sampled pairs.  Prints one CSV row per
-(n, k) cell plus the fitted constant for hops = c * log^2(N) / k.
+(n, k) cell plus the constant ``metrics.hop_law`` fits for
+hops = c * log^2(N) / k.
 """
 
 import argparse
-import math
 
-from ringnet.metrics import routability
+from ringnet.metrics import hop_law, routability
 from ringnet.topology import synthetic_snapshot
 
 
@@ -24,16 +24,11 @@ def main() -> None:
 
     print("n,k,mean_hops,max_hops,c_fit")
     for k in args.ks:
-        cells = {}
-        for n in args.sizes:
-            snap = synthetic_snapshot(n, k=k, seed=args.seed + n + 31 * k)
-            rep = routability(snap, pair_budget=args.pairs, seed=args.seed)
-            cells[n] = rep
-        xs = {n: math.log(n) ** 2 / k for n in cells}
-        c = (sum(xs[n] * cells[n].mean_hops for n in cells)
-             / sum(xs[n] ** 2 for n in cells))
-        for n in args.sizes:
-            rep = cells[n]
+        cells = {n: routability(synthetic_snapshot(n, k=k, seed=args.seed + n + 31 * k),
+                                pair_budget=args.pairs, seed=args.seed)
+                 for n in args.sizes}
+        c, _ = hop_law({n: rep.mean_hops for n, rep in cells.items()}, k)
+        for n, rep in cells.items():
             print(f"{n},{k},{rep.mean_hops:.3f},{rep.max_hops},{c:.4f}")
 
 

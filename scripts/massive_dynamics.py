@@ -1,21 +1,14 @@
 #!/usr/bin/env python3
 """Routability and missing-edge time series under massive membership
-changes: grow a ring, join a comparable batch at one instant, let it
-heal, then kill a fraction of the network.  Writes the standard trace
-CSV and snapshot files to --out."""
+changes: acceptance 05's run (``scenarios.massive_dynamics``), which grows
+a ring and joins a comparable batch at one instant, followed by the
+failure of a fraction of the network.  Writes the standard trace CSV and
+snapshot files to --out."""
 
 import argparse
+import os
 
-from ringnet.node import OverlayConfig
-from ringnet.scenarios import (
-    Bootstrap,
-    MassiveFail,
-    MassiveJoin,
-    Scenario,
-    ScenarioRunner,
-    Wait,
-)
-from ringnet.simnet import SimConfig, UniformLatency
+from ringnet.scenarios import massive_dynamics
 
 
 def main() -> None:
@@ -27,17 +20,7 @@ def main() -> None:
     parser.add_argument("--out", default="out/massive")
     args = parser.parse_args()
 
-    scenario = Scenario(
-        [Bootstrap(args.base, spacing=0.25), Wait(10),
-         MassiveJoin(args.join), Wait(40),
-         MassiveFail(fraction=args.fail_fraction), Wait(60)],
-        measurement_interval=0.5, pair_budget=1200)
-    overlay = OverlayConfig(k_shortcuts=4, status_interval=3.0,
-                            push_status_debounce=0.5, handshake_timeout=1.0)
-    config = SimConfig(seed=args.seed, latency=UniformLatency(0.05, 0.35))
-    trace = ScenarioRunner(scenario, config, overlay).run()
-
-    import os
+    trace = massive_dynamics(args.base, args.join, args.seed, args.fail_fraction)
     os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     trace.write_snapshots(args.out, dot=True)

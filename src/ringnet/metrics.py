@@ -9,8 +9,8 @@ works offline from run artifacts alone.
 Checks provided: the ring-correctness predicate (every node linked to
 its two nearest live addresses in each direction), routability (the
 fraction of ordered pairs greedy routing delivers to the node closest to
-the target), the shortcut distance law, and missing-edge counts against
-the ideal ring.
+the target), the shortcut distance law, missing-edge counts against the
+ideal ring, and the fit of mean greedy hops to c * log^2(N) / k.
 
 Shortcut edges are recorded oriented, requester first, and their length
 is the clockwise offset the requester sampled; that is the quantity the
@@ -193,6 +193,14 @@ def routability(snapshot: TopologySnapshot, pair_budget: int | None = None,
             hop_max = max(hop_max, hops)
     return RoutabilityReport(tested, ok, ok / tested,
                              (hop_total / ok) if ok else 0.0, hop_max)
+
+
+def hop_law(hops_by_n: dict[int, float], k: int) -> tuple[float, dict[int, float]]:
+    """Least-squares fit of mean hops = c * log^2(N) / k through the
+    origin: c, and each size's relative deviation from the fit."""
+    xs = {n: math.log(n) ** 2 / k for n in hops_by_n}
+    c = sum(xs[n] * hops_by_n[n] for n in xs) / sum(x ** 2 for x in xs.values())
+    return c, {n: abs(hops_by_n[n] - c * xs[n]) / (c * xs[n]) for n in xs}
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ surplus connections and keeps the shortcut set stocked.
 
 The node is transport-agnostic.  Its environment ("host") must provide::
 
-    host.now() -> float                   simulated or wall seconds
-    host.call_later(delay, fn) -> timer   timer has .cancel()
-    host.dial(ta) -> edge | None          start opening an edge
+    host.now() -> float                      simulated or wall seconds
+    host.call_later(delay, fn, *args) -> t   fires fn(*args) unless t.cancel()
+    host.dial(ta) -> edge | None             start opening an edge
     host.local_tas() -> list[str]
 
 and edges must provide ``send(bytes)``, ``close()``, ``remote_ta`` and
@@ -298,7 +298,7 @@ class NodeState:
         self._join_attempts_left = JOIN_RETRIES
         self.initiate_link([proxy_ta], CT_LEAF,
                            on_established=self._leaf_ready,
-                           on_failed=lambda reason: self._join_failed(reason))
+                           on_failed=self._join_failed)
 
     def add_bootstrap(self, proxy_ta: str) -> None:
         """Attach a further leaf proxy (e.g. to bridge a second ring)."""
@@ -395,8 +395,7 @@ class NodeState:
                             messages.encode_link(msg))
         else:
             self._send_status(at.edge, at.peer or 0, messages.STATUS_REQUEST, at.token)
-        at.timer = self.host.call_later(
-            at.backoff, lambda: self._attempt_timeout(at.token))
+        at.timer = self.host.call_later(at.backoff, self._attempt_timeout, at.token)
 
     def _attempt_timeout(self, token: int) -> None:
         at = self.pending_links.get(token)
@@ -946,8 +945,7 @@ class NodeState:
             self.pending_probes.pop(token, None)
             return
         self._send_status(conn.edge, conn.peer, messages.STATUS_REQUEST, token)
-        rec.timer = self.host.call_later(
-            rec.backoff, lambda: self._probe_timeout(token))
+        rec.timer = self.host.call_later(rec.backoff, self._probe_timeout, token)
 
     def _probe_timeout(self, token: int) -> None:
         rec = self.pending_probes.get(token)

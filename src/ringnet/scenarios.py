@@ -6,6 +6,9 @@ Running one produces a ``SimTrace``: per-interval metric rows, topology
 snapshots, and the network's message counters.  Runs are deterministic
 for a fixed (scenario, seed) pair; rerunning writes byte-identical CSV.
 
+``grow``, ``massive_dynamics`` and ``churn_sweep`` are the experiments
+that acceptance tests assert on and the scripts print.
+
 Departures here are always abrupt: a node's endpoints vanish and every
 edge it held dies silently; rejoining nodes keep their address and
 bootstrap again through a random live proxy.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from random import Random
+from statistics import mean
 
 from .address import random_class0
 from .connections import LEAF, NEAR, SHORTCUT
@@ -29,7 +33,7 @@ from .metrics import (
     write_snapshot,
 )
 from .node import NodeState, OverlayConfig
-from .simnet import SimConfig, SimNetwork
+from .simnet import SimConfig, SimNetwork, UniformLatency
 from . import topology
 
 
@@ -237,7 +241,7 @@ class ScenarioRunner:
         return node
 
     def _rejoin_later(self, node_id: int) -> None:
-        self.network.call_later(1.0, lambda: self._respawn(node_id))
+        self.network.call_later(1.0, self._respawn, node_id)
 
     def _respawn(self, node_id: int) -> None:
         self._kill(node_id, rejoin=True)
@@ -361,3 +365,58 @@ class ScenarioRunner:
 def run(scenario: Scenario, config: SimConfig,
         overlay: OverlayConfig | None = None) -> SimTrace:
     return ScenarioRunner(scenario, config, overlay).run()
+
+
+def grow(n: int, seed: int, overlay: OverlayConfig) -> ScenarioRunner:
+    """Build an n-node overlay by protocol: bootstrap 64 nodes, double the
+    ring by massive joins until it holds n, then settle.  Returns the
+    runner after its run; ``runner.trace.snapshots[-1]`` is the result."""
+    phases = [Bootstrap(64, spacing=0.25), Wait(10)]
+    size = 64
+    while size < n:
+        phases += [MassiveJoin(min(size, n - size)), Wait(12 if size < 256 else 15)]
+        size *= 2
+    phases[-1] = Wait(50)
+    runner = ScenarioRunner(Scenario(phases, measurement_interval=60, pair_budget=200),
+                            SimConfig(seed=seed), overlay)
+    runner.run()
+    return runner
+
+
+def massive_dynamics(base: int, join: int, seed: int,
+                     fail_fraction: float | None = None) -> SimTrace:
+    """A base-node ring takes ``join`` newcomers at one instant and heals;
+    with ``fail_fraction``, that share of the network then fails at once."""
+    phases = [Bootstrap(base, spacing=0.25), Wait(10), MassiveJoin(join), Wait(40)]
+    if fail_fraction is not None:
+        phases += [MassiveFail(fraction=fail_fraction), Wait(60)]
+    overlay = OverlayConfig(k_shortcuts=4, status_interval=4.0,
+                            push_status_debounce=0.5, handshake_timeout=1.0,
+                            connreq_timeout=8.0)
+    return run(Scenario(phases, measurement_interval=0.5, pair_budget=1200),
+               SimConfig(seed=seed, latency=UniformLatency(0.05, 0.35)), overlay)
+
+
+def churn_sweep(nodes: int, multiples, duration: float,
+                seed: int) -> tuple[float, dict]:
+    """Steady-state rows under churn whose mean session time is each
+    multiple of ``t_establish``: the mean time a late joiner takes to hold
+    its ring position plus a first shortcut on a quiet overlay.  Returns
+    ``t_establish`` and, per multiple, the rows after the first third of
+    the churn."""
+    overlay = OverlayConfig(k_shortcuts=4, status_interval=1.0, probe_timeout=0.3,
+                            probe_retries=2, tick_interval=0.5,
+                            handshake_timeout=0.3, join_retry_timeout=1.5)
+    probe = Scenario([Bootstrap(nodes, spacing=0.25), Wait(5), MassiveJoin(8),
+                      Wait(10)], measurement_interval=60, pair_budget=100)
+    t_establish = mean(run(probe, SimConfig(seed=seed), overlay)
+                       .establish_durations[-8:])
+    steady_from = nodes * 0.25 + 10 + duration / 3
+    rows = {}
+    for mult in multiples:
+        scenario = Scenario([Bootstrap(nodes, spacing=0.25), Wait(10),
+                             Churn(duration, 1.0 / (t_establish * mult))],
+                            measurement_interval=5, pair_budget=1200)
+        trace = run(scenario, SimConfig(seed=seed), overlay)
+        rows[mult] = [r for r in trace.rows if r.simulated_time_s > steady_from]
+    return t_establish, rows

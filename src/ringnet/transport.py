@@ -148,8 +148,8 @@ class RealNetwork:
     def now(self) -> float:
         return time.monotonic()
 
-    def call_later(self, delay: float, fn) -> Timer:
-        return self._timers.push(self.now() + max(0.0, delay), fn)
+    def call_later(self, delay: float, fn, *args) -> Timer:
+        return self._timers.push(self.now() + max(0.0, delay), fn, *args)
 
     def new_host(self, transports: tuple[str, ...] = ("udp",),
                  bind_ip: str = "127.0.0.1") -> "RealHost":
@@ -223,8 +223,8 @@ class Host:
     def attach(self, node) -> None:
         self.node = node
 
-    def call_later(self, delay: float, fn) -> Timer:
-        return self.network.call_later(delay, fn)
+    def call_later(self, delay: float, fn, *args) -> Timer:
+        return self.network.call_later(delay, fn, *args)
 
     def datagram_edge(self, remote_ta: str, remote) -> DatagramEdge:
         """The open edge to ``remote_ta``, made on first use."""

@@ -13,16 +13,15 @@ from statistics import mean
 import numpy as np
 import pytest
 
-from ringnet import cli
 from ringnet import messages
-from ringnet.address import MODULUS
 from ringnet.metrics import (
+    hop_law,
     missing_edges,
     ring_correct,
     routability,
     shortcut_cdf,
 )
-from ringnet.node import NodeState, OverlayConfig
+from ringnet.node import OverlayConfig
 from ringnet.packet import HEADER_LEN, Packet, PacketHeader, decode, encode
 from ringnet.packet import TYPE_LINK, TYPE_ROUTED
 from ringnet.scenarios import (
@@ -33,14 +32,12 @@ from ringnet.scenarios import (
     Scenario,
     ScenarioRunner,
     Wait,
+    churn_sweep,
+    grow,
+    massive_dynamics,
     take_snapshot,
 )
-from ringnet.simnet import (
-    NatKind,
-    SimConfig,
-    SimNetwork,
-    UniformLatency,
-)
+from ringnet.simnet import NatKind, SimConfig, SimNetwork
 from ringnet.topology import seed_ring, synthetic_snapshot
 
 
@@ -50,14 +47,13 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def fit_r2_log_linear(series: list[int]) -> float:
-    """R^2 of a straight-line fit to log(series): geometric decay check."""
-    ys = np.log(np.array(series, dtype=float))
-    xs = np.arange(len(ys), dtype=float)
+def fit_r2(xs, ys) -> float:
+    """R^2 of a least-squares straight-line fit of ys on xs."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     design = np.vstack([xs, np.ones_like(xs)]).T
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    pred = design @ coef
-    ss_res = float(((ys - pred) ** 2).sum())
+    ss_res = float(((ys - design @ coef) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     return 1.0 if ss_tot == 0 else 1 - ss_res / ss_tot
 
@@ -107,22 +103,17 @@ def test_02_ring_formation_256():
 # 3. shortcut distance law (converged overlay, k=4, N=1024)
 
 
+def grown_overlay() -> OverlayConfig:
+    return OverlayConfig(k_shortcuts=4, status_interval=None)
+
+
 @pytest.fixture(scope="module")
 def converged_1024():
-    overlay = OverlayConfig(k_shortcuts=4, status_interval=None)
-    scenario = Scenario(
-        [Bootstrap(64, spacing=0.25), Wait(10), MassiveJoin(64), Wait(12),
-         MassiveJoin(128), Wait(12), MassiveJoin(256), Wait(15),
-         MassiveJoin(512), Wait(50)],
-        measurement_interval=60, pair_budget=200)
-    runner = ScenarioRunner(scenario, SimConfig(seed=42), overlay)
-    trace = runner.run()
-    return runner, trace
+    return grow(1024, 42, grown_overlay())
 
 
 def test_03_shortcut_law_1024(converged_1024):
-    runner, trace = converged_1024
-    snap = trace.snapshots[-1]
+    snap = converged_1024.trace.snapshots[-1]
     _, correct = ring_correct(snap)
     assert len(snap.nodes) == 1024 and correct == 1.0
     law = shortcut_cdf(snap)
@@ -143,10 +134,7 @@ def test_04_hop_scaling():
         rep = routability(snap, pair_budget=10_000, seed=5)
         assert rep.routability == 1.0
         hops[n] = rep.mean_hops
-    xs = {n: math.log(n) ** 2 / k for n in hops}
-    c = (sum(xs[n] * hops[n] for n in hops)
-         / sum(xs[n] ** 2 for n in hops))
-    deviations = {n: abs(hops[n] - c * xs[n]) / (c * xs[n]) for n in hops}
+    _, deviations = hop_law(hops, k)
     shape_ok = all(d < 0.25 for d in deviations.values())
 
     slow = routability(synthetic_snapshot(1024, k=1, seed=77),
@@ -165,14 +153,7 @@ def test_04_hop_scaling():
 
 
 def test_05_massive_join_recovery():
-    overlay = OverlayConfig(k_shortcuts=4, status_interval=4.0,
-                            push_status_debounce=0.5, handshake_timeout=1.0,
-                            connreq_timeout=8.0)
-    scenario = Scenario([Bootstrap(256, spacing=0.25), Wait(10),
-                         MassiveJoin(250), Wait(40)],
-                        measurement_interval=0.5, pair_budget=1200)
-    config = SimConfig(seed=11, latency=UniformLatency(0.05, 0.35))
-    trace = ScenarioRunner(scenario, config, overlay).run()
+    trace = massive_dynamics(256, 250, seed=11)
 
     join_i = next(i for i, r in enumerate(trace.rows) if r.live_nodes > 256)
     rows = trace.rows[join_i:]
@@ -190,7 +171,7 @@ def test_05_massive_join_recovery():
     peak = max(missing[:zero_i + 1])
     start = next(i for i, v in enumerate(missing) if v < 0.9 * peak)
     decay = missing[start:zero_i]
-    r2 = fit_r2_log_linear(decay)
+    r2 = fit_r2(range(len(decay)), np.log(decay))
     final_ok = trace.rows[-1].missing_edges == 0 and trace.rows[-1].routability == 1.0
 
     ok = dipped and within_budget and monotone and r2 >= 0.9 and final_ok
@@ -256,14 +237,7 @@ def test_07_ring_merge():
         t = ScenarioRunner(sc, SimConfig(seed=5), quiet).run()
         assert t.rows[-1].missing_edges == 0
         counts[n] = t.counters["datagrams"]
-    ns = np.array(sorted(counts), dtype=float)
-    ms = np.array([counts[int(n)] for n in ns], dtype=float)
-    design = np.vstack([ns, np.ones_like(ns)]).T
-    coef, *_ = np.linalg.lstsq(design, ms, rcond=None)
-    pred = design @ coef
-    ss_res = float(((ms - pred) ** 2).sum())
-    ss_tot = float(((ms - ms.mean()) ** 2).sum())
-    linear_r2 = 1 - ss_res / ss_tot
+    linear_r2 = fit_r2(list(counts), list(counts.values()))
     exponent = math.log(counts[64] / counts[16]) / math.log(4)
     linear_ok = linear_r2 >= 0.9 and exponent <= 1.3
 
@@ -276,31 +250,13 @@ def test_07_ring_merge():
 # 8. churn
 
 
-def churn_overlay() -> OverlayConfig:
-    return OverlayConfig(k_shortcuts=4, status_interval=1.0, probe_timeout=0.3,
-                         probe_retries=2, tick_interval=0.5,
-                         handshake_timeout=0.3, join_retry_timeout=1.5)
-
-
 def test_08_churn_sweep():
-    # Baseline: how long a late joiner takes to hold its ring position
-    # plus a first shortcut, measured against a quiet 256-node overlay.
-    probe = Scenario([Bootstrap(256, spacing=0.25), Wait(5), MassiveJoin(8),
-                      Wait(10)], measurement_interval=60, pair_budget=100)
-    trace = ScenarioRunner(probe, SimConfig(seed=3), churn_overlay()).run()
-    t_establish = mean(trace.establish_durations[-8:])
-
-    results = {}
-    for mult in (100, 30, 10, 3):
-        session = t_establish * mult
-        scenario = Scenario([Bootstrap(256, spacing=0.25), Wait(10),
-                             Churn(120, 1.0 / session)],
-                            measurement_interval=5, pair_budget=1200)
-        t = ScenarioRunner(scenario, SimConfig(seed=3), churn_overlay()).run()
-        start = 256 * 0.25 + 10
-        steady = [r.routability for r in t.rows
-                  if r.simulated_time_s > start + 40]
-        results[mult] = mean(steady)
+    # Session times are multiples of how long a late joiner takes to hold
+    # its ring position plus a first shortcut; routability is averaged
+    # over the last two thirds of each 120 s churn run.
+    t_establish, sweep = churn_sweep(256, (100, 30, 10, 3), 120, seed=3)
+    results = {mult: mean(r.routability for r in rows)
+               for mult, rows in sweep.items()}
 
     ordered = [results[m] for m in (100, 30, 10, 3)]
     monotone = all(a >= b - 0.02 for a, b in zip(ordered, ordered[1:]))
@@ -378,13 +334,33 @@ def test_11_determinism(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# supplementary: acceptance 04's hop law on rings the protocol built
+
+
+def test_supplementary_hop_law_on_grown_rings(converged_1024):
+    # The fixture's last snapshot, taken before the join-cost test below
+    # adds a node to its runner.
+    snaps = {256: grow(256, 42, grown_overlay()).trace.snapshots[-1],
+             1024: converged_1024.trace.snapshots[-1]}
+    hops = {}
+    for n, snap in snaps.items():
+        rep = routability(snap, pair_budget=4000, seed=5)
+        assert len(snap.nodes) == n and rep.routability == 1.0
+        hops[n] = rep.mean_hops
+    c, deviations = hop_law(hops, k=4)
+    print(f"hop law on grown rings k=4: "
+          f"hops={ {n: round(h, 2) for n, h in hops.items()} } "
+          f"c={c:.3f} max_dev={max(deviations.values()):.1%}")
+    assert all(d < 0.25 for d in deviations.values()), deviations
+
+
+# ----------------------------------------------------------------------
 # supplementary: join cost stays O(log^2 N)
 
 
 def test_supplementary_join_cost(converged_1024):
     """Messages per join, normalized by log^2 N, stay within a narrow
     band as the network grows 64 -> 256 -> 1024."""
-    runner1024, _ = converged_1024
     costs = {}
 
     def measure_join(runner) -> int:
@@ -395,20 +371,19 @@ def test_supplementary_join_cost(converged_1024):
             if net.stats["datagrams"] == idle_before:
                 break
         assert net.stats["datagrams"] == idle_before, "network not quiet"
-        handle = runner._spawn()
+        runner._spawn()
         net.run_for(15)
         return net.stats["datagrams"] - idle_before
 
     for size, phases in ((64, [Bootstrap(64, spacing=0.25), Wait(10)]),
                          (256, [Bootstrap(64, spacing=0.25), Wait(10),
                                 MassiveJoin(192), Wait(20)])):
-        overlay = OverlayConfig(k_shortcuts=4, status_interval=None)
         runner = ScenarioRunner(Scenario(phases, measurement_interval=60,
                                          pair_budget=100),
-                                SimConfig(seed=size), overlay)
+                                SimConfig(seed=size), grown_overlay())
         runner.run()
         costs[size] = measure_join(runner)
-    costs[1024] = measure_join(runner1024)
+    costs[1024] = measure_join(converged_1024)
 
     normalized = {n: costs[n] / math.log(n) ** 2 for n in costs}
     spread = max(normalized.values()) / min(normalized.values())

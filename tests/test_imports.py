@@ -1,6 +1,7 @@
-"""Every name a ``ringnet`` module imports is used in that module, every
-private name it defines is used somewhere in ``ringnet``, and every field
-of a private class is read somewhere in ``ringnet``.
+"""Every name a ``ringnet`` module, script or test imports is used in
+that file, every private name a ``ringnet`` module defines is used
+somewhere in ``ringnet``, and every field of a private class is read
+somewhere in ``ringnet``.
 
 A name counts as used wherever it appears; a string that parses as an
 expression, such as the annotation ``"Any"``, counts for the names in it.
@@ -15,7 +16,11 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ringnet"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ringnet"
+IMPORTERS = ([p.name for p in sorted(SRC.glob("*.py"))]
+             + [str(p.relative_to(ROOT)) for d in ("scripts", "tests")
+                for p in sorted((ROOT / d).glob("*.py"))])
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -49,9 +54,10 @@ def test_checker_sees_string_annotations_and_unused_names():
     assert unused_imports(source) == ["line 1: Callable", "line 2: os"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", IMPORTERS)
 def test_module_uses_every_import(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+    path = SRC / module if "/" not in module else ROOT / module
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def private_definitions(source: str) -> dict[str, int]:

@@ -4,26 +4,22 @@ from random import Random
 
 import pytest
 
-from ringnet.address import MODULUS, format_address
+from ringnet.address import MODULUS
 from ringnet.metrics import (
     InsufficientSamples,
     NEAR_LABEL,
     SHORTCUT_LABEL,
     TopologySnapshot,
-    ks_distance,
     missing_edges,
     read_snapshot,
     ring_correct,
     routability,
     shortcut_cdf,
-    shortcut_law_cdf,
-    structured_adjacency,
     to_dot,
     write_snapshot,
 )
 from ringnet.topology import (
     closest_index,
-    ideal_near_edges,
     ring_addresses,
     synthetic_snapshot,
 )

@@ -2,7 +2,7 @@
 
 from random import Random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from ringnet.address import Direction, HALF_MODULUS, MODULUS, ring_distance
 from ringnet.routing import (

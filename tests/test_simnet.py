@@ -1,12 +1,10 @@
 """Simulator tests: NAT filtering, determinism, churn model, scenarios."""
 
 from random import Random
-from statistics import mean
 
 import pytest
 
 from ringnet import messages
-from ringnet.connections import NEAR
 from ringnet.node import NodeState, OverlayConfig
 from ringnet.scenarios import (
     Bootstrap,
@@ -19,7 +17,6 @@ from ringnet.scenarios import (
     Wait,
     churn_events,
     run,
-    take_snapshot,
 )
 from ringnet.simnet import (
     ConstantLatency,
