@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
-"""Per-layer micro-benchmarks of one ringnet checkout, written to JSON.
+"""Per-layer and end-to-end benchmarks of one ringnet checkout, written
+to JSON.
 
 Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
 node's status path (building, sending and receiving a status body), a
 greedy routing decision and the simulator's transmit-to-receive of one
-datagram.  ``--src`` names the ``src``
-directory to import ringnet from, so one script times two checkouts on
-one machine:
+datagram.  Then runs each end-to-end case (a 1024-node bootstrap and
+settle, and the 128+128 merge of ``scenarios/merge.cfg``) in a fresh
+process of its own and records its wall seconds, datagrams per wall
+second and peak RSS.  ``--src`` names the ``src`` directory to import
+ringnet from, so one script times two checkouts on one machine:
 
     python3 scripts/bench.py --src /path/to/parent/src --label before
     python3 scripts/bench.py --src src --label after
 
-Each run adds its label to the output file (``BENCH_10.json`` by default)
+Each run adds its label to the output file (``BENCH_12.json`` by default)
 and, once both ``before`` and ``after`` are there, the after/before
 ratio of every case they share (a checkout without
-``packet.read_header`` has no ``packet_read_header`` case).  A case's
+``packet.read_header`` has no ``packet_read_header`` case).  A per-layer
 figure is microseconds per call: the fastest of ``--repeat`` timing
 runs, taken round-robin over the cases, and their median beside it.
 """
@@ -23,14 +26,20 @@ runs, taken round-robin over the cases, and their median beside it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
+import time
 import timeit
 from random import Random
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def build_cases(fresh_bodies: int = 4096) -> dict:
@@ -116,6 +125,10 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     status_body = messages.encode_status(status)
     cases["node_link_send"] = lambda: node._send_link(
         conn.edge, neighbor.address, packet.PAYLOAD_STATUS, status_body)
+    # The whole status datagram a node sends for its 4-entry listing.
+    assert len(node.table.neighbor_listing()) == 4
+    cases["status_send"] = lambda: node._send_status(
+        conn.edge, neighbor.address, messages.STATUS_REQUEST, 9)
 
     # One datagram from a host to a plain host's own ta, sent and received
     # (no node is attached, so the receiver drops it on arrival).
@@ -131,6 +144,36 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     me, target = rng.getrandbits(160), rng.getrandbits(160)
     cases["greedy_decision_8"] = lambda: routing.greedy_next_hop(me, peers, None, target)
     return cases
+
+
+def run_end_to_end(case: str) -> dict:
+    """Run one end-to-end case in this process, seed 1, and measure it."""
+    from ringnet.node import OverlayConfig
+    from ringnet.scenarios import Bootstrap, Scenario, ScenarioRunner, Wait
+    from ringnet.simnet import SimConfig
+
+    if case == "bootstrap_1024":
+        scenario = Scenario([Bootstrap(1024, spacing=0.25), Wait(30)],
+                            measurement_interval=60, pair_budget=200)
+        runner = ScenarioRunner(scenario, SimConfig(seed=1),
+                                OverlayConfig(k_shortcuts=4, status_interval=1.5))
+    elif case == "merge_128_128":
+        from ringnet.cli import load_scenario
+        scenario, sim, overlay = load_scenario(os.path.join(ROOT, "scenarios", "merge.cfg"))
+        runner = ScenarioRunner(scenario, dataclasses.replace(sim, seed=1), overlay)
+    else:
+        raise ValueError(f"unknown end-to-end case {case!r}")
+    start = time.perf_counter()
+    runner.run()
+    wall = time.perf_counter() - start
+    datagrams = runner.network.stats["datagrams"]
+    return {"wall_s": round(wall, 3), "sim_s": runner.network.now,
+            "datagrams": datagrams, "datagrams_per_s": round(datagrams / wall),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                                 / 1024, 2)}
+
+
+END_TO_END = ("bootstrap_1024", "merge_128_128")
 
 
 def time_cases(cases: dict, repeat: int) -> dict:
@@ -149,12 +192,13 @@ def time_cases(cases: dict, repeat: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the ringnet package to time")
     parser.add_argument("--label", default="after", help="key for this run's results")
-    parser.add_argument("--out", default="BENCH_10.json")
+    parser.add_argument("--out", default="BENCH_12.json")
     parser.add_argument("--repeat", type=int, default=25)
+    parser.add_argument("--case", choices=END_TO_END,
+                        help="run only this end-to-end case and print its JSON")
     args = parser.parse_args()
 
     src = os.path.abspath(args.src)
@@ -163,22 +207,39 @@ def main() -> int:
     if not os.path.abspath(ringnet.__file__).startswith(src + os.sep):
         parser.error(f"ringnet imported from {ringnet.__file__}, not {src}")
 
+    if args.case:
+        print(json.dumps(run_end_to_end(args.case)))
+        return 0
+
     results = time_cases(build_cases(), args.repeat)
     for name, res in results.items():
         print(f"{name:24s} {res['us']:9.3f} us  (median {res['us_median']:.3f})")
+    end_to_end = {}
+    for case in END_TO_END:
+        out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
+                              "--case", case], check=True, capture_output=True,
+                             text=True).stdout
+        end_to_end[case] = json.loads(out.splitlines()[-1])
+        print(f"{case:24s} {end_to_end[case]}")
 
     data = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             data = json.load(fh)
-    data["unit"] = "microseconds per call, fastest of the timing runs"
+    data["unit"] = ("cases: microseconds per call, fastest of the timing runs; "
+                    "end_to_end: one run each")
     data[args.label] = {"python": platform.python_version(),
-                        "nproc": os.cpu_count(), "cases": results}
+                        "nproc": os.cpu_count(), "cases": results,
+                        "end_to_end": end_to_end}
     if "before" in data and "after" in data:
-        before, after = data["before"]["cases"], data["after"]["cases"]
+        before, after = data["before"], data["after"]
         data["after_over_before"] = {
-            name: round(after[name]["us"] / before[name]["us"], 3)
-            for name in after if name in before}
+            name: round(after["cases"][name]["us"] / before["cases"][name]["us"], 3)
+            for name in after["cases"] if name in before["cases"]}
+        for case in END_TO_END:
+            for key in ("wall_s", "datagrams_per_s", "peak_rss_mb"):
+                data["after_over_before"][f"{case}.{key}"] = round(
+                    after["end_to_end"][case][key] / before["end_to_end"][case][key], 3)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

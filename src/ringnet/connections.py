@@ -42,7 +42,7 @@ def label_for(conn_type: int) -> str:
         raise ValueError(f"unknown connection type code {conn_type}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Connection:
     peer: int
     edge: "Any"
@@ -61,6 +61,9 @@ class Connection:
     sampled_gap: int | None = None
     # Latest neighbor list received from this peer: ((addr, tas), ...).
     last_neighbors: tuple = ()
+    # Table version at which last_neighbors was last zipped without a
+    # dial, or -1; NodeState._process_status skips a repeat at that version.
+    zipped_version: int = -1
 
     def is_structured(self) -> bool:
         return NEAR in self.roles or SHORTCUT in self.roles

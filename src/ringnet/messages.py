@@ -165,7 +165,9 @@ def encode_status(msg: StatusMessage, encoded_neighbors: bytes | None = None) ->
 
     A sender that repeats one neighbor list may pass its
     ``encode_neighbors(msg.neighbors)`` bytes, so that only kind and
-    token are packed.
+    token are packed.  A node does not call this to send: it packs the
+    link header, kind and token in one go (``NodeState._send_status``),
+    and the tests hold its bytes equal to this function's.
     """
     if encoded_neighbors is None:
         encoded_neighbors = encode_neighbors(msg.neighbors)

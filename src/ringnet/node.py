@@ -44,12 +44,14 @@ from __future__ import annotations
 
 import logging
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
 from .address import (
+    ADDRESS_BYTES,
     Direction,
     HALF_MODULUS,
     MODULUS,
@@ -87,7 +89,6 @@ from .packet import (
     Packet,
     PacketHeader,
     TYPE_LINK,
-    TYPE_ROUTED,
     PacketError,
     decode,
     encode,
@@ -115,6 +116,11 @@ REPAIR_HORIZON_GAPS = 8.0
 SHORTCUT_STALE_FACTOR = 2.0
 GAP_EWMA_ALPHA = 0.25
 MAX_ADVERTISED_TAS = 4
+
+# The head of a status datagram: the link header (packet.py), then the
+# status body's kind and token (messages.py).  The encoded listing follows.
+_STATUS_FRAME = struct.Struct(">BHH20s20sBBI")
+assert _STATUS_FRAME.size == HEADER_LEN + 5
 
 
 def shortcut_distance_from_uniform(d_ave: int, x: float) -> int:
@@ -216,6 +222,7 @@ class _Probe:
 class NodeState:
     def __init__(self, address: int, host, config: OverlayConfig, rng: Random) -> None:
         self.address = address
+        self._address_bytes = address.to_bytes(ADDRESS_BYTES, "big")
         self.host = host
         self.cfg = config
         self.rng = rng
@@ -246,6 +253,9 @@ class NodeState:
         self._join_timer = None
         self._join_attempts_left = 0
         self._push_timer = None
+        # (table version, closest (address, tas) clockwise, the same
+        # counterclockwise) for _near_repair; None once a listing changes.
+        self._repair_cache: tuple | None = None
         self._tick_timer = host.call_later(
             rng.uniform(0.0, config.tick_interval), self.tick)
 
@@ -447,20 +457,26 @@ class NodeState:
     def on_datagram(self, edge, data: bytes) -> None:
         if not self.alive:
             return
-        try:
-            hdr = read_header(data)
-        except PacketError as exc:
-            log.debug("node %s: dropping undecodable datagram: %s",
-                      format_address(self.address)[:8], exc)
-            self.stats["bad_packet"] += 1
-            return
+        # Nothing reads a link packet's header, only its body, so a link
+        # packet with a body skips the header parse.  A shorter one is
+        # parsed and fails as it always did: too short, or an empty body.
+        link = len(data) > HEADER_LEN and data[0] == TYPE_LINK
+        if not link:
+            try:
+                hdr = read_header(data)
+            except PacketError as exc:
+                log.debug("node %s: dropping undecodable datagram: %s",
+                          format_address(self.address)[:8], exc)
+                self.stats["bad_packet"] += 1
+                return
+            link = hdr.type == TYPE_LINK
         peer = edge.peer_address
         conn = self.table.get(peer)
         if conn is not None:
             conn.last_seen = self.host.now()
-        if hdr.type == TYPE_LINK:
+        if link:
             self._dispatch_link(edge, data[HEADER_LEN:])
-        elif hdr.type == TYPE_ROUTED:
+        else:
             self._route_packet(hdr, peer, data)
 
     def _dispatch_link(self, edge, payload: bytes) -> None:
@@ -644,23 +660,43 @@ class NodeState:
         edge.send(encode(make_link(self.address, peer, payload_type, body)))
 
     def _send_status(self, edge, peer: int, kind: int, token: int) -> None:
-        """Send a status body listing our neighbors, from the table's
-        cached listing and its encoded bytes."""
-        msg = StatusMessage(kind, token, self.table.neighbor_listing())
-        self._send_link(edge, peer, PAYLOAD_STATUS,
-                        messages.encode_status(msg, self.table.encoded_listing()))
+        """Send a status datagram listing our neighbors: one pack of the
+        link header, kind and token, in front of the table's encoded
+        listing, which is cached per table version.  The bytes are those
+        of ``encode(make_link(self.address, peer, PAYLOAD_STATUS,
+        encode_status(StatusMessage(kind, token, listing))))``."""
+        edge.send(_STATUS_FRAME.pack(
+            TYPE_LINK, 0, 0, self._address_bytes, peer.to_bytes(ADDRESS_BYTES, "big"),
+            PAYLOAD_STATUS, kind, token) + self.table.encoded_listing())
 
     def _process_status(self, conn: Connection, neighbors) -> None:
+        """Keep ``conn``'s listing and zip in the addresses it lists.
+
+        A listed address is zipped in when it is strictly closer, on its
+        side of the ring, than our near_per_side-th near peer there.  A
+        pass that dials nothing stores the table version in
+        ``conn.zipped_version``.  While the listing is equal to the last
+        one and the version is the same, a pass would read the same
+        listing, the same ``by_peer`` and the same bounds, and so would
+        dial nothing again: it is skipped.  A listing that differs also
+        drops ``_near_repair``'s cache.
+        """
         conn.last_seen = self.host.now()
-        conn.last_neighbors = tuple(neighbors)
+        # Keep the decoder's newest copy: its cache shares that one among
+        # every receiver of the listing, so older copies can be freed.
+        last, conn.last_neighbors = conn.last_neighbors, tuple(neighbors)
+        if neighbors != last:
+            conn.zipped_version = -1
+            self._repair_cache = None
+        elif conn.zipped_version == self.table.version:
+            return
         if not self.joined:
             return
-        # A listed address is zipped in when it is strictly closer, on its
-        # side of the ring, than our near_per_side-th near peer there.
         # Linking only schedules sends, so the bounds hold for the list.
         me = self.address
         by_peer = self.table.by_peer
         cw_bound, ccw_bound = self.table.near_bounds()
+        dialed = False
         for a, tas in neighbors:
             if a == me or not tas or a in by_peer:
                 continue
@@ -671,6 +707,9 @@ class NodeState:
                 closer = MODULUS - cw < ccw_bound
             if closer:
                 self.initiate_link(list(tas), CT_NEAR, expect_addr=a)
+                dialed = True
+        if not dialed:
+            conn.zipped_version = self.table.version
 
     def _push_status_soon(self) -> None:
         if self._push_timer is not None:
@@ -921,14 +960,19 @@ class NodeState:
                 del self.provisional[key]
 
     def _probe_stale(self, now: float) -> None:
-        if self.cfg.status_interval is None:
+        interval = self.cfg.status_interval
+        if interval is None:
             return
-        probing = {p.peer for p in self.pending_probes.values()}
-        for conn in list(self.table.by_peer.values()):
-            if conn.peer in probing:
-                continue
-            if now - conn.last_seen > self.cfg.status_interval:
-                self._send_probe(conn)
+        # Most ticks find no stale connection, so the set of peers already
+        # being probed is built only at the first stale one, before this
+        # pass has sent a probe.  A send writes nothing to the table.
+        probing = None
+        for conn in self.table.by_peer.values():
+            if now - conn.last_seen > interval:
+                if probing is None:
+                    probing = {p.peer for p in self.pending_probes.values()}
+                if conn.peer not in probing:
+                    self._send_probe(conn)
 
     def _send_probe(self, conn: Connection) -> None:
         token = self._next_token()
@@ -986,6 +1030,17 @@ class NodeState:
         return known
 
     def _near_repair(self, now: float) -> None:
+        """Claim or dial the near_per_side closest known addresses on each
+        side, or discover the side when none is plausible.
+
+        What it reads of ``_known_neighborhood()``, the near_per_side
+        closest entries on each side, is kept in ``_repair_cache``, keyed
+        on the table version.  The neighborhood is built from the
+        structured peers, their transport addresses and the near peers'
+        listings: every table write bumps the version, and
+        ``_process_status`` drops the cache whenever a listing changes,
+        so a kept one equals a rebuild.
+        """
         if not self.table.near():
             leafs = self.table.with_role(LEAF)
             if self._has_pending("anchor", None):
@@ -996,21 +1051,25 @@ class NodeState:
                 self.send_connect_request(self.address, CT_NEAR, kind="anchor")
             return
 
-        known = self._known_neighborhood()
-        k = self.cfg.near_per_side
-        slots = min(k, len(known))
+        cache = self._repair_cache
+        if cache is None or cache[0] != self.table.version:
+            known = self._known_neighborhood()
+            me = self.address
+            # No key in ``known`` is this node's own address, so every key
+            # is at a distinct clockwise distance, and the counterclockwise
+            # order is the clockwise one reversed.
+            clockwise = sorted(known.items(), key=lambda item: (item[0] - me) % MODULUS)
+            slots = min(self.cfg.near_per_side, len(clockwise))
+            cache = self._repair_cache = (self.table.version, clockwise[:slots],
+                                          clockwise[::-1][:slots])
+        _, cw_closest, ccw_closest = cache
         horizon = REPAIR_HORIZON_GAPS * self.gap_ewma if self.gap_ewma else None
         converged = True
-        me = self.address
-        # No key in ``known`` is this node's own address, so every key is
-        # at a distinct clockwise distance, and the counterclockwise order
-        # is the clockwise one reversed.
-        clockwise = sorted(known, key=lambda a: (a - me) % MODULUS)
         for direction in Direction:
-            ordered = clockwise if direction is Direction.CLOCKWISE else clockwise[::-1]
+            closest = cw_closest if direction is Direction.CLOCKWISE else ccw_closest
             satisfied = True
             acted = False
-            for a in ordered[:slots]:
+            for a, tas in closest:
                 conn = self.table.get(a)
                 if conn is not None and NEAR in conn.roles:
                     continue
@@ -1026,8 +1085,8 @@ class NodeState:
                     continue
                 dist = directed_distance(self.address, a, direction)
                 plausible = horizon is None or dist <= horizon
-                if plausible and known[a]:
-                    self.initiate_link(list(known[a]), CT_NEAR, expect_addr=a)
+                if plausible and tas:
+                    self.initiate_link(list(tas), CT_NEAR, expect_addr=a)
                     acted = True
                 else:
                     self._discover(direction)

@@ -206,32 +206,36 @@ class SimNetwork:
         if target is None:
             target = self._resolve(dst_ip, dst_port, src_ip, src_port)
             if target is None:
-                self.stats["undeliverable"] += 1
                 return
         if self.config.loss_rate > 0.0 and self.rng.random() < self.config.loss_rate:
             self.stats["lost"] += 1
             return
         delay = self.config.latency.sample(self.rng, src_host.ip, dst_ip)
-        self.call_later(delay, target._receive, visible_src, data)
+        # call_later without its frame: the same (due time, order) entry.
+        self._timers.push(self.now + max(0.0, delay), target._receive, visible_src, data)
 
     def _resolve(self, dst_ip: str, dst_port: int,
                  src_ip: str, src_port: int) -> "SimHost | None":
+        """The host a datagram to (dst_ip, dst_port) reaches, or None after
+        counting the datagram once: ``nat_dropped`` when a NAT filters it,
+        ``undeliverable`` when no live host is there."""
         host = self.hosts.get(dst_ip)
         if host is not None and host.port == dst_port:
-            if host.nat_box is not None:
-                # A NATed host's internal address is not routable from
-                # outside; only its external mapping is.
-                return None
-            return host
-        box = self.nat_externals.get(dst_ip)
-        if box is not None:
-            if not box.inbound_allowed(dst_port, src_ip, src_port):
-                self.stats["nat_dropped"] += 1
-                return None
-            int_ip, int_port = box.reverse[dst_port][:2]
-            inner = self.hosts.get(int_ip)
-            if inner is not None and inner.port == int_port:
-                return inner
+            if host.nat_box is None:
+                return host
+            # A NATed host's internal address is not routable from
+            # outside; only its external mapping is.
+        else:
+            box = self.nat_externals.get(dst_ip)
+            if box is not None:
+                if not box.inbound_allowed(dst_port, src_ip, src_port):
+                    self.stats["nat_dropped"] += 1
+                    return None
+                int_ip, int_port = box.reverse[dst_port][:2]
+                inner = self.hosts.get(int_ip)
+                if inner is not None and inner.port == int_port:
+                    return inner
+        self.stats["undeliverable"] += 1
         return None
 
 

@@ -1,9 +1,13 @@
 """Every name a ``ringnet`` module, script or test imports is used in
-that file, every private name a ``ringnet`` module defines is used
-somewhere in ``ringnet``, and every field of a private class is read
-somewhere in ``ringnet``.
+that file, every global name such a file reads is defined in it, every
+private name a ``ringnet`` module defines is used somewhere in
+``ringnet``, and every field of a private class is read somewhere in
+``ringnet``.
 
-A name counts as used wherever it appears; a string that parses as an
+A global a scope reads is defined when the module binds it at module
+level (or in a ``global`` statement), imports it, or it is a builtin;
+``symtable`` tells which names each scope reads as globals.  A name
+counts as used wherever it appears; a string that parses as an
 expression, such as the annotation ``"Any"``, counts for the names in it.
 A private name is a ``_``-prefixed ``def``, ``class`` or module-level
 assignment; dunders are exempt.  A field of a ``_``-prefixed class is an
@@ -12,7 +16,9 @@ is read where an attribute of that name is loaded.
 """
 
 import ast
+import builtins
 import pathlib
+import symtable
 
 import pytest
 
@@ -21,6 +27,11 @@ SRC = ROOT / "src" / "ringnet"
 IMPORTERS = ([p.name for p in sorted(SRC.glob("*.py"))]
              + [str(p.relative_to(ROOT)) for d in ("scripts", "tests")
                 for p in sorted((ROOT / d).glob("*.py"))])
+
+
+def read_importer(module: str) -> str:
+    path = SRC / module if "/" not in module else ROOT / module
+    return path.read_text(encoding="utf-8")
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -56,8 +67,44 @@ def test_checker_sees_string_annotations_and_unused_names():
 
 @pytest.mark.parametrize("module", IMPORTERS)
 def test_module_uses_every_import(module):
-    path = SRC / module if "/" not in module else ROOT / module
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+    assert unused_imports(read_importer(module)) == []
+
+
+MODULE_GLOBALS = frozenset(dir(builtins)) | {"__file__"}
+
+
+def undefined_globals(source: str) -> list[str]:
+    """Globals some scope reads that the module neither binds nor imports,
+    and that are not builtins."""
+    top = symtable.symtable(source, "<source>", "exec")
+    defined: set[str] = set()
+    read: set[str] = set()
+
+    def walk(table: symtable.SymbolTable) -> None:
+        for sym in table.get_symbols():
+            if table is top or sym.is_global():
+                if sym.is_assigned() or sym.is_imported():
+                    defined.add(sym.get_name())
+                if sym.is_referenced():
+                    read.add(sym.get_name())
+        for child in table.get_children():
+            walk(child)
+
+    walk(top)
+    return sorted(read - defined - MODULE_GLOBALS)
+
+
+def test_undefined_global_checker_flags_a_missing_import():
+    source = ("from ringnet.scenarios import Wait\n"
+              "def f():\n    global g\n    g = len([Wait for _ in ()])\n"
+              "def h():\n    return g, Churn(1, 0.5), __file__\n"
+              "class C:\n    phase = Bootstrap\n")
+    assert undefined_globals(source) == ["Bootstrap", "Churn"]
+
+
+@pytest.mark.parametrize("module", IMPORTERS)
+def test_module_defines_every_global_it_reads(module):
+    assert undefined_globals(read_importer(module)) == []
 
 
 def private_definitions(source: str) -> dict[str, int]:

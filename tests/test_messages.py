@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from ringnet import messages as m
 from ringnet.address import MODULUS
-from ringnet.node import OverlayConfig
+from ringnet.connections import NEAR, Connection
+from ringnet.node import NodeState, OverlayConfig
 from ringnet.packet import (
+    HEADER_LEN,
     PAYLOAD_APP,
     PAYLOAD_CONNECT,
     PAYLOAD_LINK,
@@ -84,6 +86,30 @@ def test_status_round_trip(msg):
 def test_status_with_pre_encoded_neighbors_is_the_same_body(msg):
     encoded = m.encode_neighbors(msg.neighbors)
     assert m.encode_status(msg, encoded) == m.encode_status(msg)
+
+
+class CapturingEdge:
+    peer_address = None
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, data):
+        self.sent.append(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(addr, addr, st.sampled_from([m.STATUS_REQUEST, m.STATUS_RESPONSE]),
+       st.integers(0, 0xFFFFFFFF), st.dictionaries(addr, ta_list, max_size=6))
+def test_status_datagram_is_the_encoded_status_packet(me, peer, kind, token, near):
+    node = NodeState(me, SimNetwork().new_host(), OverlayConfig(), Random(0))
+    for a, tas in near.items():
+        node.table.add(Connection(a, None, frozenset({NEAR}), tas))
+    edge = CapturingEdge()
+    node._send_status(edge, peer, kind, token)
+    listing = node.table.neighbor_listing()
+    assert edge.sent == [encode(make_link(me, peer, PAYLOAD_STATUS, m.encode_status(
+        m.StatusMessage(kind, token, listing))))]
 
 
 @given(connects)
@@ -294,3 +320,21 @@ def test_bad_bodies_are_counted_not_raised():
     net.run_for(3)
     assert node.stats["bad_body"] == 2
     assert node.table.get(12345) is None
+
+
+def test_short_link_packets_count_as_a_header_parse_would():
+    """45 bytes cannot hold a header (``bad_packet``); 46 bytes is a header
+    with an empty body (``bad_body``), and the peer was still heard from."""
+    net, node, peer, edge = small_ring()
+    conn = node.table.get(peer.address)
+    conn.last_seen = -1.0
+    header = encode(make_link(peer.address, node.address, PAYLOAD_STATUS, b""))
+    assert len(header) == HEADER_LEN
+    node.on_datagram(edge, header[:-1])
+    assert (node.stats["bad_packet"], node.stats["bad_body"]) == (1, 0)
+    assert conn.last_seen == -1.0
+    node.on_datagram(edge, header)
+    assert (node.stats["bad_packet"], node.stats["bad_body"]) == (1, 1)
+    assert conn.last_seen == net.now
+    node.on_datagram(edge, header + b"\x7f")  # an unknown body kind
+    assert (node.stats["bad_packet"], node.stats["bad_body"]) == (1, 2)

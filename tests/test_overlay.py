@@ -7,7 +7,7 @@ import pytest
 
 from ringnet import messages
 from ringnet.address import HALF_MODULUS, MODULUS, Direction, directed_distance
-from ringnet.connections import LEAF, NEAR, SHORTCUT
+from ringnet.connections import LEAF, NEAR, SHORTCUT, ConnectionTable
 from ringnet.demo import demo_overlay_config
 from ringnet.metrics import ks_distance, ring_correct, shortcut_law_cdf
 from ringnet.node import (
@@ -17,7 +17,14 @@ from ringnet.node import (
     shortcut_distance_from_uniform,
 )
 from ringnet.packet import PAYLOAD_LINK, encode, make_link
-from ringnet.scenarios import take_snapshot
+from ringnet.scenarios import (
+    Bootstrap,
+    Churn,
+    Scenario,
+    ScenarioRunner,
+    Wait,
+    take_snapshot,
+)
 from ringnet.simnet import SimConfig, SimNetwork
 from ringnet.topology import install_connection, ring_addresses, seed_ring
 
@@ -325,6 +332,92 @@ def test_status_listing_only_current_neighbors_is_a_fixed_point():
     net.run_for(2)
     assert not node.pending_links
     assert net.stats["datagrams"] == before
+
+
+def test_a_repeated_listing_is_zipped_again_only_after_a_table_write(monkeypatch):
+    net = SimNetwork(SimConfig(seed=12))
+    nodes = seed_ring(net, 16, Random(3), quiet_config())
+    net.run_for(3)
+    ring = sorted(nodes)
+    node = nodes[ring[0]]
+    conn = node.table.get(ring[1])
+    zips = []
+    near_bounds = ConnectionTable.near_bounds
+    monkeypatch.setattr(ConnectionTable, "near_bounds",
+                        lambda table: zips.append(table.owner) or near_bounds(table))
+    # ring[3] lies beyond ring[2], the second clockwise near peer.
+    listing = tuple((a, (nodes[a].host.ta,)) for a in ring[2:4])
+    node._process_status(conn, listing)
+    assert len(zips) == 1 and conn.zipped_version == node.table.version
+    node._process_status(conn, tuple(list(listing)))  # equal, another object
+    assert len(zips) == 1
+    node._process_status(conn, listing[1:])  # another listing
+    assert len(zips) == 2 and not node.pending_links
+    # Without ring[2] the clockwise bound is open: the same listing is
+    # zipped again, and ring[3] is dialed.
+    node._drop_connection(ring[2], notify=False, reason="test")
+    node._process_status(conn, listing[1:])
+    assert len(zips) == 3
+    assert [at.expect_addr for at in node.pending_links.values()] == [ring[3]]
+    assert conn.zipped_version != node.table.version
+
+
+def closest_known(node):
+    """What near repair reads: the near_per_side closest known entries
+    clockwise, then counterclockwise."""
+    known = node._known_neighborhood()
+    clockwise = sorted(known.items(), key=lambda item: (item[0] - node.address) % MODULUS)
+    slots = min(node.cfg.near_per_side, len(known))
+    return clockwise[:slots], clockwise[::-1][:slots]
+
+
+def test_repair_cache_follows_table_writes_and_new_listings():
+    net = SimNetwork(SimConfig(seed=13))
+    cfg = quiet_config()
+    ring = [i * (MODULUS // 16) for i in range(16)]
+    nodes = seed_ring(net, 16, Random(3), cfg, addresses=ring)
+    node = nodes[ring[0]]
+    node._near_repair(net.now)
+    assert node._repair_cache[1:] == closest_known(node)
+    # A table write: a near peer closer clockwise than ring[1].
+    install_connection(node, new_node(net, ring[1] // 2, cfg, joined=True), {NEAR})
+    node._near_repair(net.now)
+    assert node._repair_cache[1][0][0] == ring[1] // 2
+    assert node._repair_cache[1:] == closest_known(node)
+    # A listing with an address closer counterclockwise than ring[15];
+    # the zip dials it, and the table is not written.
+    version, closer = node.table.version, ring[15] + MODULUS // 32
+    node._process_status(node.table.get(ring[1]), ((closer, ("ring.udp:10.9.9.9:7000",)),))
+    node._near_repair(net.now)
+    assert node.table.version == version
+    assert node._repair_cache[2][0][0] == closer
+    assert node._repair_cache[1:] == closest_known(node)
+
+
+def test_repair_neighborhood_cache_equals_a_recompute_at_every_tick(monkeypatch):
+    """Each tick's near repair reads the closest known addresses a
+    recompute at that moment gives, whether it rebuilt them or found them
+    cached."""
+    checked, reused = [], []
+    near_repair = NodeState._near_repair
+
+    def checking_near_repair(node, now):
+        expected = closest_known(node)
+        before = node._repair_cache
+        reads_it = bool(node.table.near())
+        near_repair(node, now)
+        if reads_it:
+            assert node._repair_cache[1:] == expected
+            checked.append(node.address)
+            if node._repair_cache is before:
+                reused.append(node.address)
+
+    monkeypatch.setattr(NodeState, "_near_repair", checking_near_repair)
+    scenario = Scenario([Bootstrap(24, spacing=0.25), Wait(5), Churn(20, p_leave=0.02),
+                         Wait(10)], measurement_interval=60, pair_budget=10)
+    ScenarioRunner(scenario, SimConfig(seed=7),
+                   OverlayConfig(k_shortcuts=2, status_interval=1.0)).run()
+    assert len(checked) > 500 and len(reused) > 100
 
 
 def test_missing_near_neighbor_is_repaired_from_listings():

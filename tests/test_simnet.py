@@ -381,9 +381,9 @@ def test_malformed_destination_counts_bad_destination():
 
 
 def test_every_datagram_is_delivered_dropped_or_in_flight(monkeypatch):
-    """datagrams = delivered + undeliverable + bad_destination + lost + in
-    flight, on a lossy 16-node ring with a NATed member.  A datagram a NAT
-    filters counts both ``nat_dropped`` and ``undeliverable``."""
+    """datagrams = delivered + undeliverable + bad_destination +
+    nat_dropped + lost + in flight, on a lossy 16-node ring with a NATed
+    member: each datagram that does not arrive counts in one bucket."""
     from ringnet.simnet import SimHost
     from ringnet.topology import seed_ring
 
@@ -417,7 +417,8 @@ def test_every_datagram_is_delivered_dropped_or_in_flight(monkeypatch):
 
     def dropped():
         s = net.stats
-        return s["undeliverable"] + s["bad_destination"] + s["lost"]
+        return (s["undeliverable"] + s["bad_destination"] + s["nat_dropped"]
+                + s["lost"])
 
     sent_at_cut = net.stats["datagrams"]
     settled_at_cut = delivered[0] + dropped()
@@ -429,6 +430,5 @@ def test_every_datagram_is_delivered_dropped_or_in_flight(monkeypatch):
     assert net.stats["datagrams"] == sent_at_cut
     assert sent_at_cut == delivered[0] + dropped()
     assert 0 < sent_at_cut - settled_at_cut
-    assert net.stats["nat_dropped"] < net.stats["undeliverable"]
     for key in ("undeliverable", "bad_destination", "nat_dropped", "lost"):
         assert net.stats[key] > 0, key
