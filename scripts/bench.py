@@ -4,18 +4,19 @@ to JSON.
 
 Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
-node's status path (building, sending and receiving a status body), a
-greedy routing decision and the simulator's transmit-to-receive of one
-datagram.  Then runs each end-to-end case (a 1024-node bootstrap and
-settle, and the 128+128 merge of ``scenarios/merge.cfg``) in a fresh
-process of its own and records its wall seconds, datagrams per wall
-second and peak RSS.  ``--src`` names the ``src`` directory to import
+node's status path (building, sending and receiving a status body),
+greedy routing decisions over 8 and 24 peers, the greedy replay of one
+pair over a 4096-node synthetic snapshot (what ``routability`` does per
+pair) and the simulator's transmit-to-receive of one datagram.  Then
+runs each end-to-end case (a 1024-node bootstrap and settle, and the
+128+128 merge of ``scenarios/merge.cfg``) in a fresh process of its own
+and records its wall seconds, datagrams per wall second and peak RSS.  ``--src`` names the ``src`` directory to import
 ringnet from, so one script times two checkouts on one machine:
 
     python3 scripts/bench.py --src /path/to/parent/src --label before
     python3 scripts/bench.py --src src --label after
 
-Each run adds its label to the output file (``BENCH_12.json`` by default)
+Each run adds its label to the output file (``BENCH_13.json`` by default)
 and, once both ``before`` and ``after`` are there, the after/before
 ratio of every case they share (a checkout without
 ``packet.read_header`` has no ``packet_read_header`` case).  A per-layer
@@ -47,9 +48,10 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     from ringnet import messages, packet, routing
     from ringnet.address import MODULUS
     from ringnet.connections import NEAR
+    from ringnet.metrics import route_greedy, structured_adjacency
     from ringnet.node import OverlayConfig
     from ringnet.simnet import ConstantLatency, SimConfig, SimNetwork
-    from ringnet.topology import seed_ring
+    from ringnet.topology import seed_ring, synthetic_snapshot
 
     rng = Random(3)
     cases = {}
@@ -107,8 +109,11 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         c.edge = DiscardEdge()
     lookup = packet.encode(packet.make_routed(
         rng.getrandbits(160), ring[8], packet.PAYLOAD_APP, bytes(16)))
-    assert routing.greedy_next_hop(node.address, node.table.structured_peers(), None,
-                                   ring[8]).kind is routing.DecisionKind.FORWARD
+    hop = routing.greedy_next_hop(node.address, node.table.structured_peers(), None,
+                                  ring[8])
+    if isinstance(hop, tuple):  # a checkout whose greedy decider returns a Decision
+        hop = hop.next_hop
+    assert hop in node.table.structured_peers()
     inbound = DiscardEdge()
     cases["node_forward_one_hop"] = lambda: node.on_datagram(inbound, lookup)
 
@@ -140,9 +145,20 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         plain.run_until(plain.now)
     cases["transmit_plain_host"] = transmit_plain_host
 
-    peers = [rng.getrandbits(160) for _ in range(8)]
+    # The deciders take the peers as a sorted ring.
+    peers = sorted(rng.getrandbits(160) for _ in range(8))
     me, target = rng.getrandbits(160), rng.getrandbits(160)
     cases["greedy_decision_8"] = lambda: routing.greedy_next_hop(me, peers, None, target)
+    peers_24 = sorted(rng.getrandbits(160) for _ in range(24))
+    cases["greedy_decision_24"] = lambda: routing.greedy_next_hop(me, peers_24, None,
+                                                                  target)
+
+    # One routed pair of the greedy replay over a 4096-node snapshot, k=4,
+    # taking 4000 fixed pairs in turn.
+    adj = structured_adjacency(synthetic_snapshot(4096, 4, seed=1))
+    addresses = sorted(adj)
+    pairs = itertools.cycle([tuple(rng.sample(addresses, 2)) for _ in range(4000)])
+    cases["routability_pair_4096"] = lambda: route_greedy(adj, *next(pairs))
     return cases
 
 
@@ -195,7 +211,7 @@ def main() -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the ringnet package to time")
     parser.add_argument("--label", default="after", help="key for this run's results")
-    parser.add_argument("--out", default="BENCH_12.json")
+    parser.add_argument("--out", default="BENCH_13.json")
     parser.add_argument("--repeat", type=int, default=25)
     parser.add_argument("--case", choices=END_TO_END,
                         help="run only this end-to-end case and print its JSON")

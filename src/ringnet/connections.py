@@ -8,7 +8,8 @@ opening a second edge).
 
 The table is the only writer of entries, roles and transport addresses,
 and every write bumps ``version``.  The structured peers the node routes
-over, the near set, and what the node sends and decides from it (the
+over (in address order, the sorted ring the routing deciders take), the
+near set, and what the node sends and decides from it (the
 neighbor listing and its encoded bytes, the zipping bounds), are
 computed once per version and kept until the next write.
 """
@@ -145,10 +146,12 @@ class ConnectionTable:
         return [c for c in self.by_peer.values() if role in c.roles]
 
     def structured_peers(self) -> tuple[int, ...]:
-        """Peers holding a near or shortcut role, in table order."""
+        """Peers holding a near or shortcut role, in address order: the
+        sorted ring the ``routing`` deciders take."""
         view = self._near_view()
         if view.peers is None:
-            view.peers = tuple(c.peer for c in self.by_peer.values() if c.is_structured())
+            view.peers = tuple(sorted(c.peer for c in self.by_peer.values()
+                                      if c.is_structured()))
         return view.peers
 
     def _near_view(self) -> _NearView:

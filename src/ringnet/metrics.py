@@ -31,7 +31,7 @@ from .address import (
     format_address,
     parse_address,
 )
-from .routing import DecisionKind, greedy_next_hop
+from .routing import greedy_next_hop
 
 NEAR_LABEL = "structured.near"
 SHORTCUT_LABEL = "structured.shortcut"
@@ -96,14 +96,19 @@ def near_adjacency(snapshot: TopologySnapshot) -> dict[int, set[int]]:
     return adj
 
 
-def structured_adjacency(snapshot: TopologySnapshot) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {a: set() for a in snapshot.nodes}
+def structured_adjacency(snapshot: TopologySnapshot) -> dict[int, tuple[int, ...]]:
+    """Each node's near and shortcut peers as a sorted ring, the form
+    the ``routing`` deciders take."""
+    adj: dict = {a: set() for a in snapshot.nodes}
     for a, b, label in snapshot.edges:
         if label not in (NEAR_LABEL, SHORTCUT_LABEL):
             continue
         if a in adj and b in adj:
             adj[a].add(b)
             adj[b].add(a)
+    # In place, so each set is freed as its tuple replaces it.
+    for a, peers in adj.items():
+        adj[a] = tuple(sorted(peers))
     return adj
 
 
@@ -129,7 +134,7 @@ def missing_edges(snapshot: TopologySnapshot, per_side: int = 2) -> int:
 # routability
 
 
-def route_greedy(adj: dict[int, set[int]], source: int,
+def route_greedy(adj: dict[int, tuple[int, ...]], source: int,
                  target: int) -> tuple[int, int]:
     """Walk greedy decisions over a static graph.
 
@@ -141,11 +146,11 @@ def route_greedy(adj: dict[int, set[int]], source: int,
     hops = 0
     limit = len(adj) + 2
     while hops <= limit:
-        decision = greedy_next_hop(current, adj[current], prev, target)
-        if decision.kind is not DecisionKind.FORWARD:
+        next_hop = greedy_next_hop(current, adj[current], prev, target)
+        if next_hop is None:
             return current, hops
         prev = current
-        current = decision.next_hop
+        current = next_hop
         hops += 1
     raise RuntimeError("greedy walk failed to terminate")
 

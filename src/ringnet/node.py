@@ -762,24 +762,22 @@ class NodeState:
             else:
                 self.stats["unroutable"] += 1
             return
-        adj = self.table.structured_peers()
-        if hdr.source != self.address and hdr.source in adj:
-            # A packet never revisits its source; this also keeps requests
-            # from chasing a stale entry for a node that died and rejoined
-            # under the same address.
-            adj = [a for a in adj if a != hdr.source]
+        ring = self.table.structured_peers()
+        # A packet never revisits its source (the deciders' ``skip``); this
+        # also keeps requests from chasing a stale entry for a node that
+        # died and rejoined under the same address.
         direction = direction_of(hdr.destination)
         if direction is not None:
-            decision = routing.directional_next_hop(
-                self.address, adj, direction, hdr.hops, hdr.ttl)
+            kind, next_hop = routing.directional_next_hop(
+                self.address, ring, direction, hdr.hops, hdr.ttl, hdr.source)
         elif (hdr.payload_type == PAYLOAD_CONNECT
               and messages.peek_connect_type(data[HEADER_LEN:]) in (CT_NEAR, CT_LEAF)):
-            decision = routing.annealing_next_hop(self.address, adj, prev,
-                                                  hdr.destination)
+            kind, next_hop = routing.annealing_next_hop(
+                self.address, ring, prev, hdr.destination, hdr.source)
         else:
-            decision = routing.greedy_next_hop(self.address, adj, prev,
-                                               hdr.destination)
-        kind, next_hop = decision
+            next_hop = routing.greedy_next_hop(self.address, ring, prev,
+                                               hdr.destination, hdr.source)
+            kind = DecisionKind.DELIVER_LOCAL if next_hop is None else DecisionKind.FORWARD
         if self.cfg.trace:
             self._trace("route", hdr.destination, kind.value, next_hop)
         if kind is DecisionKind.FORWARD:

@@ -1,9 +1,13 @@
 """Next-hop decision rules for the ring.
 
-Each decider is a pure function of the local address, an adjacency
-snapshot (the structured peers of the deciding node), the previous hop,
-and the target.  Two destination-based modes share the same argmin core
-over ``adj ∪ {v}`` with ring distance to the target:
+Each decider is a pure function of the local address ``v``, the
+structured peers of the deciding node as a **sorted ring** (a sequence
+of addresses in ascending order, not holding ``v``), the previous hop,
+and the target.  ``skip`` names one address the decision must not pick:
+the packet's source, which a packet never revisits; it may be absent
+from the ring or be ``v`` itself, and then excludes nothing.  Two
+destination-based modes share the same argmin core over
+``(ring - {skip}) ∪ {v}`` with ring distance to the target:
 
 * greedy     - forward only to a strictly closer neighbor, otherwise the
                packet has arrived and is delivered here;
@@ -13,9 +17,18 @@ over ``adj ∪ {v}`` with ring distance to the target:
                what lets join traffic land on both sides of a gap in a
                damaged ring.
 
+The argmin reads at most six peers: the three on each side of the
+target.  Going clockwise from the target, ring distance rises until the
+antipode, so every peer that precedes a peer ``p`` clockwise is strictly
+closer than ``p`` when ``p`` lies on the clockwise half; the same holds
+counterclockwise.  A peer among the two closest therefore has at most
+one peer before it on its own side, and is among the first two there.
+``skip`` can remove one of those, so a third per side covers it.
+
 Direction-based routing ignores the target value entirely: the packet
-walks hop by hop in a fixed direction and is delivered when its hop
-count reaches its ttl.
+walks hop by hop in a fixed direction, to the ring successor (clockwise)
+or predecessor of ``v`` other than ``skip``, and is delivered when its
+hop count reaches its ttl.
 
 Distance ties break toward the numerically smaller address, with the
 deciding node winning ties against its neighbors, which makes every
@@ -25,9 +38,10 @@ decision deterministic for a given input.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple
+from bisect import bisect_left, bisect_right
+from typing import NamedTuple, Sequence
 
-from .address import HALF_MODULUS, MODULUS, Direction, directed_distance
+from .address import HALF_MODULUS, MODULUS, Direction
 
 
 class DecisionKind(enum.Enum):
@@ -54,8 +68,9 @@ def deliver_and_forward(next_hop: int) -> Decision:
     return Decision(DecisionKind.DELIVER_AND_FORWARD, next_hop)
 
 
-def _best_two(v: int, adj: Iterable[int], target: int) -> tuple[int, int | None]:
-    """Closest and second-closest of ``adj ∪ {v}`` to target.
+def _best_two(v: int, ring: Sequence[int], target: int,
+              skip: int | None = None) -> tuple[int, int | None]:
+    """Closest and second-closest of ``(ring - {skip}) ∪ {v}`` to target.
 
     Ordering key is (distance, candidate-is-not-v, address), so v wins
     ties with neighbors and neighbor ties go to the smaller address.
@@ -64,11 +79,22 @@ def _best_two(v: int, adj: Iterable[int], target: int) -> tuple[int, int | None]
     key: its address, or -1 for v, which orders v before any neighbor
     at the same distance.
     """
+    n = len(ring)
+    if n > 6:
+        # The three peers on each side of the target (module docstring);
+        # near the end, negative indices wrap the window to the start.
+        i = bisect_left(ring, target)
+        if i > n - 3:
+            i -= n
+        ring = (ring[i - 3], ring[i - 2], ring[i - 1],
+                ring[i], ring[i + 1], ring[i + 2])
     d = (v - target) % MODULUS
     best_d = d if d <= HALF_MODULUS else MODULUS - d
     best = -1
     second_d = second = None
-    for u in adj:
+    for u in ring:
+        if u == skip:
+            continue
         d = (u - target) % MODULUS
         if d > HALF_MODULUS:
             d = MODULUS - d
@@ -80,15 +106,18 @@ def _best_two(v: int, adj: Iterable[int], target: int) -> tuple[int, int | None]
     return (v if best == -1 else best), (v if second == -1 else second)
 
 
-def greedy_next_hop(v: int, adj: Iterable[int], prev: int | None, target: int) -> Decision:
-    u_min, _ = _best_two(v, adj, target)
+def greedy_next_hop(v: int, ring: Sequence[int], prev: int | None, target: int,
+                    skip: int | None = None) -> int | None:
+    """The next hop, or None when the packet is delivered here."""
+    u_min, _ = _best_two(v, ring, target, skip)
     if u_min != v and u_min != prev:
-        return forward(u_min)
-    return DELIVER_LOCAL
+        return u_min
+    return None
 
 
-def annealing_next_hop(v: int, adj: Iterable[int], prev: int | None, target: int) -> Decision:
-    u_min, u_sec = _best_two(v, adj, target)
+def annealing_next_hop(v: int, ring: Sequence[int], prev: int | None, target: int,
+                       skip: int | None = None) -> Decision:
+    u_min, u_sec = _best_two(v, ring, target, skip)
     if u_min != v and u_min != prev:
         return forward(u_min)
     if u_sec is not None and u_sec != v and u_sec != prev:
@@ -96,15 +125,19 @@ def annealing_next_hop(v: int, adj: Iterable[int], prev: int | None, target: int
     return DELIVER_LOCAL
 
 
-def directional_next_hop(v: int, adj: Iterable[int], direction: Direction,
-                         hops: int, ttl: int) -> Decision:
+def directional_next_hop(v: int, ring: Sequence[int], direction: Direction,
+                         hops: int, ttl: int, skip: int | None = None) -> Decision:
     if hops >= ttl:
         return DELIVER_LOCAL
-    best = None
-    for u in adj:
-        key = (directed_distance(v, u, direction), u)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return DROP
-    return forward(best[1])
+    n = len(ring)
+    if direction is Direction.CLOCKWISE:
+        i, step = bisect_right(ring, v), 1
+    else:
+        i, step = bisect_left(ring, v) - 1, -1
+    # The ring successor (clockwise) or predecessor of v, or the one past
+    # it when that is skip.
+    for j in range(min(n, 2)):
+        u = ring[(i + j * step) % n]
+        if u != skip:
+            return forward(u)
+    return DROP

@@ -2,14 +2,23 @@
 
 from random import Random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ringnet.address import Direction, HALF_MODULUS, MODULUS, ring_distance
+from ringnet.address import (
+    Direction,
+    HALF_MODULUS,
+    MODULUS,
+    directed_distance,
+    ring_distance,
+)
 from ringnet.routing import (
+    DELIVER_LOCAL,
+    DROP,
     DecisionKind,
     _best_two,
     annealing_next_hop,
     directional_next_hop,
+    forward,
     greedy_next_hop,
 )
 
@@ -22,7 +31,8 @@ def spaced_ring(n: int) -> list[int]:
     return [i * step for i in range(n)]
 
 
-def ring_adjacency(ring: list[int], per_side: int = 1) -> dict[int, set[int]]:
+def ring_adjacency(ring: list[int], per_side: int = 1) -> dict[int, tuple[int, ...]]:
+    """Each node's peers within per_side ring steps, as a sorted ring."""
     n = len(ring)
     adj: dict[int, set[int]] = {a: set() for a in ring}
     for i, a in enumerate(ring):
@@ -32,7 +42,13 @@ def ring_adjacency(ring: list[int], per_side: int = 1) -> dict[int, set[int]]:
                 if b != a:
                     adj[a].add(b)
                     adj[b].add(a)
-    return adj
+    return {a: tuple(sorted(peers)) for a, peers in adj.items()}
+
+
+def greedy_decision(v, ring, prev, target):
+    """greedy_next_hop as a Decision, for the walks annealing shares."""
+    hop = greedy_next_hop(v, ring, prev, target)
+    return DELIVER_LOCAL if hop is None else forward(hop)
 
 
 def walk(adj, source, target, decide):
@@ -68,22 +84,20 @@ def walk(adj, source, target, decide):
 
 def test_greedy_delivers_when_local_argmin():
     v = 100
-    adj = {5000, 9000}
+    ring = [5000, 9000]
     target = 90
-    assert greedy_next_hop(v, adj, None, target).kind is DecisionKind.DELIVER_LOCAL
+    assert greedy_next_hop(v, ring, None, target) is None
 
 
 def test_greedy_forwards_to_exact_neighbor():
-    decision = greedy_next_hop(100, {40, 70}, None, 70)
-    assert decision.kind is DecisionKind.FORWARD
-    assert decision.next_hop == 70
+    assert greedy_next_hop(100, [40, 70], None, 70) == 70
 
 
 def test_greedy_eight_node_ring_route_to_antipode():
     ring = spaced_ring(8)
     adj = ring_adjacency(ring, per_side=1)
     target = ring[4]
-    delivered, path = walk(adj, ring[0], target, greedy_next_hop)
+    delivered, path = walk(adj, ring[0], target, greedy_decision)
     # Nearest-neighbor edges only: the walk crosses nodes 1, 2, 3 in order.
     assert path == [ring[0], ring[1], ring[2], ring[3], ring[4]]
     assert delivered == [target]
@@ -96,9 +110,9 @@ def test_greedy_eight_node_ring_route_to_antipode():
        st.integers(0, MODULUS - 1))
 def test_greedy_forward_strictly_improves(v, adj, target):
     adj.discard(v)
-    decision = greedy_next_hop(v, adj, None, target)
-    if decision.kind is DecisionKind.FORWARD:
-        assert ring_distance(decision.next_hop, target) < ring_distance(v, target)
+    hop = greedy_next_hop(v, sorted(adj), None, target)
+    if hop is not None:
+        assert ring_distance(hop, target) < ring_distance(v, target)
 
 
 @st.composite
@@ -115,7 +129,7 @@ def tied_adjacencies(draw):
            (2 * target - v) % MODULUS}
     adj |= draw(st.sets(address, max_size=6))
     adj.discard(v)
-    return v, draw(st.permutations(sorted(adj))), target
+    return v, sorted(adj), target
 
 
 @given(tied_adjacencies())
@@ -125,12 +139,59 @@ def test_best_two_matches_sorted_reference(case):
     assert _best_two(v, adj, target) == (ranked[0], ranked[1] if len(ranked) > 1 else None)
 
 
+@st.composite
+def ring_cases(draw):
+    """(v, sorted ring of 0-40 addresses without v, target, skip).  Ties
+    at target ± d and at the mirror of v, clusters around the target and
+    around v, and targets near 0 and MODULUS - 1 where the ring wraps.
+    skip comes from the ring, is v, or is neither."""
+    edge = st.one_of(st.integers(0, 6), st.integers(MODULUS - 6, MODULUS - 1))
+    address = st.one_of(edge, st.sampled_from([HALF_MODULUS, HALF_MODULUS + 1]),
+                        st.integers(0, MODULUS - 1))
+    v, target = draw(address), draw(address)
+    d = draw(st.one_of(st.sampled_from([0, 1, HALF_MODULUS]),
+                       st.integers(0, HALF_MODULUS)))
+    near = st.integers(-6, 6)
+    ring = set(draw(st.lists(st.one_of(address,
+                                       near.map(lambda x: (target + x) % MODULUS),
+                                       near.map(lambda x: (v + x) % MODULUS)),
+                             max_size=37)))
+    if draw(st.booleans()):
+        ring |= {(target + d) % MODULUS, (target - d) % MODULUS,
+                 (2 * target - v) % MODULUS}
+    ring.discard(v)
+    ring = sorted(ring)
+    # A skip among the peers nearest the target is the one that matters.
+    nearest = sorted(ring, key=lambda u: ring_distance(u, target))[:4]
+    skip = draw(st.one_of(st.sampled_from(nearest) if ring else st.nothing(),
+                          st.sampled_from(ring) if ring else st.nothing(),
+                          st.just(v), st.none(), address))
+    return v, ring, target, skip
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_cases())
+# The two closest after skip are the second and third clockwise of the
+# target, the ring wrapping between them (a two-per-side window fails).
+@example((HALF_MODULUS, sorted([MODULUS - 2, MODULUS - 1, 0, 2 ** 100, 2 ** 101,
+                                2 ** 102, 2 ** 103]), MODULUS - 3, MODULUS - 2))
+def test_sorted_ring_deciders_match_brute_force(case):
+    v, ring, target, skip = case
+    others = set(ring) - {skip}
+    ranked = sorted(others | {v}, key=lambda u: (ring_distance(u, target), u != v, u))
+    assert _best_two(v, ring, target, skip) == (
+        ranked[0], ranked[1] if len(ranked) > 1 else None)
+    for direction in (CW, CCW):
+        expected = (forward(min(others, key=lambda u: directed_distance(v, u, direction)))
+                    if others else DROP)
+        assert directional_next_hop(v, ring, direction, 0, 1, skip) == expected
+
+
 def test_greedy_does_not_bounce_back_to_prev():
     # prev is strictly closer to the target than v, so the argmin is prev;
     # the guard turns that into local delivery instead of a loop.
     v, prev, target = 1000, 900, 800
-    decision = greedy_next_hop(v, {prev}, prev, target)
-    assert decision.kind is DecisionKind.DELIVER_LOCAL
+    assert greedy_next_hop(v, [prev], prev, target) is None
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +201,7 @@ def test_greedy_does_not_bounce_back_to_prev():
 def test_annealing_dual_delivery_at_local_minimum():
     # v is the closest, a valid second-best neighbor exists.
     v = 1000
-    adj = {1300, 5000}
+    adj = [1300, 5000]
     target = 1001
     decision = annealing_next_hop(v, adj, None, target)
     assert decision.kind is DecisionKind.DELIVER_AND_FORWARD
@@ -153,19 +214,20 @@ def test_annealing_matches_greedy_when_a_closer_neighbor_exists():
         v = rng.getrandbits(160)
         adj = {rng.getrandbits(160) for _ in range(rng.randrange(1, 8))}
         adj.discard(v)
+        ring = sorted(adj)
         target = rng.getrandbits(160)
-        g = greedy_next_hop(v, adj, None, target)
-        if g.kind is DecisionKind.FORWARD:
-            assert annealing_next_hop(v, adj, None, target) == g
+        g = greedy_next_hop(v, ring, None, target)
+        if g is not None:
+            assert annealing_next_hop(v, ring, None, target) == forward(g)
 
 
 def test_annealing_first_hop_may_move_away():
     # At the source every neighbor is farther from the target; annealing
     # still pushes a copy outward while greedy stops immediately.
     v = 1000
-    adj = {2000}
+    adj = [2000]
     target = 999
-    assert greedy_next_hop(v, adj, None, target).kind is DecisionKind.DELIVER_LOCAL
+    assert greedy_next_hop(v, adj, None, target) is None
     decision = annealing_next_hop(v, adj, None, target)
     assert decision.kind is DecisionKind.DELIVER_AND_FORWARD
     assert decision.next_hop == 2000
@@ -176,14 +238,14 @@ def test_annealing_broken_ring_delivers_both_gap_endpoints():
     # address inside the gap: greedy always delivers at exactly one node,
     # annealing reaches both endpoints for sources across the gap.
     ring = spaced_ring(8)
-    adj = ring_adjacency(ring, per_side=2)
-    adj[ring[3]].discard(ring[4])
-    adj[ring[4]].discard(ring[3])
+    gap = {ring[3], ring[4]}
+    adj = {a: tuple(b for b in peers if {a, b} != gap)
+           for a, peers in ring_adjacency(ring, per_side=2).items()}
     target = ring[3] + 3 * (MODULUS // 32)  # in the gap, nearer node 4
 
     both_endpoints = 0
     for source in ring:
-        g_delivered, _ = walk(adj, source, target, greedy_next_hop)
+        g_delivered, _ = walk(adj, source, target, greedy_decision)
         assert len(set(g_delivered)) == 1
         assert set(g_delivered) <= {ring[3], ring[4]}
         a_delivered, _ = walk(adj, source, target, annealing_next_hop)
@@ -200,7 +262,7 @@ def test_annealing_broken_ring_delivers_both_gap_endpoints():
 
 
 def test_directional_delivers_when_hops_reach_ttl():
-    assert directional_next_hop(0, {5}, CW, 2, 2).kind is DecisionKind.DELIVER_LOCAL
+    assert directional_next_hop(0, [5], CW, 2, 2).kind is DecisionKind.DELIVER_LOCAL
 
 
 def test_directional_one_hop_reaches_immediate_neighbor():
@@ -214,7 +276,7 @@ def test_directional_one_hop_reaches_immediate_neighbor():
 
 
 def test_directional_drop_when_isolated():
-    assert directional_next_hop(0, set(), CW, 0, 3).kind is DecisionKind.DROP
+    assert directional_next_hop(0, [], CW, 0, 3).kind is DecisionKind.DROP
 
 
 def directional_walk(adj, source, direction, ttl):
