@@ -4,7 +4,7 @@ to JSON.
 
 Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
-node's status path (building, sending and receiving a status body),
+node's status path (sending and receiving a status body),
 greedy routing decisions over 8 and 24 peers, the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
 pair) and the simulator's transmit-to-receive of one datagram.  Then
@@ -80,9 +80,9 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         messages.STATUS_REQUEST, i, listing(i))) for i in range(fresh_bodies)])
     cases["status_decode_4_fresh"] = lambda: messages.decode_link_body(next(fresh))
 
-    # The node-level status path on a settled 16-node ring: the body a
-    # node sends for a status request, and the processing of its
-    # clockwise neighbor's 4-entry listing (all known, none closer).
+    # The node-level status path on a settled 16-node ring: the
+    # processing of a node's clockwise neighbor's 4-entry listing (all
+    # known, none closer).
     net = SimNetwork(SimConfig(seed=5))
     nodes = seed_ring(net, 16, Random(5), OverlayConfig(status_interval=None,
                                                         k_shortcuts=0))
@@ -91,9 +91,6 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     conn = node.table.get(neighbor.address)
     their_listing = neighbor.table.neighbor_listing()
     assert len(their_listing) == 4 and NEAR in conn.roles
-    cases["node_status_body"] = lambda: messages.encode_status(
-        messages.StatusMessage(messages.STATUS_REQUEST, 9, node.table.neighbor_listing()),
-        node.table.encoded_listing())
     cases["node_process_status_4"] = lambda: node._process_status(conn, their_listing)
 
     # One routed hop through a node: a 16-byte lookup for the address

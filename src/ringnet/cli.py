@@ -159,21 +159,21 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
         raise ConfigError(f"{path}: missing [scenario] section")
 
     phases = []
-    meta: dict[str, str] = {}
+    meta: dict[str, float] = {}
+    numbers = {"measurement_interval": float, "pair_budget": int}
     for lineno, key, value in sections["scenario"]:
         if key == "phase":
             phases.append(_build_phase(path, lineno, value))
-        elif key in ("measurement_interval", "pair_budget"):
-            meta[key] = value
+        elif key in numbers:
+            try:
+                meta[key] = numbers[key](value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}")
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if not phases:
         raise ConfigError(f"{path}: scenario has no phases")
-    scenario = sc.Scenario(
-        phases,
-        measurement_interval=float(meta.get("measurement_interval", "2.0")),
-        pair_budget=int(meta.get("pair_budget", "1000")),
-    )
+    scenario = sc.Scenario(phases, **meta)
 
     sim_kwargs = {}
     sim = _known_keys(path, sections.get("sim", []),
@@ -192,12 +192,16 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
         except (ValueError, IndexError):
             raise ConfigError(f"{path}:{lineno}: latency must be "
                               f"'constant S' or 'uniform LO HI'")
-    if "loss_rate" in sim:
-        sim_kwargs["loss_rate"] = float(sim["loss_rate"][1])
-    sim_config = SimConfig(**sim_kwargs)
+    # Only a loss_rate that is not a number or not a probability raises.
+    try:
+        if "loss_rate" in sim:
+            sim_kwargs["loss_rate"] = float(sim["loss_rate"][1])
+        sim_config = SimConfig(**sim_kwargs)
+    except ValueError:
+        raise ConfigError(f"{path}:{sim['loss_rate'][0]}: bad value for 'loss_rate'")
 
     overlay = OverlayConfig()
-    allowed = {"near_per_side", "k_shortcuts", "status_interval", "tick_interval"}
+    allowed = {"k_shortcuts", "status_interval", "tick_interval"}
     for key, (lineno, value) in _known_keys(
             path, sections.get("overlay", []), allowed).items():
         try:
@@ -205,9 +209,12 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
                 overlay.status_interval = (None if value == "off"
                                            else float(value))
             elif key == "tick_interval":
+                # At zero or less, each tick reschedules itself at once.
                 overlay.tick_interval = float(value)
+                if not overlay.tick_interval > 0:
+                    raise ValueError
             else:
-                setattr(overlay, key, int(value))
+                overlay.k_shortcuts = int(value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}")
     try:
@@ -331,6 +338,9 @@ def cmd_demo_real(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.pair_budget is not None and args.pair_budget < 1:
+        print("--pair-budget must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         snap = read_snapshot(args.snapshot)
     except (OSError, ValueError) as exc:

@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 LEAF = "leaf"
 NEAR = "structured.near"
 SHORTCUT = "structured.shortcut"
+# Near peers a node holds on each side of its address.
+NEAR_PER_SIDE = 2
 
 _CT_TO_LABEL = {
     messages.CT_LEAF: LEAF,
@@ -90,11 +92,10 @@ class _NearView:
 class ConnectionTable:
     """All connections of one node, indexed by peer address."""
 
-    __slots__ = ("owner", "near_per_side", "by_peer", "version", "_view")
+    __slots__ = ("owner", "by_peer", "version", "_view")
 
-    def __init__(self, owner: int, near_per_side: int = 2) -> None:
+    def __init__(self, owner: int) -> None:
         self.owner = owner
-        self.near_per_side = near_per_side
         self.by_peer: dict[int, Connection] = {}
         self.version = 0
         self._view: _NearView | None = None
@@ -172,11 +173,11 @@ class ConnectionTable:
         return sorted(self.near(), key=lambda c: (owner - c.peer) % MODULUS)
 
     def _closest(self) -> list[Connection]:
-        """The closest ``near_per_side`` near peers clockwise, then
+        """The closest ``NEAR_PER_SIDE`` near peers clockwise, then
         counterclockwise; on tiny rings one peer may appear in both."""
         view = self._near_view()
         if view.closest is None:
-            k = self.near_per_side
+            k = NEAR_PER_SIDE
             view.closest = (self.near_sorted(Direction.CLOCKWISE)[:k]
                             + self.near_sorted(Direction.COUNTERCLOCKWISE)[:k])
         return view.closest
@@ -210,7 +211,7 @@ class ConnectionTable:
         near = self.near()
         if not near:
             return None
-        per_side = min(self.near_per_side, len(near))
+        per_side = min(NEAR_PER_SIDE, len(near))
         closest = self._closest()
         spans = ((closest[per_side - 1].peer - self.owner) % MODULUS
                  + (self.owner - closest[-1].peer) % MODULUS)
@@ -234,10 +235,10 @@ class ConnectionTable:
 
     def near_bounds(self) -> tuple[int, int]:
         """Clockwise and counterclockwise arc length of the
-        ``near_per_side``-th closest near peer on that side; an address
+        ``NEAR_PER_SIDE``-th closest near peer on that side; an address
         strictly closer on its side belongs in the near set.  MODULUS for
         a side with fewer peers, where every address qualifies."""
-        k = self.near_per_side
+        k = NEAR_PER_SIDE
         cw, ccw = self._strict_sides()
         return (cw[k - 1] if len(cw) >= k else MODULUS,
                 ccw[k - 1] if len(ccw) >= k else MODULUS)

@@ -160,18 +160,15 @@ def encode_neighbors(neighbors: tuple[tuple[int, tuple[str, ...]], ...]) -> byte
     return b"".join(parts)
 
 
-def encode_status(msg: StatusMessage, encoded_neighbors: bytes | None = None) -> bytes:
+def encode_status(msg: StatusMessage) -> bytes:
     """Encode a status body.
 
-    A sender that repeats one neighbor list may pass its
-    ``encode_neighbors(msg.neighbors)`` bytes, so that only kind and
-    token are packed.  A node does not call this to send: it packs the
-    link header, kind and token in one go (``NodeState._send_status``),
-    and the tests hold its bytes equal to this function's.
+    A node does not call this to send: it packs the link header, kind
+    and token in one go before its cached ``encode_neighbors`` bytes
+    (``NodeState._send_status``), and the tests hold its bytes equal to
+    this function's.
     """
-    if encoded_neighbors is None:
-        encoded_neighbors = encode_neighbors(msg.neighbors)
-    return _HEAD.pack(msg.kind, msg.token) + encoded_neighbors
+    return _HEAD.pack(msg.kind, msg.token) + encode_neighbors(msg.neighbors)
 
 
 def encode_connect(msg: ConnectionRequest) -> bytes:

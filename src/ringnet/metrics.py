@@ -1,10 +1,11 @@
 """Independent verification of topology snapshots.
 
 This module checks what the protocol built without reusing any of its
-machinery: it reimplements ring geometry from scratch over a static
-snapshot and replays only the pure next-hop deciders.  Snapshots can be
-read back from the line-oriented files the simulator emits, so analysis
-works offline from run artifacts alone.
+machinery: it takes only the requirement it checks from the protocol
+(``connections.NEAR_PER_SIDE``), reimplements ring geometry from scratch
+over a static snapshot and replays only the pure next-hop deciders.
+Snapshots can be read back from the line-oriented files the simulator
+emits, so analysis works offline from run artifacts alone.
 
 Checks provided: the ring-correctness predicate (every node linked to
 its two nearest live addresses in each direction), routability (the
@@ -31,12 +32,14 @@ from .address import (
     format_address,
     parse_address,
 )
+from .connections import NEAR_PER_SIDE
 from .routing import greedy_next_hop
 
 NEAR_LABEL = "structured.near"
 SHORTCUT_LABEL = "structured.shortcut"
 
 D_MAX = MODULUS
+MIN_KS_SAMPLES = 50
 
 
 class InsufficientSamples(ValueError):
@@ -70,7 +73,7 @@ class ShortcutReport:
 # ring geometry
 
 
-def required_near_map(nodes: tuple[int, ...], per_side: int = 2) -> dict[int, set[int]]:
+def required_near_map(nodes: tuple[int, ...]) -> dict[int, set[int]]:
     """For each live node, the set of addresses it must hold near links to."""
     ring = sorted(nodes)
     n = len(ring)
@@ -78,7 +81,7 @@ def required_near_map(nodes: tuple[int, ...], per_side: int = 2) -> dict[int, se
     if n < 2:
         return required
     for i, a in enumerate(ring):
-        for step in range(1, per_side + 1):
+        for step in range(1, NEAR_PER_SIDE + 1):
             required[a].add(ring[(i + step) % n])
             required[a].add(ring[(i - step) % n])
         required[a].discard(a)
@@ -112,10 +115,9 @@ def structured_adjacency(snapshot: TopologySnapshot) -> dict[int, tuple[int, ...
     return adj
 
 
-def ring_correct(snapshot: TopologySnapshot,
-                 per_side: int = 2) -> tuple[dict[int, bool], float]:
+def ring_correct(snapshot: TopologySnapshot) -> tuple[dict[int, bool], float]:
     """Per-node correctness flags and the correct fraction."""
-    required = required_near_map(snapshot.nodes, per_side)
+    required = required_near_map(snapshot.nodes)
     adj = near_adjacency(snapshot)
     flags = {a: required[a] <= adj[a] for a in snapshot.nodes}
     if not flags:
@@ -123,9 +125,9 @@ def ring_correct(snapshot: TopologySnapshot,
     return flags, sum(flags.values()) / len(flags)
 
 
-def missing_edges(snapshot: TopologySnapshot, per_side: int = 2) -> int:
+def missing_edges(snapshot: TopologySnapshot) -> int:
     """Count of (node, required near neighbor) relations absent."""
-    required = required_near_map(snapshot.nodes, per_side)
+    required = required_near_map(snapshot.nodes)
     adj = near_adjacency(snapshot)
     return sum(len(required[a] - adj[a]) for a in snapshot.nodes)
 
@@ -164,6 +166,8 @@ def routability(snapshot: TopologySnapshot, pair_budget: int | None = None,
     drawn, seeded for reproducibility.  A pair counts as routable when
     the walk delivers at the live node closest to the target's address.
     """
+    if pair_budget is not None and pair_budget < 1:
+        raise ValueError("pair_budget must be at least 1")
     nodes = sorted(snapshot.nodes)
     n = len(nodes)
     if n == 0:
@@ -243,11 +247,11 @@ def shortcut_distances(snapshot: TopologySnapshot) -> list[int]:
             for a, b, label in snapshot.edges if label == SHORTCUT_LABEL]
 
 
-def shortcut_cdf(snapshot: TopologySnapshot, min_samples: int = 50) -> ShortcutReport:
+def shortcut_cdf(snapshot: TopologySnapshot) -> ShortcutReport:
     distances = shortcut_distances(snapshot)
-    if len(distances) < min_samples:
+    if len(distances) < MIN_KS_SAMPLES:
         raise InsufficientSamples(
-            f"{len(distances)} shortcut edges, need {min_samples}")
+            f"{len(distances)} shortcut edges, need {MIN_KS_SAMPLES}")
     d_ave = MODULUS // max(1, len(snapshot.nodes))
     ks = ks_distance(distances, shortcut_law_cdf(d_ave))
     return ShortcutReport(len(distances), ks, d_ave)

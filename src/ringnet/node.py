@@ -66,6 +66,7 @@ from .connections import (
     ConnectionTable,
     LEAF,
     NEAR,
+    NEAR_PER_SIDE,
     SHORTCUT,
     label_for,
 )
@@ -106,6 +107,9 @@ log = logging.getLogger(__name__)
 # Cap on the density-sized shortcut count (k_shortcuts = None).
 K_MAX = 16
 JOIN_RETRIES = 4
+HANDSHAKE_RETRIES = 4
+# Ticks a dialer keeps its leaf links after its first near link.
+LEAF_GRACE_TICKS = 1
 # A required neighbor candidate farther than this many mean gaps is
 # treated as "no plausible candidate known" and triggers discovery.
 REPAIR_HORIZON_GAPS = 8.0
@@ -152,7 +156,6 @@ def _dialable_remote(edge) -> str:
 
 @dataclass
 class OverlayConfig:
-    near_per_side: int = 2
     # None picks k from the local density estimate (about log2 N), capped
     # at K_MAX.
     k_shortcuts: int | None = None
@@ -162,9 +165,7 @@ class OverlayConfig:
     probe_timeout: float = 0.75
     probe_retries: int = 3
     handshake_timeout: float = 0.5
-    handshake_retries: int = 4
     join_retry_timeout: float = 4.0
-    leaf_grace_ticks: int = 1
     connreq_timeout: float = 6.0
     push_status_debounce: float = 0.25
     trace: bool = False
@@ -226,7 +227,7 @@ class NodeState:
         self.host = host
         self.cfg = config
         self.rng = rng
-        self.table = ConnectionTable(address, config.near_per_side)
+        self.table = ConnectionTable(address)
         self.alive = True
         self.joined = False
         self.join_started_at: float | None = None
@@ -389,7 +390,7 @@ class NodeState:
             edge = self.host.dial(at.tas[at.ta_index])
             if edge is not None:
                 at.edge = edge
-                at.retries_left = self.cfg.handshake_retries
+                at.retries_left = HANDSHAKE_RETRIES
                 at.backoff = self.cfg.handshake_timeout
                 self._attempt_send(at)
                 return
@@ -518,7 +519,7 @@ class NodeState:
         edge.peer_address = msg.sender
         key = (edge.remote_ta, msg.token)
         if key not in self.provisional:
-            window = self.cfg.handshake_timeout * (2 ** (self.cfg.handshake_retries + 2))
+            window = self.cfg.handshake_timeout * (2 ** (HANDSHAKE_RETRIES + 2))
             self.provisional[key] = _Provisional(
                 msg.sender, msg.conn_type, list(msg.transport_addresses),
                 msg.req_token, edge, self.host.now() + window)
@@ -541,7 +542,7 @@ class NodeState:
         at.peer = msg.sender
         at.peer_tas = msg.transport_addresses
         at.state = _WAIT_STATUS
-        at.retries_left = self.cfg.handshake_retries
+        at.retries_left = HANDSHAKE_RETRIES
         at.backoff = self.cfg.handshake_timeout
         edge.peer_address = msg.sender
         self._attempt_send(at)
@@ -673,7 +674,7 @@ class NodeState:
         """Keep ``conn``'s listing and zip in the addresses it lists.
 
         A listed address is zipped in when it is strictly closer, on its
-        side of the ring, than our near_per_side-th near peer there.  A
+        side of the ring, than our NEAR_PER_SIDE-th near peer there.  A
         pass that dials nothing stores the table version in
         ``conn.zipped_version``.  While the listing is equal to the last
         one and the version is the same, a pass would read the same
@@ -1005,7 +1006,7 @@ class NodeState:
     def _leaf_teardown(self) -> None:
         if self._first_near_tick is None:
             return
-        if self._tick_count - self._first_near_tick < self.cfg.leaf_grace_ticks:
+        if self._tick_count - self._first_near_tick < LEAF_GRACE_TICKS:
             return
         for conn in self.table.with_role(LEAF):
             if conn.is_structured():
@@ -1028,10 +1029,10 @@ class NodeState:
         return known
 
     def _near_repair(self, now: float) -> None:
-        """Claim or dial the near_per_side closest known addresses on each
+        """Claim or dial the NEAR_PER_SIDE closest known addresses on each
         side, or discover the side when none is plausible.
 
-        What it reads of ``_known_neighborhood()``, the near_per_side
+        What it reads of ``_known_neighborhood()``, the NEAR_PER_SIDE
         closest entries on each side, is kept in ``_repair_cache``, keyed
         on the table version.  The neighborhood is built from the
         structured peers, their transport addresses and the near peers'
@@ -1057,9 +1058,8 @@ class NodeState:
             # is at a distinct clockwise distance, and the counterclockwise
             # order is the clockwise one reversed.
             clockwise = sorted(known.items(), key=lambda item: (item[0] - me) % MODULUS)
-            slots = min(self.cfg.near_per_side, len(clockwise))
-            cache = self._repair_cache = (self.table.version, clockwise[:slots],
-                                          clockwise[::-1][:slots])
+            cache = self._repair_cache = (self.table.version, clockwise[:NEAR_PER_SIDE],
+                                          clockwise[::-1][:NEAR_PER_SIDE])
         _, cw_closest, ccw_closest = cache
         horizon = REPAIR_HORIZON_GAPS * self.gap_ewma if self.gap_ewma else None
         converged = True
@@ -1104,7 +1104,7 @@ class NodeState:
         hops in the deficient direction, or re-anchor around our own
         address when that side is entirely dark."""
         side = self.table.side_size(direction)
-        if 0 < side <= self.cfg.near_per_side:
+        if 0 < side <= NEAR_PER_SIDE:
             if self._has_pending("probe", direction):
                 return
             depth = side + 1
@@ -1119,7 +1119,7 @@ class NodeState:
 
     def _trim_near(self, now: float) -> None:
         near = self.table.near()
-        if len(near) <= self.cfg.near_per_side:
+        if len(near) <= NEAR_PER_SIDE:
             return
         keep = self.table.near_keep_set()
         for conn in near:

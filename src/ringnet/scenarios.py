@@ -85,6 +85,8 @@ class Scenario:
     def validate(self) -> None:
         if self.measurement_interval <= 0:
             raise ScenarioInvalid("measurement_interval must be positive")
+        if self.pair_budget < 1:
+            raise ScenarioInvalid("pair_budget must be at least 1")
         for phase in self.phases:
             if isinstance(phase, (Bootstrap, MassiveJoin)) and phase.n < 1:
                 raise ScenarioInvalid("population phases need n >= 1")
@@ -211,7 +213,7 @@ class ScenarioRunner:
                 self._addresses.add(a)
                 return a
 
-    def _pick_proxy(self, exclude: int | None = None) -> NodeState | None:
+    def _pick_proxy(self, exclude: int) -> NodeState | None:
         others = [n for nid, n in self.handles.items() if nid != exclude]
         ready = [n for n in others if n.joined] or others
         if not ready:
@@ -269,10 +271,10 @@ class ScenarioRunner:
         if len(snap.nodes) == 0:
             return
         report = routability(snap, self.scenario.pair_budget, seed=self.metrics_seed)
-        _, correct = ring_correct(snap, self.overlay.near_per_side)
+        _, correct = ring_correct(snap)
         self.trace.rows.append(TraceRow(
             now, len(snap.nodes), report.routability, correct,
-            missing_edges(snap, self.overlay.near_per_side), report.mean_hops))
+            missing_edges(snap), report.mean_hops))
         self.trace.snapshots.append(snap)
 
     def _advance(self, duration: float) -> None:

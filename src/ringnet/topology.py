@@ -14,7 +14,7 @@ from bisect import bisect_left
 from random import Random
 
 from .address import MODULUS, random_class0
-from .connections import Connection, NEAR, SHORTCUT
+from .connections import Connection, NEAR, NEAR_PER_SIDE, SHORTCUT
 from .metrics import NEAR_LABEL, SHORTCUT_LABEL, TopologySnapshot
 from .node import NodeState, OverlayConfig, sample_shortcut_distance
 from .simnet import SimNetwork
@@ -40,11 +40,11 @@ def closest_index(ring: list[int], target: int) -> int:
     return min(candidates, key=dist)
 
 
-def ideal_near_edges(ring: list[int], per_side: int = 2) -> set[tuple[int, int]]:
+def ideal_near_edges(ring: list[int]) -> set[tuple[int, int]]:
     n = len(ring)
     edges: set[tuple[int, int]] = set()
     for i, a in enumerate(ring):
-        for step in range(1, per_side + 1):
+        for step in range(1, NEAR_PER_SIDE + 1):
             b = ring[(i + step) % n]
             if a != b:
                 edges.add((min(a, b), max(a, b)))
@@ -73,13 +73,12 @@ def law_shortcut_edges(ring: list[int], k: int, rng_of):
             made += 1
 
 
-def synthetic_snapshot(n: int, k: int, seed: int,
-                       per_side: int = 2) -> TopologySnapshot:
+def synthetic_snapshot(n: int, k: int, seed: int) -> TopologySnapshot:
     """A converged-looking snapshot built directly from the laws."""
     rng = Random(seed)
     ring = ring_addresses(n, rng)
     edges: list[tuple[int, int, str]] = []
-    for a, b in sorted(ideal_near_edges(ring, per_side)):
+    for a, b in sorted(ideal_near_edges(ring)):
         edges.append((a, b, NEAR_LABEL))
     for a, b in law_shortcut_edges(ring, k, lambda a: rng):
         edges.append((a, b, SHORTCUT_LABEL))
@@ -129,7 +128,7 @@ def seed_ring(network: SimNetwork, n: int, rng: Random,
         nodes[a] = node
     count = len(ring)
     for i, a in enumerate(ring):
-        for step in range(1, overlay.near_per_side + 1):
+        for step in range(1, NEAR_PER_SIDE + 1):
             b = ring[(i + step) % count]
             if a != b:
                 install_connection(nodes[a], nodes[b], {NEAR})

@@ -70,6 +70,12 @@ def test_unknown_scenario_key_is_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         cli.load_scenario(path)
     assert "bogus" in str(err.value) and ":3:" in str(err.value)
+    # The near set size is fixed by the protocol, not an [overlay] key.
+    path = write(tmp_path / "o.cfg",
+                 "[scenario]\nphase = wait t=1\n[overlay]\nnear_per_side = 3\n")
+    with pytest.raises(ConfigError) as err:
+        cli.load_scenario(path)
+    assert "near_per_side" in str(err.value) and ":4:" in str(err.value)
 
 
 def test_unknown_phase_and_arguments_are_rejected(tmp_path):
@@ -98,7 +104,6 @@ phase = churn duration=10 p_leave=0.01
 latency = uniform 0.01 0.02
 loss_rate = 0.1
 [overlay]
-near_per_side = 3
 status_interval = off
 tick_interval = 0.5
 """)
@@ -106,7 +111,6 @@ tick_interval = 0.5
     assert scenario.measurement_interval == 1.5
     assert len(scenario.phases) == 2
     assert sim_config.loss_rate == 0.1
-    assert overlay.near_per_side == 3
     assert overlay.status_interval is None
     assert overlay.tick_interval == 0.5
 
@@ -167,6 +171,40 @@ def test_cmd_run_unknown_key_exits_two(tmp_path, monkeypatch, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+BAD_VALUE = ":4: bad value for '{}'"
+BELOW_ONE = "{} must be at least 1"
+BAD_SCENARIO_VALUES = [
+    ("scenario", "measurement_interval = abc", BAD_VALUE),
+    ("scenario", "pair_budget = x", BAD_VALUE),
+    ("scenario", "pair_budget = 0", BELOW_ONE),
+    ("scenario", "pair_budget = -3", BELOW_ONE),
+    ("sim", "loss_rate = abc", BAD_VALUE),
+    ("sim", "loss_rate = 2", BAD_VALUE),
+]
+
+
+@pytest.mark.parametrize("section, line, message", BAD_SCENARIO_VALUES,
+                         ids=[line for _, line, _ in BAD_SCENARIO_VALUES])
+def test_cmd_run_bad_scenario_value_exits_two(tmp_path, monkeypatch, capsys,
+                                              section, line, message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", f"[scenario]\nphase = wait t=1\n[{section}]\n{line}\n")
+    manifest = write(tmp_path / "m.cfg", manifest_text("s.cfg"))
+    assert cli.main(["run", manifest]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "s.cfg" in err and message.format(line.split()[0]) in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_tick_interval_is_rejected(tmp_path, value):
+    # Each tick would reschedule itself at the same simulated instant.
+    path = write(tmp_path / "s.cfg",
+                 f"[scenario]\nphase = wait t=1\n[overlay]\ntick_interval = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        cli.load_scenario(path)
+    assert ":4: bad value for 'tick_interval'" in str(err.value)
+
+
 def test_cmd_run_missing_manifest_exits_two(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
@@ -215,6 +253,14 @@ def test_cmd_analyze_empty_file_exits_two(tmp_path, capsys):
     path.write_text("")
     assert cli.main(["analyze", str(path)]) == EXIT_USAGE
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cmd_analyze_rejects_a_pair_budget_below_one(tmp_path, capsys, budget):
+    path = str(tmp_path / "topo.snap")
+    write_snapshot(synthetic_snapshot(16, k=2, seed=3), path)
+    assert cli.main(["analyze", path, "--pair-budget", budget]) == EXIT_USAGE
+    assert "--pair-budget" in capsys.readouterr().err
 
 
 def test_demo_real_rejects_silly_sizes(capsys):

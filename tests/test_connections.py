@@ -4,14 +4,21 @@ from hypothesis import given, strategies as st
 
 from ringnet import messages
 from ringnet.address import HALF_MODULUS, MODULUS, Direction, directed_distance
-from ringnet.connections import LEAF, NEAR, SHORTCUT, Connection, ConnectionTable
+from ringnet.connections import (
+    LEAF,
+    NEAR,
+    NEAR_PER_SIDE,
+    SHORTCUT,
+    Connection,
+    ConnectionTable,
+)
 
 addr = st.integers(0, MODULUS - 1)
 role_sets = st.sets(st.sampled_from([NEAR, SHORTCUT, LEAF]), min_size=1)
 
 
-def make_table(owner, peers, k=2):
-    table = ConnectionTable(owner, k)
+def make_table(owner, peers):
+    table = ConnectionTable(owner)
     for i, (peer, roles) in enumerate(peers):
         if peer != owner:
             table.add(Connection(peer, None, frozenset(roles), (f"ring.udp:10.0.0.{i}:7000",)))
@@ -33,16 +40,16 @@ def ref_candidate(table, a):
         return Direction.COUNTERCLOCKWISE
     direction = side_of(a)
     side = [c for c in ref_near_sorted(table, direction) if side_of(c.peer) is direction]
-    if len(side) < table.near_per_side:
+    if len(side) < NEAR_PER_SIDE:
         return True
-    worst = directed_distance(table.owner, side[table.near_per_side - 1].peer, direction)
+    worst = directed_distance(table.owner, side[NEAR_PER_SIDE - 1].peer, direction)
     return directed_distance(table.owner, a, direction) < worst
 
 
 def ref_listing(table):
     seen = {}
     for direction in Direction:
-        for c in ref_near_sorted(table, direction)[: table.near_per_side]:
+        for c in ref_near_sorted(table, direction)[:NEAR_PER_SIDE]:
             seen.setdefault(c.peer, tuple(c.peer_tas[:3]))
     return tuple(seen.items())
 
@@ -50,7 +57,7 @@ def ref_listing(table):
 def ref_gap(table):
     spans = count = 0
     for direction in Direction:
-        ordered = ref_near_sorted(table, direction)[: table.near_per_side]
+        ordered = ref_near_sorted(table, direction)[:NEAR_PER_SIDE]
         if not ordered:
             return None
         spans += directed_distance(table.owner, ordered[-1].peer, direction)
@@ -58,10 +65,10 @@ def ref_gap(table):
     return max(1, spans // count)
 
 
-@given(addr, st.lists(st.tuples(addr, role_sets), max_size=8), st.integers(1, 3),
+@given(addr, st.lists(st.tuples(addr, role_sets), max_size=8),
        st.lists(addr, max_size=6))
-def test_views_match_recomputed_near_set(owner, peers, k, listed):
-    table = make_table(owner, peers, k)
+def test_views_match_recomputed_near_set(owner, peers, listed):
+    table = make_table(owner, peers)
     for direction in Direction:
         assert table.near_sorted(direction) == ref_near_sorted(table, direction)
     on_cw = [c for c in table.near()
@@ -72,7 +79,7 @@ def test_views_match_recomputed_near_set(owner, peers, k, listed):
     assert table.encoded_listing() == messages.encode_neighbors(ref_listing(table))
     assert table.gap_estimate() == ref_gap(table)
     assert table.near_keep_set() == {c.peer for d in Direction
-                                     for c in ref_near_sorted(table, d)[:k]}
+                                     for c in ref_near_sorted(table, d)[:NEAR_PER_SIDE]}
     cw_bound, ccw_bound = table.near_bounds()
     for a in listed:
         if a == owner:
@@ -83,7 +90,7 @@ def test_views_match_recomputed_near_set(owner, peers, k, listed):
 
 
 def test_every_write_bumps_the_version_and_refreshes_views():
-    table = ConnectionTable(0, 1)
+    table = ConnectionTable(0)
     udp, tcp = "ring.udp:10.0.0.1:7000", "ring.tcp:10.0.0.1:7000"
     conn = Connection(100, None, frozenset({SHORTCUT}), (udp,))
 
@@ -122,7 +129,7 @@ _writes = st.one_of(
 
 @given(st.lists(_writes, max_size=30))
 def test_structured_peers_follow_every_write(writes):
-    table = ConnectionTable(0, 2)
+    table = ConnectionTable(0)
     returned = []
     for op, peer, *arg in writes:
         conn = table.get(peer)

@@ -13,14 +13,23 @@ A private name is a ``_``-prefixed ``def``, ``class`` or module-level
 assignment; dunders are exempt.  A field of a ``_``-prefixed class is an
 annotated class attribute or a ``self.x =`` store in its methods, and it
 is read where an attribute of that name is loaded.
+
+Every ``OverlayConfig`` field is set by some caller in the program: a
+keyword of an ``OverlayConfig(...)`` call in ``src/ringnet``, ``scripts``
+or ``perfbench``, or an ``[overlay]`` key of a shipped scenario.  A field
+only tests set has one value in use and belongs in a constant.
 """
 
 import ast
 import builtins
+import dataclasses
 import pathlib
 import symtable
 
 import pytest
+
+from ringnet.cli import parse_config
+from ringnet.node import OverlayConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ringnet"
@@ -201,3 +210,37 @@ def test_private_class_fields_are_read(module):
         read |= attribute_reads(path.read_text(encoding="utf-8"))
     fields = private_class_fields((SRC / module).read_text(encoding="utf-8"))
     assert unread_fields(fields, read) == []
+
+
+# The observability switch: tests turn it on, no program caller does.
+UNSET_OVERLAY_FIELDS = {"trace"}
+
+
+def overlay_config_keywords(source: str) -> set[str]:
+    """Keywords passed to ``OverlayConfig(...)`` calls in ``source``."""
+    keywords: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)  # a call's callee: a Name or an Attribute
+        if getattr(func, "id", getattr(func, "attr", None)) == "OverlayConfig":
+            keywords |= {kw.arg for kw in node.keywords if kw.arg is not None}
+    return keywords
+
+
+def test_knob_checker_reads_keywords_of_overlay_config_calls_only():
+    source = ("OverlayConfig(k_shortcuts=2)\n"
+              "node.OverlayConfig(tick_interval=1, **extra)\n"
+              "Other(trace=True)\n")
+    assert overlay_config_keywords(source) == {"k_shortcuts", "tick_interval"}
+
+
+def test_every_overlay_setting_is_set_by_a_caller():
+    sources = [p for d in ("src/ringnet", "scripts", "perfbench")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    set_somewhere: set[str] = set()
+    for path in sources:
+        set_somewhere |= overlay_config_keywords(path.read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "scenarios").glob("*.cfg")):
+        set_somewhere |= {key for _, key, _ in parse_config(str(path)).get("overlay", [])}
+    fields = {f.name for f in dataclasses.fields(OverlayConfig)}
+    unset = sorted(fields - set_somewhere - UNSET_OVERLAY_FIELDS)
+    assert not unset, f"OverlayConfig fields no caller sets: {', '.join(unset)}"

@@ -82,12 +82,6 @@ def test_status_round_trip(msg):
     assert m.decode_link_body(m.encode_status(msg)) == msg
 
 
-@given(status_messages)
-def test_status_with_pre_encoded_neighbors_is_the_same_body(msg):
-    encoded = m.encode_neighbors(msg.neighbors)
-    assert m.encode_status(msg, encoded) == m.encode_status(msg)
-
-
 class CapturingEdge:
     peer_address = None
 

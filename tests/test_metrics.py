@@ -129,6 +129,13 @@ def test_routability_of_singleton_and_pair():
     assert report.mean_hops == 1.0
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_routability_rejects_a_budget_below_one(budget):
+    snap = synthetic_snapshot(8, k=1, seed=2)
+    with pytest.raises(ValueError, match="pair_budget"):
+        routability(snap, pair_budget=budget)
+
+
 def test_closest_node_wraps():
     ring = [10, 100, MODULUS - 4]
     assert ring[closest_index(ring, 1)] == MODULUS - 4  # wraps backwards

@@ -6,8 +6,9 @@ from random import Random
 import pytest
 
 from ringnet import messages
+from ringnet import node as node_module
 from ringnet.address import HALF_MODULUS, MODULUS, Direction, directed_distance
-from ringnet.connections import LEAF, NEAR, SHORTCUT, ConnectionTable
+from ringnet.connections import LEAF, NEAR, NEAR_PER_SIDE, SHORTCUT, ConnectionTable
 from ringnet.demo import demo_overlay_config
 from ringnet.metrics import ks_distance, ring_correct, shortcut_law_cdf
 from ringnet.node import (
@@ -65,10 +66,10 @@ def test_join_into_single_node_network_forms_mutual_ring():
 
 
 def test_join_lands_between_both_ring_neighbors():
-    # With one neighbor per side, the converged near set of a joiner is
-    # exactly the closest node on each side of its address.
+    # The converged near set of a joiner is exactly the two closest nodes
+    # on each side of its address.
     net = SimNetwork(SimConfig(seed=2))
-    cfg = quiet_config(near_per_side=1)
+    cfg = quiet_config()
     rng = Random(5)
     ring = [i * (MODULUS // 8) for i in range(8)]
     nodes = seed_ring(net, 8, rng, cfg, addresses=ring)
@@ -82,8 +83,8 @@ def test_join_lands_between_both_ring_neighbors():
 
     assert joiner.joined
     near_peers = {c.peer for c in joiner.table.with_role(NEAR)}
-    assert near_peers == {ring[3], ring[4]}
-    for neighbor in (ring[3], ring[4]):
+    assert near_peers == set(ring[2:6])
+    for neighbor in ring[2:6]:
         assert NEAR in nodes[neighbor].table.get(joiner_addr).roles
 
 
@@ -103,7 +104,7 @@ def test_join_into_correct_64_ring_keeps_everyone_correct():
 
 def test_join_timeout_reports_failure():
     net = SimNetwork(SimConfig(seed=4))
-    cfg = quiet_config(handshake_timeout=0.2, handshake_retries=2)
+    cfg = quiet_config(handshake_timeout=0.2)
     node = new_node(net, 42, cfg, seed=1)
     failures = []
     node.on_join_failed = lambda n, reason: failures.append(reason)
@@ -146,9 +147,11 @@ def test_joins_through_unjoined_proxies_form_one_ring(seed):
     assert fraction == 1.0
 
 
-def test_unjoined_proxy_passes_join_requests_up_its_own_leaf():
+def test_unjoined_proxy_passes_join_requests_up_its_own_leaf(monkeypatch):
+    # Leaves outlive the test.
+    monkeypatch.setattr(node_module, "LEAF_GRACE_TICKS", 100)
     net = SimNetwork(SimConfig(seed=6))
-    cfg = quiet_config(leaf_grace_ticks=100)  # leaves outlive the test
+    cfg = quiet_config()
     ring = new_node(net, 100, cfg, seed=1, joined=True)
     proxy = new_node(net, MODULUS // 3 * 2, cfg, seed=2)
     joiner = new_node(net, MODULUS // 3, cfg, seed=3)
@@ -363,11 +366,11 @@ def test_a_repeated_listing_is_zipped_again_only_after_a_table_write(monkeypatch
 
 
 def closest_known(node):
-    """What near repair reads: the near_per_side closest known entries
+    """What near repair reads: the NEAR_PER_SIDE closest known entries
     clockwise, then counterclockwise."""
     known = node._known_neighborhood()
     clockwise = sorted(known.items(), key=lambda item: (item[0] - node.address) % MODULUS)
-    slots = min(node.cfg.near_per_side, len(known))
+    slots = min(NEAR_PER_SIDE, len(known))
     return clockwise[:slots], clockwise[::-1][:slots]
 
 

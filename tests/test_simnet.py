@@ -74,8 +74,7 @@ def test_symmetric_allocates_per_destination_mappings():
 def _nated_pair(kind_a: NatKind, kind_b: NatKind, seed: int):
     """Two NATed nodes that know each other's translated addresses."""
     net = SimNetwork(SimConfig(seed=seed))
-    cfg = OverlayConfig(status_interval=None, k_shortcuts=0,
-                        handshake_timeout=0.4, handshake_retries=4)
+    cfg = OverlayConfig(status_interval=None, k_shortcuts=0, handshake_timeout=0.4)
     coordinator = net.new_host()
 
     class Sink:
