@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -53,7 +54,6 @@ from .metrics import (
     read_snapshot,
     ring_correct,
     routability,
-    missing_edges,
     shortcut_cdf,
     to_dot,
 )
@@ -115,14 +115,24 @@ def _parse_kv_args(path: str, lineno: int, parts: list[str]) -> dict[str, str]:
     return args
 
 
+def _seconds(text: str) -> float:
+    # NaN, infinity or a negative value would silently skip a phase or timer.
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(text)
+    return value
+
+
 _PHASE_SPECS = {
-    "bootstrap": (sc.Bootstrap, {"n": int, "spacing": float}),
-    "wait": (sc.Wait, {"t": float}),
+    "bootstrap": (sc.Bootstrap, {"n": int, "spacing": _seconds}),
+    "wait": (sc.Wait, {"t": _seconds}),
     "massive_join": (sc.MassiveJoin, {"n": int}),
     "massive_fail": (sc.MassiveFail, {"n": int, "fraction": float}),
-    "churn": (sc.Churn, {"duration": float, "p_leave": float}),
-    "merge": (sc.Merge, {"left": int, "right": int, "settle": float}),
+    "churn": (sc.Churn, {"duration": _seconds, "p_leave": float}),
+    "merge": (sc.Merge, {"left": int, "right": int, "settle": _seconds}),
 }
+# Phase arguments whose dataclass field has another name.
+_FIELDS = {("wait", "t"): "seconds", ("massive_fail", "n"): "count"}
 
 def _build_phase(path: str, lineno: int, text: str):
     parts = text.split()
@@ -138,13 +148,8 @@ def _build_phase(path: str, lineno: int, text: str):
         if key not in argspec:
             raise ConfigError(f"{path}:{lineno}: unknown argument {key!r} "
                               f"for phase {name}")
-        field = key
-        if name == "wait" and key == "t":
-            field = "seconds"
-        if name == "massive_fail" and key == "n":
-            field = "count"
         try:
-            kwargs[field] = argspec[key](value)
+            kwargs[_FIELDS.get((name, key), key)] = argspec[key](value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}")
     try:
@@ -160,7 +165,7 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
 
     phases = []
     meta: dict[str, float] = {}
-    numbers = {"measurement_interval": float, "pair_budget": int}
+    numbers = {"measurement_interval": _seconds, "pair_budget": int}
     for lineno, key, value in sections["scenario"]:
         if key == "phase":
             phases.append(_build_phase(path, lineno, value))
@@ -190,8 +195,8 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
             else:
                 raise ValueError
         except (ValueError, IndexError):
-            raise ConfigError(f"{path}:{lineno}: latency must be "
-                              f"'constant S' or 'uniform LO HI'")
+            raise ConfigError(f"{path}:{lineno}: latency must be 'constant S' "
+                              f"or 'uniform LO HI', in finite seconds >= 0")
     # Only a loss_rate that is not a number or not a probability raises.
     try:
         if "loss_rate" in sim:
@@ -207,10 +212,10 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
         try:
             if key == "status_interval":
                 overlay.status_interval = (None if value == "off"
-                                           else float(value))
+                                           else _seconds(value))
             elif key == "tick_interval":
-                # At zero or less, each tick reschedules itself at once.
-                overlay.tick_interval = float(value)
+                # At zero, each tick reschedules itself at once.
+                overlay.tick_interval = _seconds(value)
                 if not overlay.tick_interval > 0:
                     raise ValueError
             else:
@@ -346,14 +351,14 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    flags, correct = ring_correct(snap)
+    deficits, correct = ring_correct(snap)
     report = routability(snap, args.pair_budget)
     print(f"nodes: {len(snap.nodes)}")
     print(f"ring_correct_fraction: {correct:.6f}")
     print(f"routability: {report.routability:.6f} "
           f"({report.pairs_routable}/{report.pairs_tested} pairs, "
           f"mean_hops={report.mean_hops:.2f}, max_hops={report.max_hops})")
-    print(f"missing_edges: {missing_edges(snap)}")
+    print(f"missing_edges: {sum(deficits.values())}")
     try:
         shortcut = shortcut_cdf(snap)
         print(f"shortcut_ks: {shortcut.ks_distance:.6f} "

@@ -7,11 +7,11 @@ over a static snapshot and replays only the pure next-hop deciders.
 Snapshots can be read back from the line-oriented files the simulator
 emits, so analysis works offline from run artifacts alone.
 
-Checks provided: the ring-correctness predicate (every node linked to
-its two nearest live addresses in each direction), routability (the
-fraction of ordered pairs greedy routing delivers to the node closest to
-the target), the shortcut distance law, missing-edge counts against the
-ideal ring, and the fit of mean greedy hops to c * log^2(N) / k.
+Checks provided: one ring check (``ring_correct`` walks the sorted ring
+once and counts each node's nearest live addresses it lacks a near link
+to; ``missing_edges`` is the sum), routability (the fraction of ordered
+pairs greedy routing delivers to the node closest to the target), the
+shortcut distance law, and the fit of mean hops to c * log^2(N) / k.
 
 Shortcut edges are recorded oriented, requester first, and their length
 is the clockwise offset the requester sampled; that is the quantity the
@@ -73,27 +73,13 @@ class ShortcutReport:
 # ring geometry
 
 
-def required_near_map(nodes: tuple[int, ...]) -> dict[int, set[int]]:
-    """For each live node, the set of addresses it must hold near links to."""
-    ring = sorted(nodes)
-    n = len(ring)
-    required: dict[int, set[int]] = {a: set() for a in ring}
-    if n < 2:
-        return required
-    for i, a in enumerate(ring):
-        for step in range(1, NEAR_PER_SIDE + 1):
-            required[a].add(ring[(i + step) % n])
-            required[a].add(ring[(i - step) % n])
-        required[a].discard(a)
-    return required
-
-
-def near_adjacency(snapshot: TopologySnapshot) -> dict[int, set[int]]:
+def _adjacency(snapshot: TopologySnapshot,
+               labels: tuple[str, ...]) -> dict[int, set[int]]:
+    """Each node's peers over the edges carrying one of ``labels``,
+    undirected; edges to addresses that are not nodes are ignored."""
     adj: dict[int, set[int]] = {a: set() for a in snapshot.nodes}
     for a, b, label in snapshot.edges:
-        if label != NEAR_LABEL:
-            continue
-        if a in adj and b in adj:
+        if label in labels and a in adj and b in adj:
             adj[a].add(b)
             adj[b].add(a)
     return adj
@@ -102,34 +88,37 @@ def near_adjacency(snapshot: TopologySnapshot) -> dict[int, set[int]]:
 def structured_adjacency(snapshot: TopologySnapshot) -> dict[int, tuple[int, ...]]:
     """Each node's near and shortcut peers as a sorted ring, the form
     the ``routing`` deciders take."""
-    adj: dict = {a: set() for a in snapshot.nodes}
-    for a, b, label in snapshot.edges:
-        if label not in (NEAR_LABEL, SHORTCUT_LABEL):
-            continue
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
+    adj: dict = _adjacency(snapshot, (NEAR_LABEL, SHORTCUT_LABEL))
     # In place, so each set is freed as its tuple replaces it.
     for a, peers in adj.items():
         adj[a] = tuple(sorted(peers))
     return adj
 
 
-def ring_correct(snapshot: TopologySnapshot) -> tuple[dict[int, bool], float]:
-    """Per-node correctness flags and the correct fraction."""
-    required = required_near_map(snapshot.nodes)
-    adj = near_adjacency(snapshot)
-    flags = {a: required[a] <= adj[a] for a in snapshot.nodes}
-    if not flags:
-        return flags, 1.0
-    return flags, sum(flags.values()) / len(flags)
+def ring_correct(snapshot: TopologySnapshot) -> tuple[dict[int, int], float]:
+    """Per-node deficits and the fraction of nodes without one.
+
+    ``deficits[a]`` counts the addresses among a's ``NEAR_PER_SIDE``
+    nearest live addresses on each side that a holds no near link to (0:
+    correct).  A neighbour on both sides of a tiny ring counts once."""
+    near = _adjacency(snapshot, (NEAR_LABEL,))
+    ring = sorted(near)
+    # ring[i]'s window is padded[i:i + width] (the whole ring, if tiny).
+    padded = ring[-NEAR_PER_SIDE:] + ring + ring[:NEAR_PER_SIDE]
+    width = 2 * NEAR_PER_SIDE + 1
+    deficits = {}
+    for i, a in enumerate(ring):
+        window = set(padded[i:i + width])
+        window -= near[a]
+        window.discard(a)
+        deficits[a] = len(window)
+    correct = sum(not d for d in deficits.values())
+    return deficits, correct / len(deficits) if deficits else 1.0
 
 
 def missing_edges(snapshot: TopologySnapshot) -> int:
     """Count of (node, required near neighbor) relations absent."""
-    required = required_near_map(snapshot.nodes)
-    adj = near_adjacency(snapshot)
-    return sum(len(required[a] - adj[a]) for a in snapshot.nodes)
+    return sum(ring_correct(snapshot)[0].values())
 
 
 # ----------------------------------------------------------------------
@@ -176,23 +165,15 @@ def routability(snapshot: TopologySnapshot, pair_budget: int | None = None,
         return RoutabilityReport(0, 0, 1.0, 0.0, 0)
     adj = structured_adjacency(snapshot)
     total = n * (n - 1)
-    if pair_budget is None or total <= pair_budget:
-        pairs = ((s, t) for s in nodes for t in nodes if s != t)
-        tested = total
-    else:
-        rng = Random(seed)
-        chosen = rng.sample(range(total), pair_budget)
-        def pair_of(index: int) -> tuple[int, int]:
-            s, r = divmod(index, n - 1)
-            t = r if r < s else r + 1
-            return nodes[s], nodes[t]
-        pairs = (pair_of(i) for i in sorted(chosen))
-        tested = pair_budget
+    indices = range(total)
+    if pair_budget is not None and pair_budget < total:
+        indices = sorted(Random(seed).sample(indices, pair_budget))
 
-    ok = 0
-    hop_total = 0
-    hop_max = 0
-    for s, t in pairs:
+    ok = hop_total = hop_max = 0
+    for index in indices:
+        # Pair i is source i // (n-1) and the (i % (n-1))-th other node.
+        s, r = divmod(index, n - 1)
+        s, t = nodes[s], nodes[r if r < s else r + 1]
         # The target address is t's own address, so t is the unique
         # closest node; delivery anywhere else is a routing failure.
         delivered, hops = route_greedy(adj, s, t)
@@ -200,7 +181,7 @@ def routability(snapshot: TopologySnapshot, pair_budget: int | None = None,
             ok += 1
             hop_total += hops
             hop_max = max(hop_max, hops)
-    return RoutabilityReport(tested, ok, ok / tested,
+    return RoutabilityReport(len(indices), ok, ok / len(indices),
                              (hop_total / ok) if ok else 0.0, hop_max)
 
 
@@ -263,21 +244,22 @@ def shortcut_cdf(snapshot: TopologySnapshot) -> ShortcutReport:
 
 def read_snapshot(path: str) -> TopologySnapshot:
     timestamp = 0.0
-    nodes: list[int] = []
+    nodes: dict[int, None] = {}  # an insertion-ordered set
     edges: list[tuple[int, int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        saw_any = False
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            saw_any = True
             parts = line.split()
             try:
                 if parts[0] == "#" and "time=" in line:
                     timestamp = float(line.split("time=")[1])
                 elif parts[0] == "node" and len(parts) == 2:
-                    nodes.append(parse_address(parts[1]))
+                    address = parse_address(parts[1])
+                    if address in nodes:
+                        raise ValueError(f"repeated node {parts[1]}")
+                    nodes[address] = None
                 elif parts[0] == "edge" and len(parts) == 4:
                     edges.append((parse_address(parts[1]),
                                   parse_address(parts[2]), parts[3]))
@@ -285,8 +267,8 @@ def read_snapshot(path: str) -> TopologySnapshot:
                     raise ValueError(f"unrecognized line: {line!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
-    if not saw_any:
-        raise ValueError(f"{path}: empty snapshot file")
+    if not nodes:
+        raise ValueError(f"{path}: no node line")
     return TopologySnapshot(timestamp, tuple(nodes), tuple(edges))
 
 

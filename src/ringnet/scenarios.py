@@ -16,6 +16,7 @@ bootstrap again through a random live proxy.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from random import Random
@@ -27,7 +28,6 @@ from .metrics import (
     NEAR_LABEL,
     SHORTCUT_LABEL,
     TopologySnapshot,
-    missing_edges,
     ring_correct,
     routability,
     write_snapshot,
@@ -83,24 +83,40 @@ class Scenario:
     pair_budget: int = 1000
 
     def validate(self) -> None:
-        if self.measurement_interval <= 0:
-            raise ScenarioInvalid("measurement_interval must be positive")
-        if self.pair_budget < 1:
-            raise ScenarioInvalid("pair_budget must be at least 1")
+        """Reject a scenario that cannot run, before it starts.  A respawn
+        keeps its node id, so the live count is known in advance."""
+        _check(0 < self.measurement_interval < math.inf,
+               "measurement_interval must be positive and finite")
+        _check(self.pair_budget >= 1, "pair_budget must be at least 1")
+        live = 0
         for phase in self.phases:
-            if isinstance(phase, (Bootstrap, MassiveJoin)) and phase.n < 1:
-                raise ScenarioInvalid("population phases need n >= 1")
-            if isinstance(phase, Churn) and not 0.0 <= phase.p_leave < 1.0:
-                raise ScenarioInvalid("churn probability must be in [0, 1)")
-            if isinstance(phase, Churn) and phase.duration <= 0:
-                raise ScenarioInvalid("churn duration must be positive")
-            if isinstance(phase, Merge) and (phase.left < 1 or phase.right < 1):
-                raise ScenarioInvalid("merge ring sizes must be >= 1")
-            if isinstance(phase, MassiveFail):
-                if (phase.count is None) == (phase.fraction is None):
-                    raise ScenarioInvalid("massive_fail needs count or fraction")
-                if phase.fraction is not None and not 0.0 < phase.fraction < 1.0:
-                    raise ScenarioInvalid("massive_fail fraction must be in (0,1)")
+            if isinstance(phase, (Bootstrap, MassiveJoin)):
+                _check(phase.n >= 1, "population phases need n >= 1")
+                live += phase.n
+            elif isinstance(phase, Churn):
+                _check(0.0 <= phase.p_leave < 1.0, "churn probability must be in [0, 1)")
+                _check(0 < phase.duration < math.inf,
+                       "churn duration must be positive and finite")
+            elif isinstance(phase, Merge):
+                _check(phase.left >= 1 and phase.right >= 1,
+                       "merge ring sizes must be >= 1")
+                _check(not live, "merge must start from an empty population")
+                live = phase.left + phase.right + 1
+            elif isinstance(phase, MassiveFail):
+                _check((phase.count is None) != (phase.fraction is None),
+                       "massive_fail needs count or fraction")
+                count = phase.count
+                if count is None:
+                    _check(0.0 < phase.fraction < 1.0,
+                           "massive_fail fraction must be in (0,1)")
+                    count = int(round(phase.fraction * live))
+                _check(0 < count < live, f"cannot fail {count} of {live} nodes")
+                live -= count
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ScenarioInvalid(message)
 
 
 def churn_events(node_ids: list[int], p_leave: float, duration: float,
@@ -271,10 +287,10 @@ class ScenarioRunner:
         if len(snap.nodes) == 0:
             return
         report = routability(snap, self.scenario.pair_budget, seed=self.metrics_seed)
-        _, correct = ring_correct(snap)
+        deficits, correct = ring_correct(snap)
         self.trace.rows.append(TraceRow(
             now, len(snap.nodes), report.routability, correct,
-            missing_edges(snap), report.mean_hops))
+            sum(deficits.values()), report.mean_hops))
         self.trace.snapshots.append(snap)
 
     def _advance(self, duration: float) -> None:
@@ -304,8 +320,6 @@ class ScenarioRunner:
         count = phase.count
         if count is None:
             count = int(round(phase.fraction * len(live)))
-        if count >= len(live):
-            raise ScenarioInvalid(f"cannot fail {count} of {len(live)} nodes")
         for nid in self.rng.sample(live, count):
             self._kill(nid, rejoin=False)
 
@@ -322,8 +336,6 @@ class ScenarioRunner:
                 self._kill(nid, rejoin=True)
 
     def _run_merge(self, phase: Merge) -> None:
-        if self.handles:
-            raise ScenarioInvalid("merge must start from an empty population")
         sides = []
         for size in (phase.left, phase.right):
             seeded = topology.seed_ring(self.network, size, self.rng, self.overlay)

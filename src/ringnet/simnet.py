@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
@@ -29,6 +30,10 @@ from .transport import DatagramEdge, Host, Timer, TimerQueue, format_ta, parse_t
 class ConstantLatency:
     seconds: float = 0.01
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.seconds < math.inf:
+            raise ValueError("constant latency needs 0 <= seconds < inf")
+
     def sample(self, rng: Random, src: str, dst: str) -> float:
         return self.seconds
 
@@ -39,8 +44,8 @@ class UniformLatency:
     high: float
 
     def __post_init__(self) -> None:
-        if self.low > self.high:
-            raise ValueError("uniform latency needs low <= high")
+        if not 0.0 <= self.low <= self.high < math.inf:
+            raise ValueError("uniform latency needs 0 <= low <= high < inf")
 
     def sample(self, rng: Random, src: str, dst: str) -> float:
         return rng.uniform(self.low, self.high)

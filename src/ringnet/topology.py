@@ -40,15 +40,14 @@ def closest_index(ring: list[int], target: int) -> int:
     return min(candidates, key=dist)
 
 
-def ideal_near_edges(ring: list[int]) -> set[tuple[int, int]]:
-    n = len(ring)
-    edges: set[tuple[int, int]] = set()
+def _near_pairs(ring: list[int]):
+    """Yield (ring[i], ring[i + step]) for each node and each step up to
+    ``NEAR_PER_SIDE``, in order, skipping a tiny ring's self pairs."""
     for i, a in enumerate(ring):
         for step in range(1, NEAR_PER_SIDE + 1):
-            b = ring[(i + step) % n]
+            b = ring[(i + step) % len(ring)]
             if a != b:
-                edges.add((min(a, b), max(a, b)))
-    return edges
+                yield a, b
 
 
 def law_shortcut_edges(ring: list[int], k: int, rng_of):
@@ -78,7 +77,7 @@ def synthetic_snapshot(n: int, k: int, seed: int) -> TopologySnapshot:
     rng = Random(seed)
     ring = ring_addresses(n, rng)
     edges: list[tuple[int, int, str]] = []
-    for a, b in sorted(ideal_near_edges(ring)):
+    for a, b in sorted({(min(a, b), max(a, b)) for a, b in _near_pairs(ring)}):
         edges.append((a, b, NEAR_LABEL))
     for a, b in law_shortcut_edges(ring, k, lambda a: rng):
         edges.append((a, b, SHORTCUT_LABEL))
@@ -126,14 +125,10 @@ def seed_ring(network: SimNetwork, n: int, rng: Random,
         node.joined = True
         host.attach(node)
         nodes[a] = node
-    count = len(ring)
-    for i, a in enumerate(ring):
-        for step in range(1, NEAR_PER_SIDE + 1):
-            b = ring[(i + step) % count]
-            if a != b:
-                install_connection(nodes[a], nodes[b], {NEAR})
+    for a, b in _near_pairs(ring):
+        install_connection(nodes[a], nodes[b], {NEAR})
     if k:
-        d_ave = MODULUS // count
+        d_ave = MODULUS // len(ring)
         for a, b in law_shortcut_edges(ring, k, lambda a: nodes[a].rng):
             install_connection(nodes[a], nodes[b], {SHORTCUT},
                                initiator=nodes[a], sampled_gap=d_ave)

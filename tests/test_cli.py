@@ -209,6 +209,55 @@ def test_cmd_run_missing_manifest_exits_two(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("line, message", [
+    ("massive_fail n=10", "cannot fail 10 of 4 nodes"),
+    ("massive_fail fraction=0.1", "cannot fail 0 of 4 nodes"),
+    ("merge left=2 right=2", "merge must start from an empty population"),
+    ("churn duration=nan p_leave=0.01", ":4: bad value for 'duration'"),
+])
+def test_cmd_run_scenario_that_cannot_run_exits_two(tmp_path, monkeypatch, capsys,
+                                                     line, message):
+    # Rejected at load, before the bootstrap runs.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", f"[scenario]\nphase = bootstrap n=4\nphase = wait t=1\n"
+                              f"phase = {line}\n")
+    manifest = write(tmp_path / "m.cfg", manifest_text("s.cfg"))
+    assert cli.main(["run", manifest]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+SILENT_NO_OPS = [
+    ("scenario", "phase = wait t=-1", "bad value for 't'"),
+    ("scenario", "phase = wait t=nan", "bad value for 't'"),
+    ("scenario", "phase = bootstrap n=4 spacing=nan", "bad value for 'spacing'"),
+    ("scenario", "phase = merge left=2 right=2 settle=nan", "bad value for 'settle'"),
+    ("scenario", "measurement_interval = nan", "bad value for 'measurement_interval'"),
+    ("overlay", "tick_interval = inf", "bad value for 'tick_interval'"),
+    ("overlay", "status_interval = nan", "bad value for 'status_interval'"),
+    ("sim", "latency = constant -1", "latency must be"),
+    ("sim", "latency = uniform -1 0", "latency must be"),
+]
+
+
+@pytest.mark.parametrize("section, line, message", SILENT_NO_OPS,
+                         ids=[line for _, line, _ in SILENT_NO_OPS])
+def test_value_that_disables_a_phase_or_timer_is_rejected(tmp_path, section, line,
+                                                          message):
+    path = write(tmp_path / "s.cfg", f"[{section}]\n{line}\n[scenario]\nphase = wait t=1\n")
+    with pytest.raises(ConfigError) as err:
+        cli.load_scenario(path)
+    assert f"s.cfg:2: {message}" in str(err.value)
+
+
+def test_readme_scenario_example_loads(tmp_path):
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```")
+    example = next(b for b in blocks if b.lstrip().startswith("[scenario]"))
+    scenario, _, _ = cli.load_scenario(write(tmp_path / "readme.cfg", example))
+    assert len(scenario.phases) >= 4
+
+
 # ----------------------------------------------------------------------
 # analyze command
 
@@ -253,6 +302,21 @@ def test_cmd_analyze_empty_file_exits_two(tmp_path, capsys):
     path.write_text("")
     assert cli.main(["analyze", str(path)]) == EXIT_USAGE
     assert "malformed" in capsys.readouterr().err
+
+
+NODE = "node " + "0" * 39 + "1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# ringnet-snapshot time=0.000\n", "no node line"),
+    ("# ringnet-snapshot time=0.000\n" + NODE + NODE, ":3: repeated node"),
+], ids=["header-only", "repeated-node"])
+def test_cmd_analyze_malformed_snapshot_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.snap"
+    path.write_text(text)
+    assert cli.main(["analyze", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "malformed" in err and message in err
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

@@ -3,8 +3,10 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringnet.address import MODULUS
+from ringnet.connections import LEAF, NEAR_PER_SIDE
 from ringnet.metrics import (
     InsufficientSamples,
     NEAR_LABEL,
@@ -33,9 +35,9 @@ def drop_edge(snapshot: TopologySnapshot, a: int, b: int) -> TopologySnapshot:
 
 def test_perfect_ring_is_fully_correct():
     snap = synthetic_snapshot(64, k=0, seed=1)
-    flags, fraction = ring_correct(snap)
+    deficits, fraction = ring_correct(snap)
     assert fraction == 1.0
-    assert all(flags.values())
+    assert deficits == dict.fromkeys(snap.nodes, 0)
     assert missing_edges(snap) == 0
 
 
@@ -43,11 +45,63 @@ def test_removing_one_near_edge_flags_exactly_two_nodes():
     snap = synthetic_snapshot(64, k=0, seed=2)
     ring = sorted(snap.nodes)
     snap2 = drop_edge(snap, ring[10], ring[11])
-    flags, fraction = ring_correct(snap2)
-    wrong = sorted(a for a, ok in flags.items() if not ok)
-    assert wrong == sorted([ring[10], ring[11]])
+    deficits, fraction = ring_correct(snap2)
+    assert deficits == {a: int(a in (ring[10], ring[11])) for a in ring}
     assert fraction == 62 / 64
     assert missing_edges(snap2) == 2
+
+
+def reference_ring_check(snapshot: TopologySnapshot):
+    """The ring check built the long way, as two separate maps: the set of
+    addresses each node must hold near links to, and the near adjacency.
+    Returns per-node deficits, the correct fraction and the missing count."""
+    ring = sorted(snapshot.nodes)
+    n = len(ring)
+    required = {a: set() for a in ring}
+    if n >= 2:
+        for i, a in enumerate(ring):
+            for step in range(1, NEAR_PER_SIDE + 1):
+                required[a].add(ring[(i + step) % n])
+                required[a].add(ring[(i - step) % n])
+            required[a].discard(a)
+    adj = {a: set() for a in snapshot.nodes}
+    for a, b, label in snapshot.edges:
+        if label == NEAR_LABEL and a in adj and b in adj:
+            adj[a].add(b)
+            adj[b].add(a)
+    flags = {a: required[a] <= adj[a] for a in snapshot.nodes}
+    fraction = sum(flags.values()) / len(flags) if flags else 1.0
+    deficits = {a: len(required[a] - adj[a]) for a in snapshot.nodes}
+    return deficits, fraction, sum(deficits.values())
+
+
+@st.composite
+def random_snapshots(draw):
+    """1-12 distinct nodes, so tiny rings put a neighbour on both sides,
+    with near, shortcut and leaf edges in either orientation, repeated
+    edges, self edges and edges to addresses that are not nodes."""
+    address = st.integers(0, MODULUS - 1)
+    nodes = draw(st.lists(address, min_size=1, max_size=12, unique=True))
+    strangers = draw(st.lists(address, max_size=3))
+    endpoint = st.sampled_from(nodes + strangers)
+    label = st.sampled_from([NEAR_LABEL, SHORTCUT_LABEL, LEAF])
+    edges = draw(st.lists(st.tuples(endpoint, endpoint, label), max_size=60))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+    return TopologySnapshot(0.0, tuple(draw(st.permutations(nodes))),
+                            tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_snapshots(), st.integers(0, 5), st.integers(0, 5))
+def test_ring_check_matches_the_reference(snap, extra, seed):
+    deficits, fraction, missing = reference_ring_check(snap)
+    assert ring_correct(snap) == (deficits, fraction)
+    assert missing_edges(snap) == missing
+    # A budget that covers every ordered pair replays every pair.
+    n = len(snap.nodes)
+    assert routability(snap) == routability(
+        snap, pair_budget=max(1, n * (n - 1)) + extra, seed=seed)
 
 
 def test_two_node_population_is_correct_iff_mutually_connected():
@@ -182,6 +236,21 @@ def test_snapshot_reader_rejects_garbage(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         read_snapshot(str(empty))
+
+
+def test_snapshot_reader_rejects_a_header_only_file(tmp_path):
+    path = tmp_path / "header.snap"
+    path.write_text("# ringnet-snapshot time=0.000\n")
+    with pytest.raises(ValueError, match="no node line"):
+        read_snapshot(str(path))
+
+
+def test_snapshot_reader_rejects_a_repeated_node(tmp_path):
+    snap = synthetic_snapshot(4, k=0, seed=1)
+    path = tmp_path / "twice.snap"
+    write_snapshot(TopologySnapshot(0.0, snap.nodes + snap.nodes[:1], ()), str(path))
+    with pytest.raises(ValueError, match=r"twice\.snap:6: repeated node"):
+        read_snapshot(str(path))
 
 
 def test_dot_export_mentions_every_node_and_both_styles():
