@@ -7,7 +7,8 @@ forwarding hop (in the codec and in a node), the status body codec, the
 node's status path (sending and receiving a status body),
 greedy routing decisions over 8 and 24 peers, the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
-pair) and the simulator's transmit-to-receive of one datagram.  Then
+pair) and the simulator's transmit-to-receive of one datagram, with an
+empty timer queue and with 10,000 timers waiting.  Then
 runs each end-to-end case (a 1024-node bootstrap and settle, and the
 128+128 merge of ``scenarios/merge.cfg``) in a fresh process of its own
 and records its wall seconds, datagrams per wall second and peak RSS.  ``--src`` names the ``src`` directory to import
@@ -16,7 +17,7 @@ ringnet from, so one script times two checkouts on one machine:
     python3 scripts/bench.py --src /path/to/parent/src --label before
     python3 scripts/bench.py --src src --label after
 
-Each run adds its label to the output file (``BENCH_13.json`` by default)
+Each run adds its label to the output file (``BENCH_17.json`` by default)
 and, once both ``before`` and ``after`` are there, the after/before
 ratio of every case they share (a checkout without
 ``packet.read_header`` has no ``packet_read_header`` case).  A per-layer
@@ -142,6 +143,19 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         plain.run_until(plain.now)
     cases["transmit_plain_host"] = transmit_plain_host
 
+    # The same with 10,000 timers queued for later, as ``lookup-1024``'s
+    # pre-scheduled lookups are: what the delivery costs beside them.
+    busy = SimNetwork(SimConfig(seed=7, latency=ConstantLatency(0.0)))
+    busy_sender, busy_receiver = busy.new_host(), busy.new_host()
+    later = Random(11)
+    for _ in range(10_000):
+        busy.call_later(1.0 + later.random(), int)
+
+    def transmit_with_pending_timers() -> None:
+        busy.transmit(busy_sender, busy_receiver.ta, lookup)
+        busy.run_until(busy.now)
+    cases["transmit_with_pending_timers"] = transmit_with_pending_timers
+
     # The deciders take the peers as a sorted ring.
     peers = sorted(rng.getrandbits(160) for _ in range(8))
     me, target = rng.getrandbits(160), rng.getrandbits(160)
@@ -208,7 +222,7 @@ def main() -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the ringnet package to time")
     parser.add_argument("--label", default="after", help="key for this run's results")
-    parser.add_argument("--out", default="BENCH_13.json")
+    parser.add_argument("--out", default="BENCH_17.json")
     parser.add_argument("--repeat", type=int, default=25)
     parser.add_argument("--case", choices=END_TO_END,
                         help="run only this end-to-end case and print its JSON")

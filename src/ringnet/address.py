@@ -43,18 +43,6 @@ _DIRECTIONAL = {
 _DIRECTION_OF = {v: k for k, v in _DIRECTIONAL.items()}
 
 
-def class_of(a: int) -> int:
-    """Count of consecutive 1-bits at the least significant end of ``a``.
-
-    Returns 160 iff every bit is set.  Class n contains 2**(159-n)
-    addresses for n < 160 and exactly one address for n = 160, which
-    together partition the whole space.
-    """
-    # Trailing ones of a == trailing zeros of a + 1.
-    succ = a + 1
-    return (succ & -succ).bit_length() - 1
-
-
 def ring_distance(a: int, b: int) -> int:
     """Shorter arc between two addresses; symmetric, at most 2**159."""
     d = (a - b) % MODULUS

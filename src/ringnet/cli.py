@@ -219,7 +219,10 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
                 if not overlay.tick_interval > 0:
                     raise ValueError
             else:
+                # A negative count would run as 0 and never establish.
                 overlay.k_shortcuts = int(value)
+                if overlay.k_shortcuts < 0:
+                    raise ValueError
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}")
     try:

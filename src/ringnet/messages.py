@@ -19,7 +19,10 @@ length-prefixed.  Byte layout (integers big-endian):
 a sender not yet in the ring, or 0.  Decoders read each body from its
 start and ignore any bytes after its last field.  They raise
 ``MessageError`` for a body that ends early, a kind or conn_type they do
-not know, or a ta that is not valid UTF-8.
+not know, or a ta that is not valid UTF-8.  ``decode_status_at`` reads a
+status body where it lies in a whole datagram and returns its token and
+neighbors with no message object; the node decodes every status
+datagram with it, and ``decode_link_body`` decodes a status body with it.
 
 Link, status, role and close bodies travel link-local (payload type
 0x01/0x02); connect request/response bodies are routed (payload type
@@ -224,11 +227,16 @@ def _check_conn_type(conn_type: int) -> None:
         raise MessageError(f"unknown connection type 0x{conn_type:02x}")
 
 
-def _decode_status(data: bytes) -> StatusMessage:
-    if len(data) <= _HEAD.size:
+def decode_status_at(data: bytes, pos: int
+                     ) -> tuple[int, tuple[tuple[int, tuple[str, ...]], ...]]:
+    """Token and neighbors of the status body that starts at ``data[pos]``,
+    read in place: a node hands it the whole datagram and the header
+    length.  The kind byte is not checked."""
+    start = pos + _HEAD.size
+    if len(data) <= start:
         raise MessageError(_TRUNCATED)
-    kind, token = _HEAD.unpack_from(data)
-    return StatusMessage(kind, token, _decode_neighbors(bytes(data[_HEAD.size:])))
+    _, token = _HEAD.unpack_from(data, pos)
+    return token, _decode_neighbors(bytes(data[start:]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -269,7 +277,7 @@ def decode_link_body(data: bytes) -> LinkMessage | StatusMessage | RoleChange | 
         raise MessageError(_TRUNCATED)
     kind = data[0]
     if kind == STATUS_REQUEST or kind == STATUS_RESPONSE:
-        return _decode_status(data)
+        return StatusMessage(kind, *decode_status_at(data, 0))
     if kind == LINK_REQUEST or kind == LINK_RESPONSE:
         return _decode_link(data)
     if kind == ROLE_ADD:

@@ -78,7 +78,6 @@ from .messages import (
     ConnectionRequest,
     LinkMessage,
     RoleChange,
-    StatusMessage,
 )
 from .packet import (
     DEFAULT_TTL,
@@ -475,28 +474,30 @@ class NodeState:
         conn = self.table.get(peer)
         if conn is not None:
             conn.last_seen = self.host.now()
-        if link:
-            self._dispatch_link(edge, data[HEADER_LEN:])
-        else:
+        if not link:
             self._route_packet(hdr, peer, data)
-
-    def _dispatch_link(self, edge, payload: bytes) -> None:
+            return
+        # Most link packets are status datagrams, whose body is read in
+        # place.  A link packet of HEADER_LEN bytes has no kind byte.
+        kind = data[HEADER_LEN] if len(data) > HEADER_LEN else None
         try:
-            body = messages.decode_link_body(payload)
+            if kind == messages.STATUS_REQUEST or kind == messages.STATUS_RESPONSE:
+                token, neighbors = messages.decode_status_at(data, HEADER_LEN)
+            else:
+                body = messages.decode_link_body(data[HEADER_LEN:])
         except messages.MessageError as exc:
             log.debug("bad link body: %s", exc)
             self.stats["bad_body"] += 1
             return
-        if isinstance(body, LinkMessage):
+        if kind == messages.STATUS_REQUEST:
+            self._handle_status_request(edge, token, neighbors)
+        elif kind == messages.STATUS_RESPONSE:
+            self._handle_status_response(edge, token, neighbors)
+        elif isinstance(body, LinkMessage):
             if body.kind == messages.LINK_REQUEST:
                 self._handle_link_request(edge, body)
             else:
                 self._handle_link_response(edge, body)
-        elif isinstance(body, StatusMessage):
-            if body.kind == messages.STATUS_REQUEST:
-                self._handle_status_request(edge, body)
-            else:
-                self._handle_status_response(edge, body)
         elif isinstance(body, RoleChange):
             self._handle_role(edge, body)
         elif isinstance(body, CloseMessage):
@@ -547,38 +548,38 @@ class NodeState:
         edge.peer_address = msg.sender
         self._attempt_send(at)
 
-    def _handle_status_request(self, edge, msg: StatusMessage) -> None:
-        key = (edge.remote_ta, msg.token)
+    def _handle_status_request(self, edge, token: int, neighbors) -> None:
+        key = (edge.remote_ta, token)
         prov = self.provisional.pop(key, None)
         if prov is not None:
             conn = self._commit(prov.peer, prov.edge, prov.conn_type, prov.tas,
                                 req_token=prov.req_token, initiated_by_me=False)
-            self._process_status(conn, msg.neighbors)
+            self._process_status(conn, neighbors)
         else:
             conn = self.table.get(edge.peer_address)
             if conn is None:
                 return
-            self._process_status(conn, msg.neighbors)
+            self._process_status(conn, neighbors)
         self._send_status(edge, edge.peer_address or 0, messages.STATUS_RESPONSE,
-                          msg.token)
+                          token)
 
-    def _handle_status_response(self, edge, msg: StatusMessage) -> None:
-        at = self.pending_links.pop(msg.token, None)
+    def _handle_status_response(self, edge, token: int, neighbors) -> None:
+        at = self.pending_links.pop(token, None)
         if at is not None:
             if at.timer is not None:
                 at.timer.cancel()
             conn = self._commit(at.peer, at.edge, at.conn_type, list(at.peer_tas),
                                 req_token=at.req_token, initiated_by_me=True)
-            self._process_status(conn, msg.neighbors)
+            self._process_status(conn, neighbors)
             if at.on_established is not None:
                 at.on_established(conn)
             return
-        probe = self.pending_probes.pop(msg.token, None)
+        probe = self.pending_probes.pop(token, None)
         if probe is not None and probe.timer is not None:
             probe.timer.cancel()
         conn = self.table.get(edge.peer_address)
         if conn is not None:
-            self._process_status(conn, msg.neighbors)
+            self._process_status(conn, neighbors)
 
     def _handle_role(self, edge, msg: RoleChange) -> None:
         pend = self.pending_requests.pop(msg.token, None)

@@ -4,7 +4,11 @@ Hosts many overlay nodes over virtual datagram endpoints with a
 configurable latency model, optional loss, and per-host NAT boxes.  The
 event queue is the ``TimerQueue`` the real transports use too: events
 fire by time, then in scheduling order, so runs are bit-deterministic
-for a fixed seed: same config, same events, same metrics.
+for a fixed seed: same config, same events, same metrics.  With constant
+latency, datagram deliveries wait in the queue's FIFO lane, which
+``fire_due`` merges with the timer heap by (due time, order); with any
+other latency model they go on the heap.  Either way they fire in the
+same order.
 
 Simulated time is the clock for every protocol timer; nothing here reads
 the wall clock.
@@ -141,6 +145,12 @@ class SimNetwork:
         self.rng = Random(self.config.seed)
         self.now = 0.0
         self._timers = TimerQueue()
+        # Under constant latency a delivery is due ``now`` plus a fixed
+        # delay, and ``now`` never decreases, so deliveries are due in the
+        # order they are sent and can wait in the queue's FIFO lane.
+        latency = self.config.latency
+        self._lane_delay = (latency.seconds if isinstance(latency, ConstantLatency)
+                            else None)
         self._host_seq = itertools.count(1)
         self.hosts: dict[str, "SimHost"] = {}          # plain ip -> host
         # Each live host without a NAT under its own ``ta``: the spelling
@@ -214,6 +224,10 @@ class SimNetwork:
                 return
         if self.config.loss_rate > 0.0 and self.rng.random() < self.config.loss_rate:
             self.stats["lost"] += 1
+            return
+        if self._lane_delay is not None:
+            self._timers.append(self.now + self._lane_delay, target._receive,
+                                visible_src, data)
             return
         delay = self.config.latency.sample(self.rng, src_host.ip, dst_ip)
         # call_later without its frame: the same (due time, order) entry.

@@ -33,6 +33,7 @@ import selectors
 import socket
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -101,10 +102,19 @@ class Timer:
 
 class TimerQueue:
     """Timers in due order; timers due at the same time fire in the order
-    they were scheduled, which keeps simulated runs deterministic."""
+    they were scheduled, which keeps simulated runs deterministic.
+
+    Besides the heap of cancellable timers there is a FIFO lane of
+    entries nobody cancels, for a caller whose due times never decrease
+    (the simulator's deliveries under constant latency).  Both draw their
+    order from one counter, and ``fire_due`` merges them by (due time,
+    order), so an entry fires exactly where the heap would have put it.
+    """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Timer]] = []
+        # (due, seq, fn, args), due times in order.
+        self._lane: deque[tuple[float, int, object, tuple]] = deque()
         self._seq = itertools.count()
 
     def push(self, when: float, fn, *args) -> Timer:
@@ -113,19 +123,41 @@ class TimerQueue:
         heapq.heappush(self._heap, (when, next(self._seq), timer))
         return timer
 
+    def append(self, when: float, fn, *args) -> None:
+        """Schedule ``fn(*args)`` at ``when``, which is no earlier than any
+        ``when`` appended before, with no way to cancel it."""
+        self._lane.append((when, next(self._seq), fn, args))
+
     def fire_due(self, until: float, clock=None) -> float | None:
         """Fire every timer due by ``until``, the ones they schedule too, and
         return the next due time.  A ``clock``'s ``now`` is set to each due
         time in turn, cancelled timers' included."""
         heap = self._heap
+        lane = self._lane
         pop = heapq.heappop
-        while heap and heap[0][0] <= until:
-            when, _, timer = pop(heap)
-            if clock is not None:
-                clock.now = when
-            if not timer.cancelled:
-                timer.fn(*timer.args)
-        return heap[0][0] if heap else None
+        popleft = lane.popleft
+        while True:
+            # Entries are unique in (due, seq), so comparing a lane entry
+            # with a heap entry compares those and never the callbacks.
+            if lane and (not heap or lane[0] < heap[0]):
+                when, _, fn, args = lane[0]
+                if when > until:
+                    return when
+                popleft()
+                if clock is not None:
+                    clock.now = when
+                fn(*args)
+            elif heap:
+                when = heap[0][0]
+                if when > until:
+                    return when
+                _, _, timer = pop(heap)
+                if clock is not None:
+                    clock.now = when
+                if not timer.cancelled:
+                    timer.fn(*timer.args)
+            else:
+                return None
 
 
 # ----------------------------------------------------------------------

