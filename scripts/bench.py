@@ -10,19 +10,22 @@ pair over a 4096-node synthetic snapshot (what ``routability`` does per
 pair) and the simulator's transmit-to-receive of one datagram, with an
 empty timer queue and with 10,000 timers waiting.  Then
 runs each end-to-end case (a 1024-node bootstrap and settle, and the
-128+128 merge of ``scenarios/merge.cfg``) in a fresh process of its own
-and records its wall seconds, datagrams per wall second and peak RSS.  ``--src`` names the ``src`` directory to import
-ringnet from, so one script times two checkouts on one machine:
+128+128 merge of ``scenarios/merge.cfg``) three times, round-robin, each
+time in a fresh process of its own, and records every run's wall
+seconds, datagrams per wall second and peak RSS, and their medians.
+``--src`` names the ``src`` directory to import ringnet from, so one
+script times two checkouts on one machine:
 
     python3 scripts/bench.py --src /path/to/parent/src --label before
     python3 scripts/bench.py --src src --label after
 
-Each run adds its label to the output file (``BENCH_17.json`` by default)
+Each run adds its label to the output file (``BENCH_18.json`` by default)
 and, once both ``before`` and ``after`` are there, the after/before
 ratio of every case they share (a checkout without
-``packet.read_header`` has no ``packet_read_header`` case).  A per-layer
-figure is microseconds per call: the fastest of ``--repeat`` timing
-runs, taken round-robin over the cases, and their median beside it.
+``packet.read_header`` has no ``packet_read_header`` case); an
+end-to-end ratio divides the medians.  A per-layer figure is
+microseconds per call: the fastest of ``--repeat`` timing runs, taken
+round-robin over the cases, and their median beside it.
 """
 
 from __future__ import annotations
@@ -201,6 +204,8 @@ def run_end_to_end(case: str) -> dict:
 
 
 END_TO_END = ("bootstrap_1024", "merge_128_128")
+END_TO_END_RUNS = 3
+END_TO_END_KEYS = ("wall_s", "datagrams_per_s", "peak_rss_mb")
 
 
 def time_cases(cases: dict, repeat: int) -> dict:
@@ -222,7 +227,7 @@ def main() -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the ringnet package to time")
     parser.add_argument("--label", default="after", help="key for this run's results")
-    parser.add_argument("--out", default="BENCH_17.json")
+    parser.add_argument("--out", default="BENCH_18.json")
     parser.add_argument("--repeat", type=int, default=25)
     parser.add_argument("--case", choices=END_TO_END,
                         help="run only this end-to-end case and print its JSON")
@@ -241,20 +246,26 @@ def main() -> int:
     results = time_cases(build_cases(), args.repeat)
     for name, res in results.items():
         print(f"{name:24s} {res['us']:9.3f} us  (median {res['us_median']:.3f})")
-    end_to_end = {}
-    for case in END_TO_END:
-        out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
-                              "--case", case], check=True, capture_output=True,
-                             text=True).stdout
-        end_to_end[case] = json.loads(out.splitlines()[-1])
-        print(f"{case:24s} {end_to_end[case]}")
+    runs: dict[str, list[dict]] = {case: [] for case in END_TO_END}
+    for _ in range(END_TO_END_RUNS):
+        for case in END_TO_END:
+            out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src",
+                                  src, "--case", case], check=True,
+                                 capture_output=True, text=True).stdout
+            runs[case].append(json.loads(out.splitlines()[-1]))
+            print(f"{case:24s} {runs[case][-1]}")
+    end_to_end = {case: {"runs": r, "median": {
+        key: statistics.median(run[key] for run in r) for key in END_TO_END_KEYS}}
+        for case, r in runs.items()}
 
     data = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             data = json.load(fh)
     data["unit"] = ("cases: microseconds per call, fastest of the timing runs; "
-                    "end_to_end: one run each")
+                    f"end_to_end: {END_TO_END_RUNS} runs each, round-robin, each in "
+                    "a fresh process, and their median; after_over_before of "
+                    "an end-to-end figure divides the medians")
     data[args.label] = {"python": platform.python_version(),
                         "nproc": os.cpu_count(), "cases": results,
                         "end_to_end": end_to_end}
@@ -264,9 +275,10 @@ def main() -> int:
             name: round(after["cases"][name]["us"] / before["cases"][name]["us"], 3)
             for name in after["cases"] if name in before["cases"]}
         for case in END_TO_END:
-            for key in ("wall_s", "datagrams_per_s", "peak_rss_mb"):
+            for key in END_TO_END_KEYS:
                 data["after_over_before"][f"{case}.{key}"] = round(
-                    after["end_to_end"][case][key] / before["end_to_end"][case][key], 3)
+                    after["end_to_end"][case]["median"][key]
+                    / before["end_to_end"][case]["median"][key], 3)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -5,8 +5,9 @@ Subcommands:
 * ``run``        - execute a scenario manifest against the simulator,
                    writing one trace CSV plus snapshots per seed and
                    checking metric thresholds;
-* ``demo-real``  - bootstrap a small ring of in-process nodes over real
-                   loopback sockets (UDP or TCP) and report correctness;
+* ``demo-real``  - run ``scenarios.loopback``: the scenario runner on a
+                   ``RealNetwork`` bootstraps a small ring over loopback
+                   UDP, TCP or both, and reports correctness;
 * ``analyze``    - verify a snapshot file offline and emit DOT.
 
 Exit codes: 0 success, 1 a metric threshold was violated, 2 usage or
@@ -330,19 +331,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_demo_real(args) -> int:
-    from .demo import run_loopback_demo
     if args.n < 1 or args.n > 64:
         print("demo-real supports 1..64 nodes", file=sys.stderr)
         return EXIT_USAGE
     try:
-        fraction, elapsed = run_loopback_demo(args.n, args.transport,
-                                              budget=args.budget)
+        final = sc.loopback(args.n, args.transport, budget=args.budget).rows[-1]
     except OSError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"ring_correct={fraction:.4f} after {elapsed:.1f}s "
-          f"({args.n} nodes, {args.transport})")
-    return EXIT_OK if fraction >= 1.0 else EXIT_THRESHOLD
+    print(f"ring_correct={final.ring_correct_fraction:.4f} after "
+          f"{final.simulated_time_s:.1f}s ({args.n} nodes, {args.transport})")
+    return EXIT_OK if final.ring_correct_fraction >= 1.0 else EXIT_THRESHOLD
 
 
 def cmd_analyze(args) -> int:
@@ -390,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--transport", choices=("udp", "tcp", "mixed"),
                         default="udp")
     p_demo.add_argument("--budget", type=float, default=60.0,
-                        help="wall-clock seconds to reach a correct ring")
+                        help="wall-clock seconds after the bootstrap to "
+                             "reach a correct ring")
     p_demo.set_defaults(fn=cmd_demo_real)
 
     p_an = sub.add_parser("analyze", help="verify a snapshot file")

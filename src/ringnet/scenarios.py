@@ -1,13 +1,15 @@
-"""Declarative experiments over the simulator.
+"""Declarative experiments over the simulator or real sockets.
 
 A ``Scenario`` is an ordered list of phases (bootstrap, wait, massive
-join, massive failure, churn, ring merge) plus a measurement interval.
-Running one produces a ``SimTrace``: per-interval metric rows, topology
-snapshots, and the network's message counters.  Runs are deterministic
-for a fixed (scenario, seed) pair; rerunning writes byte-identical CSV.
+join, massive failure, churn, ring merge, converge) plus a measurement
+interval.  A ``ScenarioRunner`` runs one on a ``SimNetwork``, or on a
+``RealNetwork``, and produces a ``SimTrace``: per-interval metric rows,
+topology snapshots, and the network's message counters.  Simulated runs
+are deterministic for a fixed (scenario, seed) pair.
 
 ``grow``, ``massive_dynamics`` and ``churn_sweep`` are the experiments
-that acceptance tests assert on and the scripts print.
+that acceptance tests assert on and the scripts print; ``loopback``
+bootstraps a ring over real loopback sockets.
 
 Departures here are always abrupt: a node's endpoints vanish and every
 edge it held dies silently; rejoining nodes keep their address and
@@ -34,6 +36,7 @@ from .metrics import (
 )
 from .node import NodeState, OverlayConfig
 from .simnet import SimConfig, SimNetwork, UniformLatency
+from .transport import RealNetwork
 from . import topology
 
 
@@ -74,6 +77,12 @@ class Merge:
     left: int
     right: int
     settle: float = 5.0
+
+
+@dataclass(frozen=True)
+class Converge:
+    """Measure until a row reads a correct ring, for at most ``timeout``."""
+    timeout: float
 
 
 @dataclass
@@ -203,11 +212,11 @@ class SimTrace:
 
 class ScenarioRunner:
     def __init__(self, scenario: Scenario, config: SimConfig,
-                 overlay: OverlayConfig | None = None) -> None:
+                 overlay: OverlayConfig | None = None, network=None) -> None:
         scenario.validate()
         self.scenario = scenario
         self.config = config
-        self.network = SimNetwork(config)
+        self.network = network if network is not None else SimNetwork(config)
         self.overlay = overlay or OverlayConfig()
         self.rng = Random((config.seed << 1) ^ 0x5CE)
         self.metrics_seed = config.seed ^ 0xA17
@@ -335,6 +344,14 @@ class ScenarioRunner:
                 cursor += 1
                 self._kill(nid, rejoin=True)
 
+    def _run_converge(self, phase: Converge) -> None:
+        end = self.network.now + phase.timeout
+        while self._next_measure <= end:
+            self._advance(self._next_measure - self.network.now)
+            if self.trace.rows and self.trace.rows[-1].ring_correct_fraction >= 1.0:
+                return
+        self._advance(end - self.network.now)
+
     def _run_merge(self, phase: Merge) -> None:
         sides = []
         for size in (phase.left, phase.right):
@@ -367,6 +384,8 @@ class ScenarioRunner:
                 self._run_churn(phase)
             elif isinstance(phase, Merge):
                 self._run_merge(phase)
+            elif isinstance(phase, Converge):
+                self._run_converge(phase)
             else:
                 raise ScenarioInvalid(f"unknown phase {phase!r}")
         self._measure()
@@ -434,3 +453,26 @@ def churn_sweep(nodes: int, multiples, duration: float,
         trace = run(scenario, SimConfig(seed=seed), overlay)
         rows[mult] = [r for r in trace.rows if r.simulated_time_s > steady_from]
     return t_establish, rows
+
+
+# Wall-clock runs want snappier timers than the simulator defaults.
+LOOPBACK_OVERLAY = OverlayConfig(tick_interval=0.25, status_interval=2.0,
+                                 handshake_timeout=0.25, join_retry_timeout=1.5,
+                                 push_status_debounce=0.05, k_shortcuts=2)
+
+
+def loopback(n: int, transport: str = "udp", budget: float = 60.0,
+             seed: int = 7) -> SimTrace:
+    """Bootstrap n nodes over loopback ``udp``, ``tcp`` or ``mixed`` sockets
+    and measure until the ring is correct or ``budget`` more seconds pass;
+    the last row's time is the run's wall seconds.  Spacing the joins
+    10 ms apart gives each a random joined proxy; with no spacing, every
+    joiner's proxy would be the genesis node."""
+    network = RealNetwork(transport)
+    scenario = Scenario([Bootstrap(n, spacing=0.01), Converge(budget)],
+                        measurement_interval=0.25, pair_budget=100)
+    try:
+        return ScenarioRunner(scenario, SimConfig(seed=seed), LOOPBACK_OVERLAY,
+                              network).run()
+    finally:
+        network.close()

@@ -276,9 +276,6 @@ class SimHost(Host):
 
     # host interface ----------------------------------------------------
 
-    def now(self) -> float:
-        return self.network.now
-
     def dial(self, ta: str) -> DatagramEdge | None:
         try:
             parse_ta(ta)
@@ -293,13 +290,6 @@ class SimHost(Host):
         self.network.transmit(self, remote_ta, data)
 
     # plumbing ----------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Abrupt removal: every edge dies with no goodbye."""
-        if self.node is not None:
-            self.node.stop()
-        self.edges.clear()
-        self.network.remove_host(self)
 
     def _receive(self, src_ta: str, data: bytes) -> None:
         if self.node is None:

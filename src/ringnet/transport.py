@@ -1,6 +1,15 @@
 """Transport addresses, the host core and datagram edge the simulator
 shares with the real transports, and real UDP/TCP over one event loop.
 
+``SimNetwork`` and ``RealNetwork`` keep one contract, so a
+``ScenarioRunner`` drives either: ``now`` is seconds on the network's
+clock (simulated, or wall seconds since the network was made),
+``call_later(delay, fn, *args)`` returns a cancellable timer,
+``run_until(t)`` runs to the absolute time ``t``, ``new_host()`` takes
+no argument, and the ``stats`` Counter holds the ``datagrams`` and
+``bytes`` sent, among others.  Every host has a ``ta`` to join through,
+``now()``, ``call_later``, ``dial``, ``local_tas`` and ``shutdown()``.
+
 Transport addresses are written ``<namespace>.<proto>:host:port``; the
 namespace tag is free-form (parsing is liberal, and a bare
 ``udp:host:port`` is accepted too), output is normalized to the ``ring``
@@ -19,8 +28,10 @@ node's events serially, which mirrors the simulator's execution model.
 It is one ``selectors.DefaultSelector`` (epoll on Linux, so no
 ``FD_SETSIZE`` ceiling): every socket is registered once, when it is
 created, with the bound method that handles it, and a TCP edge's write
-interest is switched on only while it has bytes queued.  Timers,
-including each TCP open deadline, live in one ``TimerQueue``.
+interest is switched on only while it has bytes queued.  ``run_until``
+fires the due timers, then calls each ready key's handler with the
+ready event mask.  Timers, including each TCP open deadline, live in one
+``TimerQueue``.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import selectors
 import socket
 import struct
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -165,52 +176,52 @@ class TimerQueue:
 
 
 class RealNetwork:
-    """Selector loop hosting in-process nodes over real sockets.
+    """Selector loop hosting in-process nodes over real sockets.  Every
+    host gets the ``transport`` socket kind, or under ``mixed`` both,
+    preferring UDP and TCP in turn.  A key's ``data`` is its handler."""
 
-    Each socket is registered with ``selector`` once, when it is created,
-    and its key's ``data`` is the bound method that handles it; ``poll``
-    fires the due timers and then calls each ready key's handler with the
-    ready event mask."""
-
-    def __init__(self) -> None:
+    def __init__(self, transport: str = "udp", bind_ip: str = "127.0.0.1") -> None:
+        self.transport = transport
+        self.bind_ip = bind_ip
+        self._epoch = time.monotonic()
         self._timers = TimerQueue()
         self.selector = selectors.DefaultSelector()
         self.hosts: list[RealHost] = []
+        self.stats: Counter = Counter()
 
+    @property
     def now(self) -> float:
-        return time.monotonic()
+        return time.monotonic() - self._epoch
 
     def call_later(self, delay: float, fn, *args) -> Timer:
-        return self._timers.push(self.now() + max(0.0, delay), fn, *args)
+        return self._timers.push(self.now + max(0.0, delay), fn, *args)
 
-    def new_host(self, transports: tuple[str, ...] = ("udp",),
-                 bind_ip: str = "127.0.0.1") -> "RealHost":
-        host = RealHost(self, bind_ip, transports)
+    def new_host(self) -> "RealHost":
+        if self.transport != "mixed":
+            transports = (self.transport,)
+        elif len(self.hosts) % 2 == 0:
+            transports = ("udp", "tcp")
+        else:
+            transports = ("tcp", "udp")
+        host = RealHost(self, self.bind_ip, transports)
         self.hosts.append(host)
         return host
 
-    def poll(self) -> None:
-        due = self._timers.fire_due(self.now())
-        timeout = 0.05 if due is None else max(0.0, min(0.05, due - self.now()))
-        for key, mask in self.selector.select(timeout):
-            key.data(mask)
+    def remove_host(self, host: "RealHost") -> None:
+        self.hosts.remove(host)
 
-    def run_until(self, predicate, timeout: float) -> bool:
-        deadline = self.now() + timeout
-        while self.now() < deadline:
-            if predicate():
-                return True
-            self.poll()
-        return predicate()
-
-    def run_for(self, duration: float) -> None:
-        deadline = self.now() + duration
-        while self.now() < deadline:
-            self.poll()
+    def run_until(self, t: float) -> None:
+        """Serve timers and sockets until ``now`` reaches ``t``; each select
+        waits at most until ``t`` or the next timer."""
+        while (now := self.now) < t:
+            due = self._timers.fire_due(now)
+            wait = t if due is None else min(t, due)
+            for key, mask in self.selector.select(max(0.0, wait - self.now)):
+                key.data(mask)
 
     def close(self) -> None:
-        for host in self.hosts:
-            host.close()
+        while self.hosts:
+            self.hosts[-1].shutdown()
         self.selector.close()
 
 
@@ -243,8 +254,9 @@ class DatagramEdge:
 
 class Host:
     """What the simulated and real hosts share: the network, the attached
-    node, its timers, and one datagram edge per remote ta in ``edges``.
-    A subclass supplies ``now``, ``dial``, ``local_tas`` and
+    node, its clock and timers, one datagram edge per remote ta in
+    ``edges``, and ``shutdown``.  A subclass supplies ``ta`` (the address
+    peers join through), ``dial``, ``local_tas`` and
     ``send_datagram(remote, data)``."""
 
     def __init__(self, network) -> None:
@@ -255,8 +267,18 @@ class Host:
     def attach(self, node) -> None:
         self.node = node
 
+    def now(self) -> float:
+        return self.network.now
+
     def call_later(self, delay: float, fn, *args) -> Timer:
         return self.network.call_later(delay, fn, *args)
+
+    def shutdown(self) -> None:
+        """Abrupt removal: every edge dies with no goodbye."""
+        if self.node is not None:
+            self.node.stop()
+        self.edges.clear()
+        self.network.remove_host(self)
 
     def datagram_edge(self, remote_ta: str, remote) -> DatagramEdge:
         """The open edge to ``remote_ta``, made on first use."""
@@ -297,6 +319,7 @@ class TcpEdge:
             log.warning("dropping a %d-byte packet: a TCP frame holds at most "
                         "%d bytes", len(data), MAX_FRAME)
             return
+        self.host.network.stats.update(datagrams=1, bytes=len(data))
         self.tx += _FRAME_LENGTH.pack(len(data))
         self.tx += data
         if self.state == "open":
@@ -400,11 +423,9 @@ class RealHost(Host):
                                       self._accept_ready)
             ip, port = self.tcp_listener.getsockname()
             self.tcp_ta = format_ta("tcp", ip, port)
+        self.ta = self.local_tas()[0]
 
     # host interface ----------------------------------------------------
-
-    def now(self) -> float:
-        return self.network.now()
 
     def local_tas(self) -> list[str]:
         order = [self.udp_ta, self.tcp_ta]
@@ -436,6 +457,7 @@ class RealHost(Host):
             return
         if len(data) > UDP_SOFT_MTU:
             log.warning("UDP datagram of %d bytes exceeds the soft MTU", len(data))
+        self.network.stats.update(datagrams=1, bytes=len(data))
         try:
             self.udp_sock.sendto(data, remote)
         except OSError as exc:
@@ -461,9 +483,8 @@ class RealHost(Host):
         sock.setblocking(False)
         TcpEdge(self, sock, format_ta("tcp", addr[0], addr[1]), opening=False)
 
-    def close(self) -> None:
-        if self.node is not None:
-            self.node.stop()
+    def shutdown(self) -> None:
+        super().shutdown()
         for edge in list(self.tcp_edges.values()):
             edge.close()
         for sock in (self.udp_sock, self.tcp_listener):

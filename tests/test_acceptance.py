@@ -298,11 +298,13 @@ def test_09_nat_logic():
 
 
 def test_10_real_transport_parity():
-    from ringnet.demo import run_loopback_demo
+    from ringnet.scenarios import loopback
     from test_transport import run_script_real, run_script_sim
 
-    udp_fraction, udp_elapsed = run_loopback_demo(8, "udp", budget=60.0)
-    tcp_fraction, tcp_elapsed = run_loopback_demo(8, "tcp", budget=60.0)
+    udp = loopback(8, "udp", budget=60.0).rows[-1]
+    tcp = loopback(8, "tcp", budget=60.0).rows[-1]
+    udp_fraction, udp_elapsed = udp.ring_correct_fraction, udp.simulated_time_s
+    tcp_fraction, tcp_elapsed = tcp.ring_correct_fraction, tcp.simulated_time_s
     traces_match = run_script_sim() == run_script_real()
     ok = (udp_fraction == 1.0 and udp_elapsed < 60.0
           and tcp_fraction == 1.0 and tcp_elapsed < 60.0

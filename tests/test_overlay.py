@@ -9,7 +9,6 @@ from ringnet import messages
 from ringnet import node as node_module
 from ringnet.address import HALF_MODULUS, MODULUS, Direction, directed_distance
 from ringnet.connections import LEAF, NEAR, NEAR_PER_SIDE, SHORTCUT, ConnectionTable
-from ringnet.demo import demo_overlay_config
 from ringnet.metrics import ks_distance, ring_correct, shortcut_law_cdf
 from ringnet.node import (
     NodeState,
@@ -19,11 +18,14 @@ from ringnet.node import (
 )
 from ringnet.packet import PAYLOAD_LINK, encode, make_link
 from ringnet.scenarios import (
+    LOOPBACK_OVERLAY,
     Bootstrap,
     Churn,
+    Converge,
     Scenario,
     ScenarioRunner,
     Wait,
+    run,
     take_snapshot,
 )
 from ringnet.simnet import SimConfig, SimNetwork
@@ -128,12 +130,13 @@ def test_leaf_connection_dropped_after_join():
 
 @pytest.mark.parametrize("seed", [18, 56, 74, 91])
 def test_joins_through_unjoined_proxies_form_one_ring(seed):
-    # The loopback demo's join pattern: every node starts joining at t=0
-    # through a proxy drawn from the nodes created before it, which may
-    # not have joined yet.  Each seed here once left a two-node island.
+    # Every node starts joining at t=0, with the loopback overlay
+    # settings, through a proxy drawn from the nodes created before it,
+    # which may not have joined yet.  Each seed here once left a two-node
+    # island.
     rng = Random(seed)
     net = SimNetwork(SimConfig(seed=seed))
-    cfg = demo_overlay_config()
+    cfg = LOOPBACK_OVERLAY
     nodes = []
     for i in range(8):
         addr = rng.getrandbits(160) & ((1 << 160) - 2)
@@ -145,6 +148,31 @@ def test_joins_through_unjoined_proxies_form_one_ring(seed):
     assert all(node.joined for node in nodes)
     _, fraction = ring_correct(take_snapshot(nodes, net.now))
     assert fraction == 1.0
+
+
+def test_converge_stops_at_the_first_correct_row():
+    runner = ScenarioRunner(Scenario([Bootstrap(8, spacing=0.25), Converge(60)],
+                                     measurement_interval=0.5),
+                            SimConfig(seed=3), OverlayConfig(k_shortcuts=2))
+    trace = runner.run()
+    # Bootstrap measures at 0, 0.5, ... 2.0; the phase measures from 2.5.
+    converging = [r for r in trace.rows if r.simulated_time_s > 2.0]
+    first = next(i for i, r in enumerate(converging) if r.ring_correct_fraction == 1.0)
+    assert first > 0
+    # The phase ends on that row; the run's final row follows at once.
+    assert len(converging) == first + 2
+    assert converging[first].simulated_time_s == runner.network.now < 60
+
+
+@pytest.mark.xfail(strict=True, reason="a join wave through one proxy splits "
+                   "the ring into two components that never link")
+def test_join_wave_through_the_genesis_node_forms_one_ring():
+    # With no spacing, every joiner's proxy is the genesis node.  All 64
+    # join, but into two rings of 31 and 33 nodes with no edge between.
+    trace = run(Scenario([Bootstrap(64, spacing=0), Wait(30)],
+                         measurement_interval=30, pair_budget=100),
+                SimConfig(seed=1), OverlayConfig(k_shortcuts=4))
+    assert trace.rows[-1].ring_correct_fraction == 1.0
 
 
 def test_unjoined_proxy_passes_join_requests_up_its_own_leaf(monkeypatch):

@@ -1,4 +1,5 @@
-"""Real transport tests: address parsing, loopback edges, parity with sim."""
+"""Real transport tests: address parsing, loopback edges, parity with sim,
+scenarios on real sockets."""
 
 import resource
 from random import Random
@@ -16,6 +17,15 @@ from ringnet.packet import (
     encode,
     make_link,
     make_routed,
+)
+from ringnet.scenarios import (
+    LOOPBACK_OVERLAY,
+    Bootstrap,
+    Converge,
+    MassiveFail,
+    Scenario,
+    ScenarioRunner,
+    loopback,
 )
 from ringnet.simnet import SimConfig, SimNetwork
 from ringnet.transport import (
@@ -79,6 +89,17 @@ def quiet_config(**overrides) -> OverlayConfig:
     return OverlayConfig(**base)
 
 
+def wait_for(net, predicate, timeout: float) -> bool:
+    """Run ``net`` until ``predicate()`` holds or ``timeout`` seconds pass;
+    return whether it held."""
+    deadline = net.now + timeout
+    while not predicate():
+        if net.now >= deadline:
+            return False
+        net.run_until(min(net.now + 0.01, deadline))
+    return True
+
+
 class Script:
     """Bare endpoint owner that records every datagram."""
 
@@ -96,15 +117,15 @@ class Script:
 
 
 def test_udp_loopback_round_trip():
-    net = RealNetwork()
+    net = RealNetwork("udp")
     try:
-        a = net.new_host(("udp",))
-        b = net.new_host(("udp",))
+        a = net.new_host()
+        b = net.new_host()
         script = Script()
         b.attach(script)
         pkt = make_routed(1, 2, 0, b"payload")
         a.dial(b.udp_ta).send(encode(pkt))
-        assert net.run_until(lambda: script.got, timeout=5.0)
+        assert wait_for(net, lambda: script.got, 5.0)
         from ringnet.packet import decode
         assert decode(script.got[0][1]) == pkt
     finally:
@@ -112,37 +133,37 @@ def test_udp_loopback_round_trip():
 
 
 def test_truncated_datagram_surfaces_too_short_and_edge_survives():
-    net = RealNetwork()
+    net = RealNetwork("udp")
     try:
-        a = net.new_host(("udp",))
-        b = net.new_host(("udp",))
+        a = net.new_host()
+        b = net.new_host()
         node = NodeState(77, b, quiet_config(), Random(1))
         b.attach(node)
         edge = a.dial(b.udp_ta)
         edge.send(b"short")  # 5 bytes, below any header
-        net.run_until(lambda: node.stats["bad_packet"] > 0, timeout=5.0)
+        wait_for(net, lambda: node.stats["bad_packet"] > 0, 5.0)
         assert node.stats["bad_packet"] == 1
         # Same edge still delivers well-formed traffic afterwards.
         edge.send(encode(make_routed(1, 77, 0, b"")))
-        assert net.run_until(lambda: node.stats["app_delivered"] > 0, timeout=5.0)
+        assert wait_for(net, lambda: node.stats["app_delivered"] > 0, 5.0)
     finally:
         net.close()
 
 
 def test_full_link_handshake_over_udp_loopback():
-    net = RealNetwork()
+    net = RealNetwork("udp")
     try:
-        ha = net.new_host(("udp",))
-        hb = net.new_host(("udp",))
+        ha = net.new_host()
+        hb = net.new_host()
         a = NodeState(1000, ha, quiet_config(), Random(1))
         b = NodeState(2000, hb, quiet_config(), Random(2))
         ha.attach(a)
         hb.attach(b)
         a.joined = b.joined = True
         a.initiate_link([hb.udp_ta], messages.CT_NEAR, expect_addr=2000)
-        assert net.run_until(
-            lambda: a.table.get(2000) is not None and b.table.get(1000) is not None,
-            timeout=10.0)
+        assert wait_for(
+            net, lambda: a.table.get(2000) is not None and b.table.get(1000) is not None,
+            10.0)
         assert NEAR in a.table.get(2000).roles
         assert NEAR in b.table.get(1000).roles
     finally:
@@ -150,10 +171,10 @@ def test_full_link_handshake_over_udp_loopback():
 
 
 def test_tcp_framing_round_trips_a_thousand_packets():
-    net = RealNetwork()
+    net = RealNetwork("tcp")
     try:
-        a = net.new_host(("tcp",))
-        b = net.new_host(("tcp",))
+        a = net.new_host()
+        b = net.new_host()
         script = Script()
         b.attach(script)
         edge = a.dial(b.tcp_ta)
@@ -164,17 +185,17 @@ def test_tcp_framing_round_trips_a_thousand_packets():
                               rng.randrange(256), rng.randbytes(rng.randrange(80)))
             sent.append(encode(pkt))
             edge.send(sent[-1])
-        assert net.run_until(lambda: len(script.got) >= 1000, timeout=10.0)
+        assert wait_for(net, lambda: len(script.got) >= 1000, 10.0)
         assert [d for _, d in script.got] == sent  # in order, intact
     finally:
         net.close()
 
 
 def test_tcp_feed_reassembles_frames_from_any_chunking():
-    net = RealNetwork()
+    net = RealNetwork("tcp")
     try:
-        a = net.new_host(("tcp",))
-        b = net.new_host(("tcp",))
+        a = net.new_host()
+        b = net.new_host()
         script = Script()
         a.attach(script)
         edge = a.dial(b.tcp_ta)
@@ -197,10 +218,10 @@ def test_tcp_feed_reassembles_frames_from_any_chunking():
 def test_tcp_rejects_oversized_frame():
     # An oversize packet is logged and dropped, like a failed UDP send;
     # the edge keeps carrying the packets that follow it.
-    net = RealNetwork()
+    net = RealNetwork("tcp")
     try:
-        a = net.new_host(("tcp",))
-        b = net.new_host(("tcp",))
+        a = net.new_host()
+        b = net.new_host()
         script = Script()
         b.attach(script)
         edge = a.dial(b.tcp_ta)
@@ -208,7 +229,7 @@ def test_tcp_rejects_oversized_frame():
         assert not edge.tx
         packet = bytes(range(100))
         edge.send(packet)
-        assert net.run_until(lambda: script.got, timeout=5.0)
+        assert wait_for(net, lambda: script.got, 5.0)
         assert [d for _, d in script.got] == [packet]
     finally:
         net.close()
@@ -219,13 +240,13 @@ def test_oversize_observed_remote_does_not_block_link_replies():
     # 40 kB each.  Were both learned, the node's next reply would advertise
     # them and outgrow one TCP frame; the node keeps neither, and answers
     # both requests.
-    net = RealNetwork()
+    net = RealNetwork("tcp")
     try:
-        hn = net.new_host(("tcp",))
+        hn = net.new_host()
         node = NodeState(1 << 150, hn, quiet_config(), Random(1))
         hn.attach(node)
         node.joined = True
-        peer = net.new_host(("tcp",))
+        peer = net.new_host()
         script = Script()
         peer.attach(script)
         edge = peer.dial(hn.tcp_ta)
@@ -236,9 +257,8 @@ def test_oversize_observed_remote_does_not_block_link_replies():
             edge.send(encode(make_link(PEER_ADDR, node.address, PAYLOAD_LINK,
                                        messages.encode_link(link))))
         edge.send(encode(make_routed(PEER_ADDR, node.address, 0, b"after")))
-        assert net.run_until(
-            lambda: node.stats["app_delivered"] > 0 and len(script.got) == 2,
-            timeout=10.0)
+        assert wait_for(
+            net, lambda: node.stats["app_delivered"] > 0 and len(script.got) == 2, 10.0)
         assert node.learned_tas == []
         replies = [messages.decode_link_body(decode(d).payload) for _, d in script.got]
         assert [(r.kind, r.token) for r in replies] == [
@@ -248,9 +268,9 @@ def test_oversize_observed_remote_does_not_block_link_replies():
 
 
 def test_learn_self_ta_keeps_only_well_formed_tas():
-    net = RealNetwork()
+    net = RealNetwork("udp")
     try:
-        hn = net.new_host(("udp",))
+        hn = net.new_host()
         node = NodeState(1, hn, quiet_config(), Random(1))
         for ta in ("", "x" * 40_000, "ring.udp:h:99999", "not a ta",
                    "ring.udp:" + "h" * MAX_TA_LEN + ":4000", hn.udp_ta):
@@ -263,19 +283,19 @@ def test_learn_self_ta_keeps_only_well_formed_tas():
 
 
 def test_full_link_handshake_over_tcp_loopback():
-    net = RealNetwork()
+    net = RealNetwork("tcp")
     try:
-        ha = net.new_host(("tcp",))
-        hb = net.new_host(("tcp",))
+        ha = net.new_host()
+        hb = net.new_host()
         a = NodeState(1000, ha, quiet_config(), Random(1))
         b = NodeState(2000, hb, quiet_config(), Random(2))
         ha.attach(a)
         hb.attach(b)
         a.joined = b.joined = True
         a.initiate_link([hb.tcp_ta], messages.CT_NEAR, expect_addr=2000)
-        assert net.run_until(
-            lambda: a.table.get(2000) is not None and b.table.get(1000) is not None,
-            timeout=10.0)
+        assert wait_for(
+            net, lambda: a.table.get(2000) is not None and b.table.get(1000) is not None,
+            10.0)
         # The responder saw only a's ephemeral source port, which nobody
         # can dial, so it reported no endpoint for a to learn.
         assert a.learned_tas == []
@@ -285,9 +305,9 @@ def test_full_link_handshake_over_tcp_loopback():
 
 
 def test_tcp_connect_refused_reports_edge_failure():
-    net = RealNetwork()
+    net = RealNetwork("tcp")
     try:
-        ha = net.new_host(("tcp",))
+        ha = net.new_host()
         a = NodeState(1000, ha, quiet_config(), Random(1))
         ha.attach(a)
         a.joined = True
@@ -299,7 +319,7 @@ def test_tcp_connect_refused_reports_edge_failure():
         probe.close()
         a.initiate_link([format_ta("tcp", "127.0.0.1", dead_port)],
                         messages.CT_NEAR)
-        assert net.run_until(lambda: a.stats["link_failed"] > 0, timeout=10.0)
+        assert wait_for(net, lambda: a.stats["link_failed"] > 0, 10.0)
         assert a.table.get(2000) is None
     finally:
         net.close()
@@ -310,20 +330,20 @@ def test_closed_host_runs_none_of_its_nodes_timers():
     # Closing the host stops the node, so none of the attempt's retries
     # fires and the attempt never fails.
     import socket
-    net = RealNetwork()
+    net = RealNetwork("udp")
     silent = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         silent.bind(("127.0.0.1", 0))
         silent.settimeout(5.0)
-        host = net.new_host(("udp",))
+        host = net.new_host()
         node = NodeState(1000, host, quiet_config(handshake_timeout=0.05), Random(1))
         host.attach(node)
         node.joined = True
         node.initiate_link([format_ta("udp", *silent.getsockname())],
                            messages.CT_NEAR)
         assert silent.recv(2048)  # the first link request
-        host.close()
-        net.run_for(1.5)  # retries were due at 0.05, 0.15 and 0.35 s, failure at 0.75 s
+        host.shutdown()
+        net.run_until(net.now + 1.5)  # retries were due at 0.05, 0.15 and 0.35 s, failure at 0.75 s
         assert node.stats["link_failed"] == 0
         silent.setblocking(False)
         with pytest.raises(BlockingIOError):
@@ -337,18 +357,18 @@ def test_loop_serves_descriptors_past_fd_setsize():
     soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
     if soft != resource.RLIM_INFINITY and soft < 1200:
         pytest.skip(f"RLIMIT_NOFILE {soft} is too low for 1,040 sockets")
-    net = RealNetwork()
+    net = RealNetwork("mixed")
     try:
-        hosts = [net.new_host(("udp", "tcp")) for _ in range(520)]
+        hosts = [net.new_host() for _ in range(520)]
         a, b = hosts[-2], hosts[-1]
         assert b.tcp_listener.fileno() >= 1024
         got_a, got_b = Script(), Script()
         a.attach(got_a)
         b.attach(got_b)
         a.dial(b.udp_ta).send(b"ping")
-        assert net.run_until(lambda: got_b.got, timeout=5.0)
+        assert wait_for(net, lambda: got_b.got, 5.0)
         got_b.got[0][0].send(b"pong")
-        assert net.run_until(lambda: got_a.got, timeout=5.0)
+        assert wait_for(net, lambda: got_a.got, 5.0)
         assert [d for _, d in got_a.got] == [b"pong"]
     finally:
         net.close()
@@ -356,41 +376,91 @@ def test_loop_serves_descriptors_past_fd_setsize():
 
 @pytest.fixture(params=["sim", "udp"])
 def datagram_hosts(request):
-    """Two hosts of one kind, their TAs, and a call that lets sent
-    datagrams arrive."""
+    """A network of one kind and two of its hosts."""
     if request.param == "sim":
         net = SimNetwork(SimConfig(seed=1))
-        a, b = net.new_host(), net.new_host()
-        yield a, b, a.ta, b.ta, lambda: net.run_for(1.0)
+        yield net, net.new_host(), net.new_host()
         return
-    net = RealNetwork()
+    net = RealNetwork("udp")
     try:
-        a, b = net.new_host(("udp",)), net.new_host(("udp",))
-        yield a, b, a.udp_ta, b.udp_ta, lambda: net.run_for(0.5)
+        yield net, net.new_host(), net.new_host()
     finally:
         net.close()
 
 
 def test_datagram_edge_rules_are_shared(datagram_hosts):
-    a, b, a_ta, b_ta, deliver = datagram_hosts
+    net, a, b = datagram_hosts
+
+    def deliver():
+        net.run_until(net.now + 0.5)
     got_a, got_b = Script(), Script()
     a.attach(got_a)
     b.attach(got_b)
-    edge = a.dial(b_ta)
-    assert a.dial(b_ta) is edge
-    b.dial(a_ta).send(b"ping")
+    edge = a.dial(b.ta)
+    assert a.dial(b.ta) is edge
+    b.dial(a.ta).send(b"ping")
     deliver()
     assert got_a.got == [(edge, b"ping")]
     edge.close()
     edge.send(b"lost")
     deliver()
     assert got_b.got == []
-    fresh = a.dial(b_ta)
+    fresh = a.dial(b.ta)
     assert fresh is not edge and fresh.state == "open"
     fresh.send(b"pong")
     deliver()
-    assert got_b.got == [(b.dial(a_ta), b"pong")]
+    assert got_b.got == [(b.dial(a.ta), b"pong")]
     assert a.dial("not a ta") is None
+
+
+def test_real_network_runs_to_an_absolute_time():
+    net = RealNetwork("udp")
+    try:
+        fired = []
+        net.call_later(0.1, lambda: fired.append(net.now))
+        net.call_later(0.5, fired.append, "late")
+        assert 0.0 <= net.now < 0.1
+        net.run_until(0.2)
+        assert 0.2 <= net.now < 0.45
+        assert len(fired) == 1 and 0.1 <= fired[0] <= 0.2
+        net.run_until(0.1)  # already past: returns at once
+        assert net.now < 0.45 and len(fired) == 1
+    finally:
+        net.close()
+
+
+@pytest.mark.parametrize("transport", ["udp", "tcp"])
+def test_real_network_counts_datagrams_and_bytes_sent(transport):
+    net = RealNetwork(transport)
+    try:
+        a, b = net.new_host(), net.new_host()
+        script = Script()
+        b.attach(script)
+        edge = a.dial(b.ta)
+        for size in (10, 200, 1000):
+            edge.send(bytes(size))
+        assert wait_for(net, lambda: len(script.got) == 3, 5.0)
+        assert (net.stats["datagrams"], net.stats["bytes"]) == (3, 1210)
+    finally:
+        net.close()
+
+
+def test_udp_ring_heals_after_a_quarter_of_its_nodes_fail():
+    # The massive failure of the simulator's scenarios, on real sockets:
+    # 4 of 16 nodes vanish at once and the 12 left close the ring.
+    net = RealNetwork("udp")
+    scenario = Scenario([Bootstrap(16, spacing=0.01), Converge(20),
+                         MassiveFail(fraction=0.25), Converge(30)],
+                        measurement_interval=0.25, pair_budget=100)
+    try:
+        trace = ScenarioRunner(scenario, SimConfig(seed=7), LOOPBACK_OVERLAY,
+                               net).run()
+    finally:
+        net.close()
+    assert [r.live_nodes for r in trace.rows].count(16) >= 1
+    assert trace.rows[-1].live_nodes == 12
+    assert trace.rows[-1].ring_correct_fraction == 1.0
+    assert not net.hosts
 
 
 # ----------------------------------------------------------------------
@@ -461,18 +531,18 @@ def run_script_sim():
 
 
 def run_script_real():
-    net = RealNetwork()
+    net = RealNetwork("udp")
     try:
-        host = net.new_host(("udp",))
+        host = net.new_host()
         node = NodeState(1 << 150, host, parity_config(), Random(3))
         host.attach(node)
         node.joined = True
-        peer_host = net.new_host(("udp",))
+        peer_host = net.new_host()
         script = Script()
         peer_host.attach(script)
 
         def pump(done):
-            if not net.run_until(done, timeout=10.0):
+            if not wait_for(net, done, 10.0):
                 raise AssertionError("real script stalled")
 
         return scripted_exchange(node, host.udp_ta, script, peer_host.dial, pump)
@@ -495,15 +565,11 @@ def test_state_machine_parity_between_sim_and_real_edges():
 
 
 def test_loopback_demo_three_nodes():
-    from ringnet.demo import run_loopback_demo
-    fraction, elapsed = run_loopback_demo(3, "udp", budget=30.0)
-    assert fraction == 1.0
+    assert loopback(3, "udp", budget=30.0).rows[-1].ring_correct_fraction == 1.0
 
 
 def test_loopback_demo_single_node_is_trivially_correct():
-    from ringnet.demo import run_loopback_demo
-    fraction, _ = run_loopback_demo(1, "udp", budget=5.0)
-    assert fraction == 1.0
+    assert loopback(1, "udp", budget=5.0).rows[-1].ring_correct_fraction == 1.0
 
 
 # TCP seeds that ended 20 s runs short of a correct ring while responders
@@ -512,6 +578,5 @@ def test_loopback_demo_single_node_is_trivially_correct():
     (32, "tcp", 1), (32, "tcp", 12), (32, "tcp", 13), (64, "tcp", 1),
     (64, "tcp", 3), (32, "mixed", 1), (64, "mixed", 1)])
 def test_loopback_stream_rings_converge(n, transport, seed):
-    from ringnet.demo import run_loopback_demo
-    fraction, _ = run_loopback_demo(n, transport, budget=60.0, seed=seed)
-    assert fraction == 1.0
+    trace = loopback(n, transport, budget=60.0, seed=seed)
+    assert trace.rows[-1].ring_correct_fraction == 1.0
