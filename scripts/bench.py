@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer and end-to-end benchmarks of one ringnet checkout, written
-to JSON.
+"""Per-layer and end-to-end benchmarks of two ringnet checkouts, a
+``before`` and an ``after``, timed by one invocation and written to JSON.
 
 Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
@@ -8,20 +8,20 @@ node's status path (sending and receiving a status body),
 greedy routing decisions over 8 and 24 peers, the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
 pair) and the simulator's transmit-to-receive of one datagram, with an
-empty timer queue and with 10,000 timers waiting.  Then
-runs each end-to-end case (a 1024-node bootstrap and settle, and the
-128+128 merge of ``scenarios/merge.cfg``) three times, round-robin, each
-time in a fresh process of its own, and records every run's wall
-seconds, datagrams per wall second and peak RSS, and their medians.
-``--src`` names the ``src`` directory to import ringnet from, so one
-script times two checkouts on one machine:
+empty timer queue and with 10,000 timers waiting.  Each side's per-layer
+cases run in a subprocess that imports that side's ``src``.  Then come
+three end-to-end rounds: each runs every end-to-end case (a 1024-node
+bootstrap and settle, and the 128+128 merge of ``scenarios/merge.cfg``)
+once per side, each run in a fresh process of its own, and the side
+that goes first alternates from round to round.  Every run's wall
+seconds, datagrams per wall second and peak RSS are recorded, with their
+medians per side:
 
-    python3 scripts/bench.py --src /path/to/parent/src --label before
-    python3 scripts/bench.py --src src --label after
+    python3 scripts/bench.py --before /path/to/parent/src --out BENCH.json
 
-Each run adds its label to the output file (``BENCH_18.json`` by default)
-and, once both ``before`` and ``after`` are there, the after/before
-ratio of every case they share (a checkout without
+``--src`` names the ``after`` side's ``src`` (this checkout's by
+default).  The output file is written whole and holds both sides and the
+after/before ratio of every case they share (a checkout without
 ``packet.read_header`` has no ``packet_read_header`` case); an
 end-to-end ratio divides the medians.  A per-layer figure is
 microseconds per call: the fastest of ``--repeat`` timing runs, taken
@@ -204,7 +204,8 @@ def run_end_to_end(case: str) -> dict:
 
 
 END_TO_END = ("bootstrap_1024", "merge_128_128")
-END_TO_END_RUNS = 3
+PER_LAYER = "per_layer"
+END_TO_END_ROUNDS = 3
 END_TO_END_KEYS = ("wall_s", "datagrams_per_s", "peak_rss_mb")
 
 
@@ -221,64 +222,74 @@ def time_cases(cases: dict, repeat: int) -> dict:
                    "number": numbers[name]} for name, r in runs.items()}
 
 
+def run_side(src: str, args: list[str]) -> dict:
+    """Run this script in a fresh process on the checkout at ``src`` and
+    return the JSON it prints last."""
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src]
+                         + args, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the ringnet package to time")
-    parser.add_argument("--label", default="after", help="key for this run's results")
-    parser.add_argument("--out", default="BENCH_18.json")
+                        help="directory holding the ringnet package to time as 'after'")
+    parser.add_argument("--before",
+                        help="directory holding the ringnet package to time as 'before'")
+    parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--repeat", type=int, default=25)
-    parser.add_argument("--case", choices=END_TO_END,
-                        help="run only this end-to-end case and print its JSON")
+    parser.add_argument("--case", choices=END_TO_END + (PER_LAYER,),
+                        help="run only this case on --src and print its JSON")
     args = parser.parse_args()
 
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    import ringnet
-    if not os.path.abspath(ringnet.__file__).startswith(src + os.sep):
-        parser.error(f"ringnet imported from {ringnet.__file__}, not {src}")
-
     if args.case:
-        print(json.dumps(run_end_to_end(args.case)))
+        src = os.path.abspath(args.src)
+        sys.path.insert(0, src)
+        import ringnet
+        if not os.path.abspath(ringnet.__file__).startswith(src + os.sep):
+            parser.error(f"ringnet imported from {ringnet.__file__}, not {src}")
+        if args.case == PER_LAYER:
+            print(json.dumps(time_cases(build_cases(), args.repeat)))
+        else:
+            print(json.dumps(run_end_to_end(args.case)))
         return 0
+    if not (args.before and args.out):
+        parser.error("--before and --out are required")
 
-    results = time_cases(build_cases(), args.repeat)
-    for name, res in results.items():
-        print(f"{name:24s} {res['us']:9.3f} us  (median {res['us_median']:.3f})")
-    runs: dict[str, list[dict]] = {case: [] for case in END_TO_END}
-    for _ in range(END_TO_END_RUNS):
+    sides = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.src)}
+    data = {side: {"cases": run_side(src, ["--case", PER_LAYER,
+                                           "--repeat", str(args.repeat)])}
+            for side, src in sides.items()}
+    for name in data["after"]["cases"]:
+        print(f"{name:28s}" + "".join(
+            f"  {side} {data[side]['cases'][name]['us']:9.3f} us"
+            for side in sides if name in data[side]["cases"]))
+    runs = {side: {case: [] for case in END_TO_END} for side in sides}
+    for round_index in range(END_TO_END_ROUNDS):
+        order = list(sides) if round_index % 2 == 0 else list(sides)[::-1]
         for case in END_TO_END:
-            out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src",
-                                  src, "--case", case], check=True,
-                                 capture_output=True, text=True).stdout
-            runs[case].append(json.loads(out.splitlines()[-1]))
-            print(f"{case:24s} {runs[case][-1]}")
-    end_to_end = {case: {"runs": r, "median": {
-        key: statistics.median(run[key] for run in r) for key in END_TO_END_KEYS}}
-        for case, r in runs.items()}
+            for side in order:
+                runs[side][case].append(run_side(sides[side], ["--case", case]))
+                print(f"{side:6s} {case:24s} {runs[side][case][-1]}")
+    for side in sides:
+        data[side]["end_to_end"] = {case: {"runs": r, "median": {
+            key: statistics.median(run[key] for run in r) for key in END_TO_END_KEYS}}
+            for case, r in runs[side].items()}
 
-    data = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data["unit"] = ("cases: microseconds per call, fastest of the timing runs; "
-                    f"end_to_end: {END_TO_END_RUNS} runs each, round-robin, each in "
-                    "a fresh process, and their median; after_over_before of "
-                    "an end-to-end figure divides the medians")
-    data[args.label] = {"python": platform.python_version(),
-                        "nproc": os.cpu_count(), "cases": results,
-                        "end_to_end": end_to_end}
-    if "before" in data and "after" in data:
-        before, after = data["before"], data["after"]
-        data["after_over_before"] = {
-            name: round(after["cases"][name]["us"] / before["cases"][name]["us"], 3)
-            for name in after["cases"] if name in before["cases"]}
-        for case in END_TO_END:
-            for key in END_TO_END_KEYS:
-                data["after_over_before"][f"{case}.{key}"] = round(
-                    after["end_to_end"][case]["median"][key]
-                    / before["end_to_end"][case]["median"][key], 3)
+    before, after = data["before"], data["after"]
+    ratios = {name: round(after["cases"][name]["us"] / before["cases"][name]["us"], 3)
+              for name in after["cases"] if name in before["cases"]}
+    for case in END_TO_END:
+        for key in END_TO_END_KEYS:
+            ratios[f"{case}.{key}"] = round(after["end_to_end"][case]["median"][key]
+                                            / before["end_to_end"][case]["median"][key], 3)
+    data.update(after_over_before=ratios, python=platform.python_version(),
+                nproc=os.cpu_count(),
+                unit=("cases: microseconds per call, fastest of the timing runs; "
+                      f"end_to_end: {END_TO_END_ROUNDS} rounds, each running every case "
+                      "once per side in a fresh process, the first side alternating; "
+                      "after_over_before of an end-to-end figure divides the medians"))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -3,12 +3,12 @@
 changes: acceptance 05's run (``scenarios.massive_dynamics``), which grows
 a ring and joins a comparable batch at one instant, followed by the
 failure of a fraction of the network.  Writes the standard trace CSV and
-snapshot files to --out."""
+snapshot files (with DOT) to --out, each row and snapshot as it is
+measured."""
 
 import argparse
-import os
 
-from ringnet.scenarios import massive_dynamics
+from ringnet.scenarios import SimTrace, massive_dynamics
 
 
 def main() -> None:
@@ -20,10 +20,8 @@ def main() -> None:
     parser.add_argument("--out", default="out/massive")
     args = parser.parse_args()
 
-    trace = massive_dynamics(args.base, args.join, args.seed, args.fail_fraction)
-    os.makedirs(args.out, exist_ok=True)
-    trace.to_csv(os.path.join(args.out, "trace.csv"))
-    trace.write_snapshots(args.out, dot=True)
+    trace = massive_dynamics(args.base, args.join, args.seed, args.fail_fraction,
+                             SimTrace(args.out, dot=True))
     final = trace.rows[-1]
     print(f"final: live={final.live_nodes} routability={final.routability:.4f} "
           f"missing={final.missing_edges}")

@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``run``        - execute a scenario manifest against the simulator,
-                   writing one trace CSV plus snapshots per seed and
-                   checking metric thresholds;
+                   writing each seed's trace rows and snapshots as
+                   they are measured, and checking metric thresholds;
 * ``demo-real``  - run ``scenarios.loopback``: the scenario runner on a
                    ``RealNetwork`` bootstraps a small ring over loopback
                    UDP, TCP or both, and reports correctness;
@@ -246,6 +246,9 @@ def load_manifest(path: str) -> dict:
     if mode != "sim":
         raise ConfigError(f"{path}: only mode = sim is supported by 'run' "
                           f"(use demo-real for loopback transports)")
+    lineno, dot = run.get("dot", (0, "no"))
+    if dot not in ("yes", "no"):
+        raise ConfigError(f"{path}:{lineno}: bad value for 'dot'")
     seeds = []
     lineno, text = run["seeds"]
     for part in text.split():
@@ -272,7 +275,7 @@ def load_manifest(path: str) -> dict:
         "scenario_path": scenario_path,
         "seeds": seeds,
         "output": run["output"][1],
-        "dot": run.get("dot", (0, "no"))[1] == "yes",
+        "dot": dot == "yes",
         "thresholds": thresholds,
     }
 
@@ -292,9 +295,9 @@ def _check_thresholds(trace: sc.SimTrace, thresholds: dict) -> list[str]:
     if ceiling is not None and final.missing_edges > ceiling:
         failures.append(f"missing_edges {final.missing_edges} > {ceiling:g}")
     ceiling = thresholds.get("ks_ceiling")
-    if ceiling is not None and trace.snapshots:
+    if ceiling is not None:
         try:
-            report = shortcut_cdf(trace.snapshots[-1])
+            report = shortcut_cdf(trace.snapshot)
             if report.ks_distance > ceiling:
                 failures.append(f"shortcut KS {report.ks_distance:.4f} > {ceiling}")
         except InsufficientSamples as exc:
@@ -309,14 +312,11 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(manifest["output"], exist_ok=True)
     failed = False
     for seed in manifest["seeds"]:
-        trace = sc.run(scenario, dataclasses.replace(sim_config, seed=seed), overlay)
-        seed_dir = os.path.join(manifest["output"], f"seed-{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
-        trace.to_csv(os.path.join(seed_dir, "trace.csv"))
-        trace.write_snapshots(seed_dir, dot=manifest["dot"])
+        trace = sc.SimTrace(os.path.join(manifest["output"], f"seed-{seed}"),
+                            manifest["dot"])
+        sc.run(scenario, dataclasses.replace(sim_config, seed=seed), overlay, trace)
         failures = _check_thresholds(trace, manifest["thresholds"])
         verdict = "PASS" if not failures else "FAIL"
         final = trace.rows[-1] if trace.rows else None

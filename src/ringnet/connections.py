@@ -100,9 +100,6 @@ class ConnectionTable:
         self.version = 0
         self._view: _NearView | None = None
 
-    def __len__(self) -> int:
-        return len(self.by_peer)
-
     def get(self, peer: int) -> Connection | None:
         return self.by_peer.get(peer)
 

@@ -3,9 +3,9 @@
 A ``Scenario`` is an ordered list of phases (bootstrap, wait, massive
 join, massive failure, churn, ring merge, converge) plus a measurement
 interval.  A ``ScenarioRunner`` runs one on a ``SimNetwork``, or on a
-``RealNetwork``, and produces a ``SimTrace``: per-interval metric rows,
-topology snapshots, and the network's message counters.  Simulated runs
-are deterministic for a fixed (scenario, seed) pair.
+``RealNetwork``, into a ``SimTrace``: per-interval metric rows, written
+out with each topology snapshot as it is taken, and the network's message
+counters.  Simulated runs are deterministic for a fixed (scenario, seed) pair.
 
 ``grow``, ``massive_dynamics`` and ``churn_sweep`` are the experiments
 that acceptance tests assert on and the scripts print; ``loopback``
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from random import Random
 from statistics import mean
 
@@ -32,6 +32,7 @@ from .metrics import (
     TopologySnapshot,
     ring_correct,
     routability,
+    to_dot,
     write_snapshot,
 )
 from .node import NodeState, OverlayConfig
@@ -176,46 +177,47 @@ class TraceRow:
     mean_hops: float
 
 
-CSV_HEADER = ("simulated_time_s,live_nodes,routability,"
-              "ring_correct_fraction,missing_edges,mean_hops")
-
-
-@dataclass
 class SimTrace:
-    rows: list[TraceRow] = field(default_factory=list)
-    snapshots: list[TopologySnapshot] = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    # Time from join start to a held ring position plus first shortcut.
-    establish_durations: list[float] = field(default_factory=list)
+    """A run's rows, newest snapshot, counters and join establish times.
+    Given a directory, it starts ``trace.csv`` there, then writes each row
+    and snapshot file (and DOT file, with ``dot``) as it is measured."""
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in self.rows:
-                fh.write(f"{r.simulated_time_s:.3f},{r.live_nodes},"
-                         f"{r.routability:.6f},{r.ring_correct_fraction:.6f},"
-                         f"{r.missing_edges},{r.mean_hops:.3f}\n")
+    def __init__(self, directory: str | None = None, dot: bool = False) -> None:
+        self.rows: list[TraceRow] = []
+        self.snapshot: TopologySnapshot | None = None
+        self.counters: dict = {}
+        # Time from join start to a held ring position plus first shortcut.
+        self.establish_durations: list[float] = []
+        self.directory = directory
+        self.dot = dot
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+            self._write_csv(",".join(f.name for f in fields(TraceRow)), "w")
 
-    def write_snapshots(self, directory: str, dot: bool = False) -> list[str]:
-        from .metrics import to_dot
-        os.makedirs(directory, exist_ok=True)
-        paths = []
-        for snap in self.snapshots:
-            base = os.path.join(directory, f"snapshot_{snap.timestamp:012.3f}")
+    def _write_csv(self, line: str, mode: str) -> None:
+        with open(os.path.join(self.directory, "trace.csv"), mode,
+                  encoding="utf-8", newline="\n") as fh:
+            fh.write(line + "\n")
+
+    def record(self, row: TraceRow, snap: TopologySnapshot) -> None:
+        self.rows.append(row)
+        self.snapshot = snap
+        if self.directory is not None:
+            self._write_csv(f"{row.simulated_time_s:.3f},{row.live_nodes},"
+                            f"{row.routability:.6f},{row.ring_correct_fraction:.6f},"
+                            f"{row.missing_edges},{row.mean_hops:.3f}", "a")
+            base = os.path.join(self.directory, f"snapshot_{snap.timestamp:012.3f}")
             write_snapshot(snap, base + ".snap")
-            paths.append(base + ".snap")
-            if dot:
+            if self.dot:
                 with open(base + ".dot", "w", encoding="utf-8") as fh:
                     fh.write(to_dot(snap))
-        return paths
 
 
 class ScenarioRunner:
     def __init__(self, scenario: Scenario, config: SimConfig,
-                 overlay: OverlayConfig | None = None, network=None) -> None:
+                 overlay: OverlayConfig | None = None, network=None, trace=None) -> None:
         scenario.validate()
         self.scenario = scenario
-        self.config = config
         self.network = network if network is not None else SimNetwork(config)
         self.overlay = overlay or OverlayConfig()
         self.rng = Random((config.seed << 1) ^ 0x5CE)
@@ -223,7 +225,7 @@ class ScenarioRunner:
         self.handles: dict[int, NodeState] = {}  # node id -> live node
         self._next_id = 0
         self._addresses: set[int] = set()
-        self.trace = SimTrace()
+        self.trace = trace or SimTrace()
         self._next_measure = 0.0
 
     # -- population -------------------------------------------------------
@@ -297,10 +299,9 @@ class ScenarioRunner:
             return
         report = routability(snap, self.scenario.pair_budget, seed=self.metrics_seed)
         deficits, correct = ring_correct(snap)
-        self.trace.rows.append(TraceRow(
+        self.trace.record(TraceRow(
             now, len(snap.nodes), report.routability, correct,
-            sum(deficits.values()), report.mean_hops))
-        self.trace.snapshots.append(snap)
+            sum(deficits.values()), report.mean_hops), snap)
 
     def _advance(self, duration: float) -> None:
         end = self.network.now + duration
@@ -395,15 +396,15 @@ class ScenarioRunner:
         return self.trace
 
 
-def run(scenario: Scenario, config: SimConfig,
-        overlay: OverlayConfig | None = None) -> SimTrace:
-    return ScenarioRunner(scenario, config, overlay).run()
+def run(scenario: Scenario, config: SimConfig, overlay: OverlayConfig | None = None,
+        trace: SimTrace | None = None) -> SimTrace:
+    return ScenarioRunner(scenario, config, overlay, trace=trace).run()
 
 
 def grow(n: int, seed: int, overlay: OverlayConfig) -> ScenarioRunner:
     """Build an n-node overlay by protocol: bootstrap 64 nodes, double the
     ring by massive joins until it holds n, then settle.  Returns the
-    runner after its run; ``runner.trace.snapshots[-1]`` is the result."""
+    runner after its run; ``runner.trace.snapshot`` is the result."""
     phases = [Bootstrap(64, spacing=0.25), Wait(10)]
     size = 64
     while size < n:
@@ -417,7 +418,8 @@ def grow(n: int, seed: int, overlay: OverlayConfig) -> ScenarioRunner:
 
 
 def massive_dynamics(base: int, join: int, seed: int,
-                     fail_fraction: float | None = None) -> SimTrace:
+                     fail_fraction: float | None = None,
+                     trace: SimTrace | None = None) -> SimTrace:
     """A base-node ring takes ``join`` newcomers at one instant and heals;
     with ``fail_fraction``, that share of the network then fails at once."""
     phases = [Bootstrap(base, spacing=0.25), Wait(10), MassiveJoin(join), Wait(40)]
@@ -427,7 +429,7 @@ def massive_dynamics(base: int, join: int, seed: int,
                             push_status_debounce=0.5, handshake_timeout=1.0,
                             connreq_timeout=8.0)
     return run(Scenario(phases, measurement_interval=0.5, pair_budget=1200),
-               SimConfig(seed=seed, latency=UniformLatency(0.05, 0.35)), overlay)
+               SimConfig(seed=seed, latency=UniformLatency(0.05, 0.35)), overlay, trace)
 
 
 def churn_sweep(nodes: int, multiples, duration: float,

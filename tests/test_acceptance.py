@@ -31,6 +31,7 @@ from ringnet.scenarios import (
     Merge,
     Scenario,
     ScenarioRunner,
+    SimTrace,
     Wait,
     churn_sweep,
     grow,
@@ -89,7 +90,7 @@ def test_02_ring_formation_256():
                         measurement_interval=30, pair_budget=400)
     overlay = OverlayConfig(status_interval=None)
     trace = ScenarioRunner(scenario, SimConfig(seed=2), overlay).run()
-    snap = trace.snapshots[-1]
+    snap = trace.snapshot
     _, correct = ring_correct(snap)
     full = routability(snap)  # exhaustive: all 256*255 ordered pairs
     ok = (len(snap.nodes) == 256 and correct == 1.0
@@ -113,7 +114,7 @@ def converged_1024():
 
 
 def test_03_shortcut_law_1024(converged_1024):
-    snap = converged_1024.trace.snapshots[-1]
+    snap = converged_1024.trace.snapshot
     _, correct = ring_correct(snap)
     assert len(snap.nodes) == 1024 and correct == 1.0
     law = shortcut_cdf(snap)
@@ -325,11 +326,10 @@ def test_11_determinism(tmp_path):
         scenario = Scenario([Bootstrap(24, spacing=0.3), Wait(5),
                              Churn(15, 0.02), Wait(10)],
                             measurement_interval=2, pair_budget=300)
-        trace = ScenarioRunner(scenario, SimConfig(seed=99),
-                               OverlayConfig(k_shortcuts=3)).run()
-        path = tmp_path / f"run-{attempt}.csv"
-        trace.to_csv(str(path))
-        blobs.append(path.read_bytes())
+        directory = tmp_path / f"run-{attempt}"
+        ScenarioRunner(scenario, SimConfig(seed=99), OverlayConfig(k_shortcuts=3),
+                       trace=SimTrace(str(directory))).run()
+        blobs.append((directory / "trace.csv").read_bytes())
     ok = blobs[0] == blobs[1]
     report(11, "determinism", ok,
            f"rerun CSV identical: {len(blobs[0])} bytes")
@@ -342,8 +342,8 @@ def test_11_determinism(tmp_path):
 def test_supplementary_hop_law_on_grown_rings(converged_1024):
     # The fixture's last snapshot, taken before the join-cost test below
     # adds a node to its runner.
-    snaps = {256: grow(256, 42, grown_overlay()).trace.snapshots[-1],
-             1024: converged_1024.trace.snapshots[-1]}
+    snaps = {256: grow(256, 42, grown_overlay()).trace.snapshot,
+             1024: converged_1024.trace.snapshot}
     hops = {}
     for n, snap in snaps.items():
         rep = routability(snap, pair_budget=4000, seed=5)

@@ -4,9 +4,9 @@ import os
 
 import pytest
 
-from ringnet import cli
+from ringnet import cli, scenarios
 from ringnet.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, ConfigError
-from ringnet.metrics import write_snapshot
+from ringnet.metrics import read_snapshot, to_dot, write_snapshot
 from ringnet.topology import synthetic_snapshot
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -149,6 +149,82 @@ def test_cmd_run_is_deterministic_per_seed(tmp_path, monkeypatch):
         a = (tmp_path / "out1" / f"seed-{seed}" / "trace.csv").read_bytes()
         b = (tmp_path / "out2" / f"seed-{seed}" / "trace.csv").read_bytes()
         assert a == b
+
+
+def test_cmd_run_dot_yes_writes_a_dot_beside_every_snapshot(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", SCENARIO)
+    manifest = write(tmp_path / "m.cfg", manifest_text("s.cfg").replace(
+        "mode = sim", "mode = sim\ndot = yes"))
+    assert cli.main(["run", manifest]) == EXIT_OK
+    for seed in (1, 2):
+        seed_dir = tmp_path / "out" / f"seed-{seed}"
+        names = os.listdir(seed_dir)
+        snaps = sorted(n[:-len(".snap")] for n in names if n.endswith(".snap"))
+        assert snaps
+        assert sorted(n[:-len(".dot")] for n in names if n.endswith(".dot")) == snaps
+        for base in snaps:
+            snap = read_snapshot(str(seed_dir / f"{base}.snap"))
+            assert (seed_dir / f"{base}.dot").read_text() == to_dot(snap)
+
+
+@pytest.mark.parametrize("value", ["true", "Yes"])
+def test_cmd_run_bad_dot_value_exits_two(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", SCENARIO)
+    manifest = write(tmp_path / "m.cfg", manifest_text("s.cfg").replace(
+        "mode = sim", f"mode = sim\ndot = {value}"))
+    assert cli.main(["run", manifest]) == EXIT_USAGE
+    assert "m.cfg:7: bad value for 'dot'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_cmd_run_writes_each_measurement_before_the_next(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", SCENARIO)
+    manifest = write(tmp_path / "m.cfg", manifest_text("s.cfg").replace(
+        "seeds = 1 2", "seeds = 1"))
+    seed_dir = tmp_path / "out" / "seed-1"
+    measured = []
+    take = scenarios.take_snapshot
+
+    def checking(nodes, timestamp):
+        rows = (seed_dir / "trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == measured
+        for stamp in measured:
+            assert (seed_dir / f"snapshot_{float(stamp):012.3f}.snap").exists()
+        snap = take(nodes, timestamp)
+        if snap.nodes:
+            measured.append(f"{timestamp:.3f}")
+        return snap
+
+    monkeypatch.setattr(scenarios, "take_snapshot", checking)
+    assert cli.main(["run", manifest]) == EXIT_OK
+    assert len(measured) > 3
+
+
+def test_cmd_run_again_into_the_same_output_starts_the_trace_afresh(tmp_path,
+                                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", SCENARIO)
+    manifest = write(tmp_path / "m.cfg", manifest_text("s.cfg").replace(
+        "seeds = 1 2", "seeds = 1"))
+    assert cli.main(["run", manifest]) == EXIT_OK
+    csv_path = tmp_path / "out" / "seed-1" / "trace.csv"
+    first = csv_path.read_bytes()
+    seen = []
+    take = scenarios.take_snapshot
+
+    def peeking(nodes, timestamp):
+        seen.append(csv_path.read_bytes())
+        return take(nodes, timestamp)
+
+    monkeypatch.setattr(scenarios, "take_snapshot", peeking)
+    assert cli.main(["run", manifest]) == EXIT_OK
+    # The second run's file held only the header when it first measured,
+    # and ends with one header and one copy of each row.
+    assert seen[0] == first.splitlines(keepends=True)[0]
+    assert csv_path.read_bytes() == first
 
 
 def test_cmd_run_threshold_failure_exits_one(tmp_path, monkeypatch, capsys):

@@ -207,7 +207,7 @@ def test_seed_ring_tables_are_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
-def test_small_run_with_respawns_is_pinned(name):
+def test_small_run_with_respawns_is_pinned(name, taken_snapshots):
     """Seed 1 with 15 % loss: churn departures rejoin through _kill and
     failed joins through _respawn; rows, snapshots, establish times and
     counters are pinned."""
@@ -231,7 +231,7 @@ def test_small_run_with_respawns_is_pinned(name):
     runner._kill, runner._respawn = counting_kill, counting_respawn
     trace = runner.run()
     assert {("kill", True), ("respawn", True)} <= calls
-    got = _repr_sha256((trace.rows, trace.snapshots, trace.establish_durations,
+    got = _repr_sha256((trace.rows, taken_snapshots, trace.establish_durations,
                         sorted(trace.counters.items())))
     _report(name, got)
     assert got == SMALL_RUNS[name]

@@ -320,7 +320,7 @@ def test_connect_request_to_connected_peer_adds_role_without_new_edge():
     net.run_for(2)
     assert (a.stats["connections_established"],
             b.stats["connections_established"]) == established
-    assert len(a.table) == 1 and len(b.table) == 1
+    assert len(a.table.by_peer) == 1 and len(b.table.by_peer) == 1
     assert SHORTCUT in a.table.get(b.address).roles
     assert SHORTCUT in b.table.get(a.address).roles
     assert a.table.get(b.address).initiated_shortcut

@@ -1,10 +1,12 @@
 """Simulator tests: NAT filtering, determinism, churn model, scenarios."""
 
+import gc
+import weakref
 from random import Random
 
 import pytest
 
-from ringnet import messages
+from ringnet import messages, scenarios
 from ringnet.node import NodeState, OverlayConfig
 from ringnet.scenarios import (
     Bootstrap,
@@ -14,6 +16,7 @@ from ringnet.scenarios import (
     Scenario,
     ScenarioInvalid,
     ScenarioRunner,
+    SimTrace,
     Wait,
     churn_events,
     run,
@@ -220,9 +223,10 @@ def test_timer_queue_fires_what_a_lane_entry_schedules_in_due_order():
                      ("pushed later", 2.0)]
 
 
-def _lane_or_heap_run(latency, monkeypatch):
+def _lane_or_heap_run(latency, monkeypatch, taken_snapshots):
     """A bootstrap, churn and settle; what it measured and the number of
     deliveries that waited in the timer queue's FIFO lane."""
+    taken_snapshots.clear()
     appended = [0]
     append = TimerQueue.append
 
@@ -236,15 +240,17 @@ def _lane_or_heap_run(latency, monkeypatch):
     runner = ScenarioRunner(scenario, SimConfig(seed=17, latency=latency),
                             OverlayConfig(k_shortcuts=2, status_interval=1.5))
     trace = runner.run()
-    return (trace.rows, trace.snapshots, trace.establish_durations,
+    return (trace.rows, list(taken_snapshots), trace.establish_durations,
             dict(runner.network.stats)), appended[0]
 
 
-def test_constant_latency_lane_runs_exactly_as_the_heap(monkeypatch):
+def test_constant_latency_lane_runs_exactly_as_the_heap(monkeypatch, taken_snapshots):
     # The network's rng feeds only loss (none here) and latency, and
     # uniform(c, c) is exactly c, so the two runs see the same delays.
-    lane, appended = _lane_or_heap_run(ConstantLatency(0.01), monkeypatch)
-    heap, none_appended = _lane_or_heap_run(UniformLatency(0.01, 0.01), monkeypatch)
+    lane, appended = _lane_or_heap_run(ConstantLatency(0.01), monkeypatch,
+                                       taken_snapshots)
+    heap, none_appended = _lane_or_heap_run(UniformLatency(0.01, 0.01), monkeypatch,
+                                            taken_snapshots)
     assert none_appended == 0
     assert appended == lane[3]["datagrams"] - lane[3]["undeliverable"] > 0
     assert lane[2] and any(row.live_nodes < 32 for row in lane[0])
@@ -257,19 +263,39 @@ def test_identical_seed_gives_identical_trace(tmp_path):
                         measurement_interval=2, pair_budget=100)
     outputs = []
     for run_index in range(2):
-        trace = run(scenario, SimConfig(seed=77))
-        path = tmp_path / f"trace-{run_index}.csv"
-        trace.to_csv(str(path))
-        outputs.append(path.read_bytes())
+        directory = tmp_path / f"run-{run_index}"
+        run(scenario, SimConfig(seed=77), trace=SimTrace(str(directory)))
+        outputs.append((directory / "trace.csv").read_bytes())
     assert outputs[0] == outputs[1]
 
 
-def test_different_seed_changes_the_trace(tmp_path):
+def test_different_seed_changes_the_trace(taken_snapshots):
     scenario = Scenario([Bootstrap(12, spacing=0.4), Wait(5)],
                         measurement_interval=2, pair_budget=100)
-    a = run(scenario, SimConfig(seed=1))
-    b = run(scenario, SimConfig(seed=2))
-    assert tuple(s.nodes for s in a.snapshots) != tuple(s.nodes for s in b.snapshots)
+    run(scenario, SimConfig(seed=1))
+    a = list(taken_snapshots)
+    taken_snapshots.clear()
+    run(scenario, SimConfig(seed=2))
+    assert a and tuple(s.nodes for s in a) != tuple(s.nodes for s in taken_snapshots)
+
+
+def test_a_run_keeps_only_its_newest_snapshot(monkeypatch):
+    refs = []
+    take = scenarios.take_snapshot
+
+    def referencing(nodes, timestamp):
+        snap = take(nodes, timestamp)
+        refs.append(weakref.ref(snap))
+        return snap
+
+    monkeypatch.setattr(scenarios, "take_snapshot", referencing)
+    scenario = Scenario([Bootstrap(8, spacing=0.3), Wait(6)],
+                        measurement_interval=1, pair_budget=50)
+    trace = ScenarioRunner(scenario, SimConfig(seed=3)).run()
+    gc.collect()
+    assert len(refs) > 5
+    assert [ref() for ref in refs[:-1]] == [None] * (len(refs) - 1)
+    assert refs[-1]() is trace.snapshot
 
 
 def test_abrupt_departure_sends_no_goodbye():
@@ -320,8 +346,7 @@ def test_churned_nodes_rejoin_and_keep_address():
     trace = runner.run()
     assert trace.rows[-1].live_nodes == 10
     assert trace.rows[-1].ring_correct_fraction == 1.0
-    first = trace.snapshots[0].nodes if trace.snapshots else ()
-    assert set(trace.snapshots[-1].nodes) == set(
+    assert set(trace.snapshot.nodes) == set(
         h.address for h in runner.handles.values())
 
 
