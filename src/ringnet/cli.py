@@ -13,32 +13,24 @@ Subcommands:
 Exit codes: 0 success, 1 a metric threshold was violated, 2 usage or
 configuration error.
 
-Manifests and scenario files are plain ``key = value`` sections::
+Manifests and scenario files are plain ``key = value`` sections.  One
+table-driven reader checks every line and reports a bad one as
+``path:line``.  The sections and their keys:
 
-    [run]
-    scenario = scenarios/churn.cfg
-    seeds = 1 2 3
-    output = out/churn
-    mode = sim
+* ``[run]``: ``scenario``, ``seeds`` and ``output`` (required), ``mode``
+  (``sim`` only) and ``dot`` (``yes`` or ``no``);
+* ``[thresholds]``, checked on the final row: ``routability_floor``,
+  ``ring_correct_floor``, ``missing_edges_max`` and ``ks_ceiling``;
+* ``[scenario]``: ``measurement_interval``, ``pair_budget`` and one
+  ``phase = NAME k=v ...`` line per phase, run in order: ``bootstrap n
+  spacing``, ``wait t``, ``massive_join n``, ``massive_fail n`` or
+  ``fraction``, ``churn duration p_leave``, ``merge left right settle``;
+* ``[sim]``: ``latency`` (``constant S`` or ``uniform LO HI``) and
+  ``loss_rate``;
+* ``[overlay]``: ``k_shortcuts``, ``status_interval`` (or ``off``) and
+  ``tick_interval``.
 
-    [thresholds]
-    routability_floor = 0.99
-    missing_edges_max = 0
-
-The scenario file names its phases one per ``phase =`` line, in order:
-
-    [scenario]
-    measurement_interval = 2.0
-    phase = bootstrap n=64 spacing=0.5
-    phase = wait t=30
-    phase = churn duration=300 p_leave=0.0014
-
-    [sim]
-    latency = constant 0.01
-    loss_rate = 0.0
-
-    [overlay]
-    k_shortcuts = 4
+README.md shows a whole manifest and scenario file.
 """
 
 from __future__ import annotations
@@ -96,32 +88,39 @@ def parse_config(path: str) -> dict[str, list[tuple[int, str, str]]]:
     return sections
 
 
-def _known_keys(path: str, section: list[tuple[int, str, str]],
-                allowed: set[str]) -> dict[str, tuple[int, str]]:
-    out: dict[str, tuple[int, str]] = {}
-    for lineno, key, value in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = (lineno, value)
-    return out
+def _read(where: str, entries, spec: dict,
+          unknown: str = "unknown key {!r}") -> list[tuple[str, object]]:
+    """Parse each ``(lineno, key, value)`` entry with ``spec[key]``, in
+    order, into ``(key, parsed)`` pairs.  An error starts ``where:lineno:``
+    (just the message if ``where`` is empty): a key not in ``spec``, a
+    parser's ``ValueError`` as a bad value, or its ``ConfigError``."""
+    parsed = []
+    for lineno, key, value in entries:
+        at = f"{where}:{lineno}: " if where else ""
+        if key not in spec:
+            raise ConfigError(at + unknown.format(key))
+        try:
+            parsed.append((key, spec[key](value)))
+        except ConfigError as exc:
+            raise ConfigError(f"{at}{exc}")
+        except ValueError:
+            raise ConfigError(f"{at}bad value for {key!r}")
+    return parsed
 
 
-def _parse_kv_args(path: str, lineno: int, parts: list[str]) -> dict[str, str]:
-    args = {}
-    for part in parts:
-        if "=" not in part:
-            raise ConfigError(f"{path}:{lineno}: phase arguments must be k=v")
-        k, v = part.split("=", 1)
-        args[k] = v
-    return args
+def _checked(parse, ok):
+    """``parse``, rejecting as a bad value what ``ok`` refuses."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return parse_checked
 
 
-def _seconds(text: str) -> float:
-    # NaN, infinity or a negative value would silently skip a phase or timer.
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise ValueError(text)
-    return value
+_finite = _checked(float, math.isfinite)
+# NaN, infinity or a negative value would silently skip a phase or timer.
+_seconds = _checked(float, lambda value: 0 <= value < math.inf)
 
 
 _PHASE_SPECS = {
@@ -135,97 +134,84 @@ _PHASE_SPECS = {
 # Phase arguments whose dataclass field has another name.
 _FIELDS = {("wait", "t"): "seconds", ("massive_fail", "n"): "count"}
 
-def _build_phase(path: str, lineno: int, text: str):
-    parts = text.split()
-    if not parts:
-        raise ConfigError(f"{path}:{lineno}: empty phase")
-    name = parts[0]
+
+def _phase(text: str):
+    name, *parts = text.split() or [""]
+    if not name:
+        raise ConfigError("empty phase")
     if name not in _PHASE_SPECS:
-        raise ConfigError(f"{path}:{lineno}: unknown phase {name!r}")
+        raise ConfigError(f"unknown phase {name!r}")
+    if not all("=" in part for part in parts):
+        raise ConfigError("phase arguments must be k=v")
     cls, argspec = _PHASE_SPECS[name]
-    raw = _parse_kv_args(path, lineno, parts[1:])
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in argspec:
-            raise ConfigError(f"{path}:{lineno}: unknown argument {key!r} "
-                              f"for phase {name}")
-        try:
-            kwargs[_FIELDS.get((name, key), key)] = argspec[key](value)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}")
+    args = _read("", [(0, *part.split("=", 1)) for part in parts], argspec,
+                 f"unknown argument {{!r}} for phase {name}")
     try:
-        return cls(**kwargs)
+        return cls(**{_FIELDS.get((name, key), key): value for key, value in args})
     except TypeError as exc:
-        raise ConfigError(f"{path}:{lineno}: {exc}")
+        raise ConfigError(str(exc))
+
+
+def _latency(text: str):
+    kind, *bounds = text.split() or [""]
+    try:
+        if kind == "constant" and len(bounds) == 1:
+            return ConstantLatency(float(bounds[0]))
+        if kind == "uniform" and len(bounds) == 2:
+            return UniformLatency(float(bounds[0]), float(bounds[1]))
+    except ValueError:
+        pass
+    raise ConfigError("latency must be 'constant S' or 'uniform LO HI', "
+                      "in finite seconds >= 0")
+
+
+def _seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split():
+        try:
+            seeds.append(int(part))
+        except ValueError:
+            raise ConfigError(f"bad seed {part!r}")
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    return seeds
+
+
+def _mode(text: str) -> str:
+    if text != "sim":
+        raise ConfigError("only mode = sim is supported by 'run' "
+                          "(use demo-real for loopback transports)")
+    return text
+
+
+_SCENARIO = {"phase": _phase, "measurement_interval": _seconds, "pair_budget": int}
+_SIM = {"latency": _latency,
+        # SimConfig checks that the loss rate is a probability.
+        "loss_rate": lambda text: SimConfig(loss_rate=float(text)).loss_rate}
+_OVERLAY = {
+    # A negative count would run as 0 and never establish.
+    "k_shortcuts": _checked(int, lambda value: value >= 0),
+    "status_interval": lambda text: None if text == "off" else _seconds(text),
+    # At zero, each tick would reschedule itself at once.
+    "tick_interval": _checked(float, lambda value: 0 < value < math.inf),
+}
+_RUN = {"scenario": str, "seeds": _seeds, "output": str, "mode": _mode,
+        "dot": _checked(str, lambda value: value in ("yes", "no"))}
+_THRESHOLDS = dict.fromkeys(("routability_floor", "ring_correct_floor",
+                             "missing_edges_max", "ks_ceiling"), _finite)
 
 
 def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
     sections = parse_config(path)
     if "scenario" not in sections:
         raise ConfigError(f"{path}: missing [scenario] section")
-
-    phases = []
-    meta: dict[str, float] = {}
-    numbers = {"measurement_interval": _seconds, "pair_budget": int}
-    for lineno, key, value in sections["scenario"]:
-        if key == "phase":
-            phases.append(_build_phase(path, lineno, value))
-        elif key in numbers:
-            try:
-                meta[key] = numbers[key](value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}")
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    entries = _read(path, sections["scenario"], _SCENARIO)
+    phases = [value for key, value in entries if key == "phase"]
     if not phases:
         raise ConfigError(f"{path}: scenario has no phases")
-    scenario = sc.Scenario(phases, **meta)
-
-    sim_kwargs = {}
-    sim = _known_keys(path, sections.get("sim", []),
-                      {"latency", "loss_rate"})
-    if "latency" in sim:
-        lineno, value = sim["latency"]
-        parts = value.split()
-        try:
-            if parts[0] == "constant" and len(parts) == 2:
-                sim_kwargs["latency"] = ConstantLatency(float(parts[1]))
-            elif parts[0] == "uniform" and len(parts) == 3:
-                sim_kwargs["latency"] = UniformLatency(float(parts[1]),
-                                                       float(parts[2]))
-            else:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise ConfigError(f"{path}:{lineno}: latency must be 'constant S' "
-                              f"or 'uniform LO HI', in finite seconds >= 0")
-    # Only a loss_rate that is not a number or not a probability raises.
-    try:
-        if "loss_rate" in sim:
-            sim_kwargs["loss_rate"] = float(sim["loss_rate"][1])
-        sim_config = SimConfig(**sim_kwargs)
-    except ValueError:
-        raise ConfigError(f"{path}:{sim['loss_rate'][0]}: bad value for 'loss_rate'")
-
-    overlay = OverlayConfig()
-    allowed = {"k_shortcuts", "status_interval", "tick_interval"}
-    for key, (lineno, value) in _known_keys(
-            path, sections.get("overlay", []), allowed).items():
-        try:
-            if key == "status_interval":
-                overlay.status_interval = (None if value == "off"
-                                           else _seconds(value))
-            elif key == "tick_interval":
-                # At zero, each tick reschedules itself at once.
-                overlay.tick_interval = _seconds(value)
-                if not overlay.tick_interval > 0:
-                    raise ValueError
-            else:
-                # A negative count would run as 0 and never establish.
-                overlay.k_shortcuts = int(value)
-                if overlay.k_shortcuts < 0:
-                    raise ValueError
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}")
+    scenario = sc.Scenario(phases, **{k: v for k, v in entries if k != "phase"})
+    sim_config = SimConfig(**dict(_read(path, sections.get("sim", []), _SIM)))
+    overlay = OverlayConfig(**dict(_read(path, sections.get("overlay", []), _OVERLAY)))
     try:
         scenario.validate()
     except sc.ScenarioInvalid as exc:
@@ -237,46 +223,19 @@ def load_manifest(path: str) -> dict:
     sections = parse_config(path)
     if "run" not in sections:
         raise ConfigError(f"{path}: missing [run] section")
-    run = _known_keys(path, sections["run"],
-                      {"scenario", "seeds", "output", "mode", "dot"})
+    run = dict(_read(path, sections["run"], _RUN))
     for required in ("scenario", "seeds", "output"):
         if required not in run:
             raise ConfigError(f"{path}: [run] needs {required!r}")
-    mode = run.get("mode", (0, "sim"))[1]
-    if mode != "sim":
-        raise ConfigError(f"{path}: only mode = sim is supported by 'run' "
-                          f"(use demo-real for loopback transports)")
-    lineno, dot = run.get("dot", (0, "no"))
-    if dot not in ("yes", "no"):
-        raise ConfigError(f"{path}:{lineno}: bad value for 'dot'")
-    seeds = []
-    lineno, text = run["seeds"]
-    for part in text.split():
-        try:
-            seeds.append(int(part))
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad seed {part!r}")
-    if not seeds:
-        raise ConfigError(f"{path}:{lineno}: need at least one seed")
-    scenario_path = run["scenario"][1]
+    scenario_path = run["scenario"]
     if not os.path.isabs(scenario_path):
         scenario_path = os.path.join(os.path.dirname(path) or ".", scenario_path)
-
-    thresholds = {}
-    allowed = {"routability_floor", "ring_correct_floor", "missing_edges_max",
-               "ks_ceiling"}
-    for key, (lineno, value) in _known_keys(
-            path, sections.get("thresholds", []), allowed).items():
-        try:
-            thresholds[key] = float(value)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}")
     return {
         "scenario_path": scenario_path,
-        "seeds": seeds,
-        "output": run["output"][1],
-        "dot": dot == "yes",
-        "thresholds": thresholds,
+        "seeds": run["seeds"],
+        "output": run["output"],
+        "dot": run.get("dot") == "yes",
+        "thresholds": dict(_read(path, sections.get("thresholds", []), _THRESHOLDS)),
     }
 
 

@@ -179,8 +179,9 @@ class TraceRow:
 
 class SimTrace:
     """A run's rows, newest snapshot, counters and join establish times.
-    Given a directory, it starts ``trace.csv`` there, then writes each row
-    and snapshot file (and DOT file, with ``dot``) as it is measured."""
+    Given a directory, it starts ``trace.csv`` there and deletes the
+    directory's snapshot and DOT files, then writes each row and snapshot
+    file (and DOT file, with ``dot``) as it is measured."""
 
     def __init__(self, directory: str | None = None, dot: bool = False) -> None:
         self.rows: list[TraceRow] = []
@@ -192,6 +193,9 @@ class SimTrace:
         self.dot = dot
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
+            for name in os.listdir(directory):
+                if name.startswith("snapshot_") and name.endswith((".snap", ".dot")):
+                    os.remove(os.path.join(directory, name))
             self._write_csv(",".join(f.name for f in fields(TraceRow)), "w")
 
     def _write_csv(self, line: str, mode: str) -> None:
@@ -389,7 +393,9 @@ class ScenarioRunner:
                 self._run_converge(phase)
             else:
                 raise ScenarioInvalid(f"unknown phase {phase!r}")
-        self._measure()
+        rows = self.trace.rows
+        if not rows or rows[-1].simulated_time_s != self.network.now:
+            self._measure()  # unless _advance has just measured this instant
         for node in self.handles.values():
             self._harvest_establish(node)
         self.trace.counters = dict(self.network.stats)

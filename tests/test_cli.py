@@ -1,6 +1,7 @@
 """CLI tests: config parsing, run/analyze flows, exit codes."""
 
 import os
+import re
 
 import pytest
 
@@ -226,6 +227,24 @@ def test_cmd_run_again_into_the_same_output_starts_the_trace_afresh(tmp_path,
     assert seen[0] == first.splitlines(keepends=True)[0]
     assert csv_path.read_bytes() == first
 
+    # A shorter rerun without DOT files leaves only its own snapshots
+    # beside the new trace, and no other file is touched.
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)
+    seed_dir = tmp_path / "out" / "seed-1"
+    (seed_dir / "notes.txt").write_text("kept")
+    for wait, dot in (("6", "yes"), ("2", "no")):
+        write(tmp_path / "s.cfg", f"[scenario]\nphase = bootstrap n=6\n"
+                                  f"phase = wait t={wait}\n")
+        write(tmp_path / "m.cfg", manifest_text("s.cfg").replace(
+            "seeds = 1 2", f"seeds = 1\ndot = {dot}"))
+        assert cli.main(["run", manifest]) in (EXIT_OK, EXIT_THRESHOLD)
+    stamps = [line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]]
+    assert stamps[-1] == "5.000"
+    assert sorted(os.listdir(seed_dir)) == sorted(
+        ["notes.txt", "trace.csv"]
+        + [f"snapshot_{float(stamp):012.3f}.snap" for stamp in stamps])
+
 
 def test_cmd_run_threshold_failure_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -245,6 +264,78 @@ def test_cmd_run_unknown_key_exits_two(tmp_path, monkeypatch, capsys):
                      manifest_text("s.cfg", extra="surprise = 1\n"))
     assert cli.main(["run", manifest]) == EXIT_USAGE
     assert "unknown key" in capsys.readouterr().err
+
+
+MODE_HINT = "only mode = sim is supported by 'run' (use demo-real for loopback transports)"
+BAD_MANIFEST_LINES = [
+    ("seeds = 1 2", "seeds = 1 x", "m.cfg:4: bad seed 'x'"),
+    ("seeds = 1 2", "seeds =", "m.cfg:4: need at least one seed"),
+    ("seeds = 1 2\n", "", "m.cfg: [run] needs 'seeds'"),
+    ("mode = sim", "mode = udp", MODE_HINT),
+    ("missing_edges_max = 0", "missing_edges_min = 0",
+     "m.cfg:10: unknown key 'missing_edges_min'"),
+    ("missing_edges_max = 0", "ks_ceiling = low", "m.cfg:10: bad value for 'ks_ceiling'"),
+]
+
+
+@pytest.mark.parametrize("line, replacement, message", BAD_MANIFEST_LINES,
+                         ids=[message for _, _, message in BAD_MANIFEST_LINES])
+def test_cmd_run_bad_manifest_line_exits_two(tmp_path, monkeypatch, capsys,
+                                             line, replacement, message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", SCENARIO)
+    manifest = write(tmp_path / "m.cfg",
+                     manifest_text("s.cfg").replace(line, replacement))
+    assert cli.main(["run", manifest]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "m.cfg" in err and message in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("key", ["routability_floor", "ring_correct_floor",
+                                 "missing_edges_max", "ks_ceiling"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cmd_run_non_finite_threshold_exits_two(tmp_path, monkeypatch, capsys,
+                                                key, value):
+    # A NaN bound compares false and an infinite one always or never
+    # holds, so either would switch its check off.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", SCENARIO)
+    manifest = write(tmp_path / "m.cfg",
+                     manifest_text("s.cfg", extra=f"{key} = {value}\n"))
+    assert cli.main(["run", manifest]) == EXIT_USAGE
+    assert f"m.cfg:11: bad value for '{key}'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+BAD_PHASE_LINES = [
+    ("phase = wait 5", "s.cfg:2: phase arguments must be k=v"),
+    ("phase = bootstrap spacing=1",
+     "s.cfg:2: Bootstrap.__init__() missing 1 required positional argument: 'n'"),
+    ("phase = wait t=1 x=2", "s.cfg:2: unknown argument 'x' for phase wait"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_PHASE_LINES,
+                         ids=[line for line, _ in BAD_PHASE_LINES])
+def test_cmd_run_bad_phase_line_exits_two(tmp_path, monkeypatch, capsys, line,
+                                          message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "s.cfg", f"[scenario]\n{line}\n")
+    manifest = write(tmp_path / "m.cfg", manifest_text("s.cfg"))
+    assert cli.main(["run", manifest]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_first_bad_line_is_reported_in_section_then_file_order(tmp_path):
+    # [scenario] is read before [sim], whatever their order in the file;
+    # within a section, the earlier of two bad lines is reported.
+    path = write(tmp_path / "s.cfg", "[sim]\nloss_rate = abc\n[scenario]\n"
+                                     "phase = wait t=1\npair_budget = x\n"
+                                     "phase = wait t=nan\n")
+    with pytest.raises(ConfigError) as err:
+        cli.load_scenario(path)
+    assert str(err.value) == f"{path}:5: bad value for 'pair_budget'"
 
 
 BAD_VALUE = ":4: bad value for '{}'"
@@ -339,12 +430,36 @@ def test_cmd_run_negative_k_shortcuts_exits_two(tmp_path, monkeypatch, capsys):
     assert cli.load_scenario("s.cfg")[2].k_shortcuts == 0
 
 
-def test_readme_scenario_example_loads(tmp_path):
+def read_readme():
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
-        blocks = fh.read().split("```")
+        return fh.read()
+
+
+def test_readme_scenario_example_loads(tmp_path):
+    blocks = read_readme().split("```")
     example = next(b for b in blocks if b.lstrip().startswith("[scenario]"))
     scenario, _, _ = cli.load_scenario(write(tmp_path / "readme.cfg", example))
     assert len(scenario.phases) >= 4
+
+
+def test_readme_manifest_example_loads(tmp_path):
+    blocks = read_readme().split("```")
+    example = next(b for b in blocks if b.lstrip().startswith("[run]"))
+    manifest = cli.load_manifest(write(tmp_path / "readme.cfg", example))
+    assert manifest["seeds"] and manifest["dot"]
+    assert sorted(manifest["thresholds"]) == sorted(cli._THRESHOLDS)
+
+
+def test_readme_names_every_key_the_reader_accepts():
+    readme = read_readme()
+    for spec in (cli._RUN, cli._THRESHOLDS, cli._SCENARIO, cli._SIM, cli._OVERLAY):
+        for key in spec:
+            assert re.search(rf"^{key} = ", readme, re.MULTILINE), key
+    for name, (_, arguments) in cli._PHASE_SPECS.items():
+        # Every "name k=v ..." run in README, anywhere: examples and prose.
+        named = {key for run in re.findall(rf"\b{name}((?: \w+=\S+)+)", readme)
+                 for key in re.findall(r"(\w+)=", run)}
+        assert set(arguments) <= named, name
 
 
 # ----------------------------------------------------------------------

@@ -174,7 +174,7 @@ SYNTHETIC_SNAPSHOT = "347dab185dae657246714cb9aaaa38284d2509b513492ebb48a000fa30
 SEED_RING = "ee35de4822852fd196b496afaf26456a7a265b21693f8c462a439e2410ab3e48"
 SMALL_RUNS = {
     "churn": "2d538ee165284356ac3c488fd0be5eb8e24d27e21db10863669a1ac36dc24b41",
-    "merge": "ec5fedfaa157552c2d6780f462e69fd2f90c7f763ccbe8da800c29ce7c84642e",
+    "merge": "e0ded578c0f42ed6f80d98324c2533ed716872cfed140502ef91fad8272fe6fd",
 }
 
 

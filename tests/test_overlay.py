@@ -159,8 +159,9 @@ def test_converge_stops_at_the_first_correct_row():
     converging = [r for r in trace.rows if r.simulated_time_s > 2.0]
     first = next(i for i, r in enumerate(converging) if r.ring_correct_fraction == 1.0)
     assert first > 0
-    # The phase ends on that row; the run's final row follows at once.
-    assert len(converging) == first + 2
+    # The phase ends on that row, which is also the run's final row: the
+    # run does not measure that instant again.
+    assert len(converging) == first + 1
     assert converging[first].simulated_time_s == runner.network.now < 60
 
 

@@ -298,6 +298,20 @@ def test_a_run_keeps_only_its_newest_snapshot(monkeypatch):
     assert refs[-1]() is trace.snapshot
 
 
+@pytest.mark.parametrize("phases, end", [
+    ([Bootstrap(4, spacing=0.5), Wait(4)], 6.0),       # ends on an interval
+    ([Bootstrap(4, spacing=0.5), Wait(3.5)], 5.5),     # ends between two
+    ([Merge(4, 4, settle=1.0), Wait(5)], 6.0),
+], ids=["on-interval", "off-interval", "merge"])
+def test_no_run_measures_one_instant_twice(taken_snapshots, phases, end):
+    trace = run(Scenario(phases, measurement_interval=2, pair_budget=50),
+                SimConfig(seed=3))
+    times = [row.simulated_time_s for row in trace.rows]
+    assert times[-1] == end
+    assert len(set(times)) == len(times)
+    assert [snap.timestamp for snap in taken_snapshots] == times
+
+
 def test_abrupt_departure_sends_no_goodbye():
     net = SimNetwork(SimConfig(seed=5))
     cfg = OverlayConfig(status_interval=None, k_shortcuts=0)
