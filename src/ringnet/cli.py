@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 a metric threshold was violated, 2 usage or
 configuration error.
 
 Manifests and scenario files are plain ``key = value`` sections.  One
-table-driven reader checks every line and reports a bad one as
-``path:line``.  The sections and their keys:
+table-driven reader checks every line and reports the first bad one as
+``path:line``: in file order in ``[scenario]``, every key before any
+value in the other sections.  The sections and their keys:
 
 * ``[run]``: ``scenario``, ``seeds`` and ``output`` (required), ``mode``
   (``sim`` only) and ``dot`` (``yes`` or ``no``);
@@ -88,12 +89,18 @@ def parse_config(path: str) -> dict[str, list[tuple[int, str, str]]]:
     return sections
 
 
-def _read(where: str, entries, spec: dict,
-          unknown: str = "unknown key {!r}") -> list[tuple[str, object]]:
-    """Parse each ``(lineno, key, value)`` entry with ``spec[key]``, in
-    order, into ``(key, parsed)`` pairs.  An error starts ``where:lineno:``
-    (just the message if ``where`` is empty): a key not in ``spec``, a
-    parser's ``ValueError`` as a bad value, or its ``ConfigError``."""
+def _read(where: str, entries, spec: dict, unknown: str = "unknown key {!r}",
+          first: tuple | None = None) -> list[tuple[str, object]]:
+    """Parse each ``(lineno, key, value)`` entry with ``spec[key]`` into
+    ``(key, parsed)`` pairs.  An error starts ``where:lineno:`` (just the
+    message if ``where`` is empty): a key not in ``spec``, a parser's
+    ``ValueError`` as a bad value, or its ``ConfigError``.  Entries are read
+    in order, key then value; given ``first``, every key is checked before
+    any value, and the keys in ``first`` are parsed first, in that order."""
+    if first is not None:
+        _read(where, entries, dict.fromkeys(spec, str))
+        rank = {key: i for i, key in enumerate(first)}
+        entries = sorted(entries, key=lambda entry: rank.get(entry[1], len(first)))
     parsed = []
     for lineno, key, value in entries:
         at = f"{where}:{lineno}: " if where else ""
@@ -210,23 +217,24 @@ def load_scenario(path: str) -> tuple[sc.Scenario, SimConfig, OverlayConfig]:
     if not phases:
         raise ConfigError(f"{path}: scenario has no phases")
     scenario = sc.Scenario(phases, **{k: v for k, v in entries if k != "phase"})
-    sim_config = SimConfig(**dict(_read(path, sections.get("sim", []), _SIM)))
-    overlay = OverlayConfig(**dict(_read(path, sections.get("overlay", []), _OVERLAY)))
+    sim = _read(path, sections.get("sim", []), _SIM, first=("latency",))
+    overlay = _read(path, sections.get("overlay", []), _OVERLAY, first=())
     try:
         scenario.validate()
     except sc.ScenarioInvalid as exc:
         raise ConfigError(f"{path}: {exc}")
-    return scenario, sim_config, overlay
+    return scenario, SimConfig(**dict(sim)), OverlayConfig(**dict(overlay))
 
 
 def load_manifest(path: str) -> dict:
     sections = parse_config(path)
     if "run" not in sections:
         raise ConfigError(f"{path}: missing [run] section")
-    run = dict(_read(path, sections["run"], _RUN))
+    _read(path, sections["run"], dict.fromkeys(_RUN, str))  # unknown keys first
     for required in ("scenario", "seeds", "output"):
-        if required not in run:
+        if required not in {key for _, key, _ in sections["run"]}:
             raise ConfigError(f"{path}: [run] needs {required!r}")
+    run = dict(_read(path, sections["run"], _RUN, first=("mode", "dot", "seeds")))
     scenario_path = run["scenario"]
     if not os.path.isabs(scenario_path):
         scenario_path = os.path.join(os.path.dirname(path) or ".", scenario_path)
@@ -235,7 +243,8 @@ def load_manifest(path: str) -> dict:
         "seeds": run["seeds"],
         "output": run["output"],
         "dot": run.get("dot") == "yes",
-        "thresholds": dict(_read(path, sections.get("thresholds", []), _THRESHOLDS)),
+        "thresholds": dict(_read(path, sections.get("thresholds", []), _THRESHOLDS,
+                                 first=())),
     }
 
 

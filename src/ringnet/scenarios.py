@@ -231,6 +231,7 @@ class ScenarioRunner:
         self._addresses: set[int] = set()
         self.trace = trace or SimTrace()
         self._next_measure = 0.0
+        self._measured_at: float | None = None  # None once a node comes or goes
 
     # -- population -------------------------------------------------------
 
@@ -258,6 +259,7 @@ class ScenarioRunner:
             self._next_id += 1
         if address is None:
             address = self._new_address()
+        self._measured_at = None
         host = self.network.new_host()
         node = NodeState(address, host, self.overlay,
                          Random(self.rng.getrandbits(64)))
@@ -288,6 +290,7 @@ class ScenarioRunner:
         node = self.handles.pop(node_id, None)
         if node is None:
             return
+        self._measured_at = None
         self._harvest_establish(node)
         node.host.shutdown()
         if rejoin:
@@ -297,7 +300,7 @@ class ScenarioRunner:
 
     def _measure(self) -> None:
         nodes = self.live_nodes()
-        now = self.network.now
+        now = self._measured_at = self.network.now
         snap = take_snapshot(nodes, now)
         if len(snap.nodes) == 0:
             return
@@ -393,9 +396,8 @@ class ScenarioRunner:
                 self._run_converge(phase)
             else:
                 raise ScenarioInvalid(f"unknown phase {phase!r}")
-        rows = self.trace.rows
-        if not rows or rows[-1].simulated_time_s != self.network.now:
-            self._measure()  # unless _advance has just measured this instant
+        if self._measured_at != self.network.now:
+            self._measure()  # unless nothing changed since the newest row
         for node in self.handles.values():
             self._harvest_establish(node)
         self.trace.counters = dict(self.network.stats)

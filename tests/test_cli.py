@@ -329,13 +329,46 @@ def test_cmd_run_bad_phase_line_exits_two(tmp_path, monkeypatch, capsys, line,
 
 def test_first_bad_line_is_reported_in_section_then_file_order(tmp_path):
     # [scenario] is read before [sim], whatever their order in the file;
-    # within a section, the earlier of two bad lines is reported.
+    # within [scenario], the earlier of two bad lines is reported.
     path = write(tmp_path / "s.cfg", "[sim]\nloss_rate = abc\n[scenario]\n"
                                      "phase = wait t=1\npair_budget = x\n"
                                      "phase = wait t=nan\n")
     with pytest.raises(ConfigError) as err:
         cli.load_scenario(path)
     assert str(err.value) == f"{path}:5: bad value for 'pair_budget'"
+
+
+# In [run], [sim], [overlay] and [thresholds], every key is checked before
+# any value; [run] then needs its three keys and checks mode, dot, seeds.
+KEYS_BEFORE_VALUES = [
+    ("m.cfg", "[run]\nscenario = s.cfg\noutput = out\nmode = udp\n",
+     ": [run] needs 'seeds'"),
+    ("m.cfg", "[run]\nseeds = 1\ndot = true\nbogus = 1\n", ":4: unknown key 'bogus'"),
+    ("m.cfg", "[run]\nscenario = s.cfg\nseeds = 1 x\noutput = out\ndot = true\n"
+              "mode = udp\n", ":6: " + MODE_HINT),
+    ("m.cfg", "[run]\nscenario = s.cfg\nseeds = 1 x\noutput = out\ndot = true\n",
+     ":5: bad value for 'dot'"),
+    ("m.cfg", "[run]\nscenario = s.cfg\nseeds = 1\noutput = out\n[thresholds]\n"
+              "ks_ceiling = low\nmissing = 1\n", ":7: unknown key 'missing'"),
+    ("s.cfg", "[scenario]\nphase = wait t=1\n[sim]\nloss_rate = 2\n"
+              "latency = gauss 1\n", ":5: latency must be 'constant S' or "
+                                    "'uniform LO HI', in finite seconds >= 0"),
+    ("s.cfg", "[scenario]\nphase = wait t=1\n[overlay]\nk_shortcuts = -1\n"
+              "near_per_side = 3\n", ":5: unknown key 'near_per_side'"),
+]
+
+
+@pytest.mark.parametrize("name, text, message", KEYS_BEFORE_VALUES, ids=[
+    "missing-key-before-mode", "unknown-key-before-missing-key", "mode-before-dot",
+    "dot-before-seeds", "thresholds-unknown-key-first", "sim-latency-first",
+    "overlay-unknown-key-first"])
+def test_first_error_within_a_section_checks_keys_before_values(tmp_path, name,
+                                                                 text, message):
+    path = write(tmp_path / name, text)
+    load = cli.load_manifest if name == "m.cfg" else cli.load_scenario
+    with pytest.raises(ConfigError) as err:
+        load(path)
+    assert str(err.value) == path + message
 
 
 BAD_VALUE = ":4: bad value for '{}'"

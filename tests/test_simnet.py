@@ -12,6 +12,7 @@ from ringnet.scenarios import (
     Bootstrap,
     Churn,
     MassiveFail,
+    MassiveJoin,
     Merge,
     Scenario,
     ScenarioInvalid,
@@ -20,6 +21,7 @@ from ringnet.scenarios import (
     Wait,
     churn_events,
     run,
+    take_snapshot,
 )
 from ringnet.simnet import (
     ConstantLatency,
@@ -303,13 +305,27 @@ def test_a_run_keeps_only_its_newest_snapshot(monkeypatch):
     ([Bootstrap(4, spacing=0.5), Wait(3.5)], 5.5),     # ends between two
     ([Merge(4, 4, settle=1.0), Wait(5)], 6.0),
 ], ids=["on-interval", "off-interval", "merge"])
-def test_no_run_measures_one_instant_twice(taken_snapshots, phases, end):
+def test_no_run_measures_an_unchanged_instant_twice(taken_snapshots, phases, end):
     trace = run(Scenario(phases, measurement_interval=2, pair_budget=50),
                 SimConfig(seed=3))
     times = [row.simulated_time_s for row in trace.rows]
     assert times[-1] == end
     assert len(set(times)) == len(times)
     assert [snap.timestamp for snap in taken_snapshots] == times
+
+
+@pytest.mark.parametrize("phases", [
+    [Bootstrap(4, spacing=0.5), Wait(4), MassiveFail(count=2)],
+    [Bootstrap(4, spacing=0.5), Wait(4), MassiveJoin(3)],
+    [Bootstrap(4, spacing=0.5), Churn(4, p_leave=0.5)],  # departures at 6 s
+], ids=["massive-fail", "massive-join", "churn"])
+def test_nodes_that_come_or_go_at_a_measured_instant_get_a_final_row(phases):
+    runner = ScenarioRunner(Scenario(phases, measurement_interval=2, pair_budget=50),
+                            SimConfig(seed=3))
+    trace = runner.run()
+    assert trace.rows[-2].simulated_time_s == trace.rows[-1].simulated_time_s == 6.0
+    assert trace.rows[-1].live_nodes == len(runner.handles)
+    assert trace.snapshot == take_snapshot(runner.live_nodes(), 6.0)
 
 
 def test_abrupt_departure_sends_no_goodbye():
