@@ -4,7 +4,8 @@
 
 Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
-node's status path (sending and receiving a status body),
+node's status path (sending and receiving a status body, and one status
+probe with its response: the retry timer armed, answered and cancelled),
 greedy routing decisions over 8 and 24 peers, the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
 pair) and the simulator's transmit-to-receive of one datagram, with an
@@ -135,6 +136,34 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     assert len(node.table.neighbor_listing()) == 4
     cases["status_send"] = lambda: node._send_status(
         conn.edge, neighbor.address, messages.STATUS_REQUEST, 9)
+
+    # One status probe round on a ring of its own: the node probes its
+    # clockwise neighbor (send and arm the retry timer), and that probe's
+    # status response arrives (cancel the timer, process the listing).
+    # The heap is emptied each round, so it stays the size of one timer.
+    probe_net = SimNetwork(SimConfig(seed=5))
+    probe_nodes = seed_ring(probe_net, 16, Random(5),
+                            OverlayConfig(status_interval=None, k_shortcuts=0))
+    prober = probe_nodes[ring[0]]
+    for c in prober.table.by_peer.values():
+        c.edge = DiscardEdge()
+    probed = prober.table.get(neighbor.address)
+    response = packet.encode(packet.make_link(
+        neighbor.address, prober.address, packet.PAYLOAD_STATUS,
+        messages.encode_status(messages.StatusMessage(
+            messages.STATUS_RESPONSE, 0, their_listing))))
+    # The token is the four bytes after the header and the status kind.
+    head, tail = response[:packet.HEADER_LEN + 1], response[packet.HEADER_LEN + 5:]
+    heap = probe_net._timers._heap
+
+    def node_probe_round() -> None:
+        prober._send_probe(probed)
+        token = next(iter(prober.pending_probes))
+        prober.on_datagram(from_neighbor, head + token.to_bytes(4, "big") + tail)
+        heap.clear()
+    node_probe_round()
+    assert not prober.pending_probes and not heap
+    cases["node_probe_round"] = node_probe_round
 
     # One datagram from a host to a plain host's own ta, sent and received
     # (no node is attached, so the receiver drops it on arrival).

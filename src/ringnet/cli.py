@@ -135,7 +135,8 @@ _PHASE_SPECS = {
     "wait": (sc.Wait, {"t": _seconds}),
     "massive_join": (sc.MassiveJoin, {"n": int}),
     "massive_fail": (sc.MassiveFail, {"n": int, "fraction": float}),
-    "churn": (sc.Churn, {"duration": _seconds, "p_leave": float}),
+    "churn": (sc.Churn, {"duration": _checked(_seconds, float.is_integer),
+                         "p_leave": float}),
     "merge": (sc.Merge, {"left": int, "right": int, "settle": _seconds}),
 }
 # Phase arguments whose dataclass field has another name.

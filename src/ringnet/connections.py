@@ -67,6 +67,8 @@ class Connection:
     # Table version at which last_neighbors was last zipped without a
     # dial, or -1; NodeState._process_status skips a repeat at that version.
     zipped_version: int = -1
+    # Token of the node's last status probe to this peer, or 0.
+    probe_token: int = 0
 
     def is_structured(self) -> bool:
         return NEAR in self.roles or SHORTCUT in self.roles

@@ -31,6 +31,12 @@ addresses (including each side's view of the other, which is how a node
 behind a NAT discovers its translated address) and the connection type,
 then a status request/response that exchanges neighbor lists.  The
 connection enters the table only when round two completes, on both ends.
+Each round is sent ``HANDSHAKE_RETRIES`` (4) times, ``handshake_timeout``
+apart at first and doubling (0.5, 1, 2, 4 s); then the attempt dials its
+next transport address or fails.  A status probe is sent ``probe_retries``
+(3) times from ``probe_timeout`` (0.75 s), doubling; then the connection
+is dropped.  Routed connect requests and a responder's half-open
+handshakes are forgotten at the first tick after their deadline.
 
 Ring membership is bootstrapped by routing a connection request toward
 the joining node's own address in annealing mode through a leaf proxy;
@@ -183,8 +189,6 @@ class _LinkAttempt:
     req_token: int
     ta_index: int = 0
     state: str = _WAIT_LINK
-    retries_left: int = 0
-    backoff: float = 0.0
     timer: object | None = None
     edge: object | None = None
     peer: int | None = None
@@ -214,8 +218,7 @@ class _PendingRequest:
 @dataclass
 class _Probe:
     peer: int
-    retries: int
-    backoff: float
+    token: int
     timer: object | None = None
 
 
@@ -264,12 +267,27 @@ class NodeState:
 
     def stop(self) -> None:
         self.alive = False
-        timers = [self._tick_timer, self._join_timer, self._push_timer]
-        timers += [at.timer for at in self.pending_links.values()]
-        timers += [probe.timer for probe in self.pending_probes.values()]
-        for t in timers:
+        for t in (self._tick_timer, self._join_timer, self._push_timer):
             if t is not None:
                 t.cancel()
+        for rec in [*self.pending_links.values(), *self.pending_probes.values()]:
+            rec.timer.cancel()
+
+    def _retry(self, rec: _LinkAttempt | _Probe, retries: int, wait: float,
+               send: Callable, give_up: Callable) -> None:
+        """``send(rec)`` up to ``retries`` times, ``wait`` seconds apart at
+        first and each wait twice the last, then ``give_up(rec)`` one wait
+        after the last send.  Whatever ends ``rec`` sooner cancels
+        ``rec.timer``."""
+        send(rec)
+        rec.timer = self.host.call_later(wait, self._retry_due, rec, retries - 1,
+                                         wait * 2, send, give_up)
+
+    def _retry_due(self, rec, retries: int, wait: float, send, give_up) -> None:
+        if retries > 0:
+            self._retry(rec, retries, wait, send, give_up)
+        else:
+            give_up(rec)
 
     def _next_token(self) -> int:
         self._token_seq = (self._token_seq + 1) & 0xFFFFFFFF
@@ -389,9 +407,8 @@ class NodeState:
             edge = self.host.dial(at.tas[at.ta_index])
             if edge is not None:
                 at.edge = edge
-                at.retries_left = HANDSHAKE_RETRIES
-                at.backoff = self.cfg.handshake_timeout
-                self._attempt_send(at)
+                self._retry(at, HANDSHAKE_RETRIES, self.cfg.handshake_timeout,
+                            self._attempt_send, self._attempt_exhausted)
                 return
             at.ta_index += 1
         self._abort_attempt(at, "no dialable transport address")
@@ -405,23 +422,14 @@ class NodeState:
                             messages.encode_link(msg))
         else:
             self._send_status(at.edge, at.peer or 0, messages.STATUS_REQUEST, at.token)
-        at.timer = self.host.call_later(at.backoff, self._attempt_timeout, at.token)
 
-    def _attempt_timeout(self, token: int) -> None:
-        at = self.pending_links.get(token)
-        if at is None:
-            return
-        at.retries_left -= 1
-        if at.retries_left > 0:
-            at.backoff *= 2
-            self._attempt_send(at)
-            return
+    def _attempt_exhausted(self, at: _LinkAttempt) -> None:
         if at.state == _WAIT_LINK and at.ta_index + 1 < len(at.tas):
             at.ta_index += 1
             self._close_unused_edge(at.edge)
             self._attempt_dial(at)
-            return
-        self._abort_attempt(at, "timeout")
+        else:
+            self._abort_attempt(at, "timeout")
 
     def _abort_attempt(self, at: _LinkAttempt, reason: str) -> None:
         self.pending_links.pop(at.token, None)
@@ -437,8 +445,7 @@ class NodeState:
         """Transport-level open failure (e.g. TCP connect refused)."""
         for at in list(self.pending_links.values()):
             if at.edge is edge and at.state == _WAIT_LINK:
-                if at.timer is not None:
-                    at.timer.cancel()
+                at.timer.cancel()
                 at.ta_index += 1
                 self._attempt_dial(at)
                 return
@@ -533,8 +540,7 @@ class NodeState:
         at = self.pending_links.get(msg.token)
         if at is None or at.state != _WAIT_LINK:
             return
-        if at.timer is not None:
-            at.timer.cancel()
+        at.timer.cancel()
         if msg.status != messages.LINK_OK or msg.sender == self.address:
             self._abort_attempt(at, "collision" if
                                 msg.status == messages.LINK_COLLISION else "rejected")
@@ -543,10 +549,9 @@ class NodeState:
         at.peer = msg.sender
         at.peer_tas = msg.transport_addresses
         at.state = _WAIT_STATUS
-        at.retries_left = HANDSHAKE_RETRIES
-        at.backoff = self.cfg.handshake_timeout
         edge.peer_address = msg.sender
-        self._attempt_send(at)
+        self._retry(at, HANDSHAKE_RETRIES, self.cfg.handshake_timeout,
+                    self._attempt_send, self._attempt_exhausted)
 
     def _handle_status_request(self, edge, token: int, neighbors) -> None:
         key = (edge.remote_ta, token)
@@ -566,8 +571,7 @@ class NodeState:
     def _handle_status_response(self, edge, token: int, neighbors) -> None:
         at = self.pending_links.pop(token, None)
         if at is not None:
-            if at.timer is not None:
-                at.timer.cancel()
+            at.timer.cancel()
             conn = self._commit(at.peer, at.edge, at.conn_type, list(at.peer_tas),
                                 req_token=at.req_token, initiated_by_me=True)
             self._process_status(conn, neighbors)
@@ -575,7 +579,7 @@ class NodeState:
                 at.on_established(conn)
             return
         probe = self.pending_probes.pop(token, None)
-        if probe is not None and probe.timer is not None:
+        if probe is not None:
             probe.timer.cancel()
         conn = self.table.get(edge.peer_address)
         if conn is not None:
@@ -636,11 +640,9 @@ class NodeState:
             except Exception:  # edge may already be dead
                 pass
         conn.edge.close()
-        for token, probe in list(self.pending_probes.items()):
-            if probe.peer == peer:
-                if probe.timer is not None:
-                    probe.timer.cancel()
-                del self.pending_probes[token]
+        probe = self.pending_probes.pop(conn.probe_token, None)
+        if probe is not None:
+            probe.timer.cancel()
         self._trace("drop", peer, reason)
         self.stats["connections_dropped"] += 1
         if NEAR in conn.roles:
@@ -952,57 +954,35 @@ class NodeState:
         self._tick_timer = self.host.call_later(self.cfg.tick_interval, self.tick)
 
     def _expire_pending(self, now: float) -> None:
-        for token, pend in list(self.pending_requests.items()):
-            if pend.expires <= now:
-                del self.pending_requests[token]
-        for key, prov in list(self.provisional.items()):
-            if prov.expires <= now:
-                del self.provisional[key]
+        for pending in (self.pending_requests, self.provisional):
+            for key, rec in list(pending.items()):
+                if rec.expires <= now:
+                    del pending[key]
 
     def _probe_stale(self, now: float) -> None:
         interval = self.cfg.status_interval
         if interval is None:
             return
-        # Most ticks find no stale connection, so the set of peers already
-        # being probed is built only at the first stale one, before this
-        # pass has sent a probe.  A send writes nothing to the table.
-        probing = None
         for conn in self.table.by_peer.values():
-            if now - conn.last_seen > interval:
-                if probing is None:
-                    probing = {p.peer for p in self.pending_probes.values()}
-                if conn.peer not in probing:
-                    self._send_probe(conn)
+            if (now - conn.last_seen > interval
+                    and conn.probe_token not in self.pending_probes):
+                self._send_probe(conn)
 
     def _send_probe(self, conn: Connection) -> None:
-        token = self._next_token()
-        self.pending_probes[token] = _Probe(conn.peer, self.cfg.probe_retries,
-                                            self.cfg.probe_timeout)
-        self._probe_send(token)
+        conn.probe_token = token = self._next_token()
+        probe = self.pending_probes[token] = _Probe(conn.peer, token)
+        self._retry(probe, self.cfg.probe_retries, self.cfg.probe_timeout,
+                    self._probe_send, self._probe_exhausted)
 
-    def _probe_send(self, token: int) -> None:
-        rec = self.pending_probes.get(token)
-        if rec is None:
-            return
-        conn = self.table.get(rec.peer)
-        if conn is None:
-            self.pending_probes.pop(token, None)
-            return
-        self._send_status(conn.edge, conn.peer, messages.STATUS_REQUEST, token)
-        rec.timer = self.host.call_later(rec.backoff, self._probe_timeout, token)
+    def _probe_send(self, probe: _Probe) -> None:
+        # A connection's drop ends its probe, so the peer is still in the table.
+        conn = self.table.by_peer[probe.peer]
+        self._send_status(conn.edge, conn.peer, messages.STATUS_REQUEST, probe.token)
 
-    def _probe_timeout(self, token: int) -> None:
-        rec = self.pending_probes.get(token)
-        if rec is None:
-            return
-        rec.retries -= 1
-        if rec.retries > 0:
-            rec.backoff *= 2
-            self._probe_send(token)
-            return
-        self.pending_probes.pop(token, None)
+    def _probe_exhausted(self, probe: _Probe) -> None:
+        del self.pending_probes[probe.token]
         self.stats["probe_deaths"] += 1
-        self._drop_connection(rec.peer, notify=False, reason="probe timeout")
+        self._drop_connection(probe.peer, notify=False, reason="probe timeout")
 
     def _leaf_teardown(self) -> None:
         if self._first_near_tick is None:

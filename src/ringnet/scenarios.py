@@ -105,8 +105,9 @@ class Scenario:
                 live += phase.n
             elif isinstance(phase, Churn):
                 _check(0.0 <= phase.p_leave < 1.0, "churn probability must be in [0, 1)")
-                _check(0 < phase.duration < math.inf,
-                       "churn duration must be positive and finite")
+                # Departures are drawn per whole second (churn_events).
+                _check(phase.duration > 0 and float(phase.duration).is_integer(),
+                       "churn duration must be a positive whole number of seconds")
             elif isinstance(phase, Merge):
                 _check(phase.left >= 1 and phase.right >= 1,
                        "merge ring sizes must be >= 1")

@@ -98,7 +98,9 @@ def format_ta(protocol: str, host: str, port: int) -> str:
 
 class Timer:
     """A callback and its arguments waiting in a ``TimerQueue``;
-    ``cancel()`` stops it firing."""
+    ``cancel()`` stops it firing and drops both, so that a record that
+    holds its own timer (a node's retries) is freed when the timer is
+    cancelled, not by the cycle collector."""
 
     __slots__ = ("fn", "args", "cancelled")
 
@@ -109,6 +111,7 @@ class Timer:
 
     def cancel(self) -> None:
         self.cancelled = True
+        self.fn = self.args = None
 
 
 class TimerQueue:

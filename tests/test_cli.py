@@ -414,6 +414,9 @@ def test_cmd_run_missing_manifest_exits_two(tmp_path, capsys):
     ("massive_fail fraction=0.1", "cannot fail 0 of 4 nodes"),
     ("merge left=2 right=2", "merge must start from an empty population"),
     ("churn duration=nan p_leave=0.01", ":4: bad value for 'duration'"),
+    # Departures are drawn per whole second: these would run 0 s and 2 s.
+    ("churn duration=0.5 p_leave=0.01", ":4: bad value for 'duration'"),
+    ("churn duration=2.5 p_leave=0.01", ":4: bad value for 'duration'"),
 ])
 def test_cmd_run_scenario_that_cannot_run_exits_two(tmp_path, monkeypatch, capsys,
                                                      line, message):

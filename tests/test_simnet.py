@@ -259,6 +259,42 @@ def test_constant_latency_lane_runs_exactly_as_the_heap(monkeypatch, taken_snaps
     assert lane == heap
 
 
+def test_no_timer_outlives_its_node_its_record_or_a_tick(monkeypatch):
+    """At the end of a churn run with departures and respawns: no timer
+    still due is bound to a stopped node, every retry timer still due
+    belongs to a record its node holds, and no deadline-kept entry is more
+    than one tick past its deadline."""
+    stopped = []
+    stop = NodeState.stop
+
+    def recording_stop(self):
+        stopped.append(self)
+        stop(self)
+
+    monkeypatch.setattr(NodeState, "stop", recording_stop)
+    overlay = OverlayConfig(k_shortcuts=2, status_interval=1.5)
+    scenario = Scenario([Bootstrap(32, spacing=0.25), Wait(3), Churn(10, 0.02)],
+                        measurement_interval=2, pair_budget=200)
+    # With loss, some connect requests go unanswered and must expire.
+    runner = ScenarioRunner(scenario, SimConfig(seed=17, loss_rate=0.1), overlay)
+    runner.run()
+    net = runner.network
+    retrying = 0
+    for _, _, timer in net._timers._heap:
+        node = getattr(timer.fn, "__self__", None)
+        if timer.cancelled or not isinstance(node, NodeState):
+            continue
+        assert node not in stopped
+        if timer.fn.__func__ is NodeState._retry_due:
+            retrying += 1
+            pending = [*node.pending_links.values(), *node.pending_probes.values()]
+            assert any(rec is timer.args[0] for rec in pending)
+    assert stopped and retrying
+    kept = [rec for node in runner.live_nodes()
+            for rec in [*node.pending_requests.values(), *node.provisional.values()]]
+    assert kept and all(net.now - rec.expires <= overlay.tick_interval for rec in kept)
+
+
 def test_identical_seed_gives_identical_trace(tmp_path):
     scenario = Scenario([Bootstrap(12, spacing=0.4), Wait(5),
                          Churn(10, 0.02), Wait(5)],
@@ -389,6 +425,9 @@ def test_scenario_validation_errors():
         Scenario([Bootstrap(0)]).validate()
     with pytest.raises(ScenarioInvalid):
         Scenario([Churn(10, 1.5)]).validate()
+    for duration in (0.5, 2.5):
+        with pytest.raises(ScenarioInvalid, match="whole number of seconds"):
+            Scenario([Churn(duration, 0.1)]).validate()
     with pytest.raises(ScenarioInvalid):
         Scenario([MassiveFail()]).validate()
     with pytest.raises(ScenarioInvalid):
