@@ -8,7 +8,9 @@ Subcommands:
 * ``demo-real``  - run ``scenarios.loopback``: the scenario runner on a
                    ``RealNetwork`` bootstraps a small ring over loopback
                    UDP, TCP or both, and reports correctness;
-* ``analyze``    - verify a snapshot file offline and emit DOT.
+* ``analyze``    - verify a snapshot file offline and emit DOT;
+* ``hops``, ``churn-sweep``, ``massive-dynamics`` - print the paper's
+                   figures (``metrics.hop_law``, ``scenarios``' experiments).
 
 Exit codes: 0 success, 1 a metric threshold was violated, 2 usage or
 configuration error.
@@ -41,10 +43,12 @@ import dataclasses
 import math
 import os
 import sys
+from statistics import mean
 
 from . import scenarios as sc
 from .metrics import (
     InsufficientSamples,
+    hop_law,
     read_snapshot,
     ring_correct,
     routability,
@@ -53,6 +57,7 @@ from .metrics import (
 )
 from .node import OverlayConfig
 from .simnet import ConstantLatency, SimConfig, UniformLatency
+from .topology import synthetic_snapshot
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -274,13 +279,17 @@ def _check_thresholds(trace: sc.SimTrace, thresholds: dict) -> list[str]:
     return failures
 
 
+def _usage(message: str) -> int:
+    print(message, file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_run(args) -> int:
     try:
         manifest = load_manifest(args.manifest)
         scenario, sim_config, overlay = load_scenario(manifest["scenario_path"])
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"config error: {exc}")
     failed = False
     for seed in manifest["seeds"]:
         trace = sc.SimTrace(os.path.join(manifest["output"], f"seed-{seed}"),
@@ -301,13 +310,11 @@ def cmd_run(args) -> int:
 
 def cmd_demo_real(args) -> int:
     if args.n < 1 or args.n > 64:
-        print("demo-real supports 1..64 nodes", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("demo-real supports 1..64 nodes")
     try:
         final = sc.loopback(args.n, args.transport, budget=args.budget).rows[-1]
     except OSError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"transport error: {exc}")
     print(f"ring_correct={final.ring_correct_fraction:.4f} after "
           f"{final.simulated_time_s:.1f}s ({args.n} nodes, {args.transport})")
     return EXIT_OK if final.ring_correct_fraction >= 1.0 else EXIT_THRESHOLD
@@ -315,13 +322,11 @@ def cmd_demo_real(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.pair_budget is not None and args.pair_budget < 1:
-        print("--pair-budget must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--pair-budget must be at least 1")
     try:
         snap = read_snapshot(args.snapshot)
     except (OSError, ValueError) as exc:
-        print(f"malformed snapshot: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"malformed snapshot: {exc}")
     deficits, correct = ring_correct(snap)
     report = routability(snap, args.pair_budget)
     print(f"nodes: {len(snap.nodes)}")
@@ -340,6 +345,49 @@ def cmd_analyze(args) -> int:
     with open(dot_path, "w", encoding="utf-8") as fh:
         fh.write(to_dot(snap))
     print(f"wrote {dot_path}")
+    return EXIT_OK
+
+
+def cmd_hops(args) -> int:
+    if min(args.sizes) < 2 or min(args.ks) < 1 or args.pairs < 1:
+        return _usage("hops needs --sizes >= 2, --ks >= 1 and --pairs >= 1")
+    print("n,k,mean_hops,max_hops,c_fit")
+    for k in args.ks:
+        cells = {n: routability(synthetic_snapshot(n, k=k, seed=args.seed + n + 31 * k),
+                                pair_budget=args.pairs, seed=args.seed)
+                 for n in args.sizes}
+        c, _ = hop_law({n: rep.mean_hops for n, rep in cells.items()}, k)
+        for n, rep in cells.items():
+            print(f"{n},{k},{rep.mean_hops:.3f},{rep.max_hops},{c:.4f}")
+    return EXIT_OK
+
+
+def cmd_churn_sweep(args) -> int:
+    if not all(mult > 0 for mult in args.multiples):
+        return _usage("--multiples must be positive")
+    # Refuse a duration the sweep's runs would refuse, before its probe run.
+    sc.Scenario([sc.Bootstrap(args.nodes), sc.Churn(args.duration, 0.0)]).validate()
+    t_join, sweep = sc.churn_sweep(args.nodes, args.multiples, args.duration, args.seed)
+    print(f"# mean establish time: {t_join:.2f}s")
+    print("session_multiple,session_s,routability_mean,routability_min,"
+          "ring_correct_mean")
+    for mult, rows in sweep.items():
+        rts = [r.routability for r in rows]
+        print(f"{mult},{t_join * mult:.1f},{mean(rts):.4f},{min(rts):.4f},"
+              f"{mean(r.ring_correct_fraction for r in rows):.4f}")
+    return EXIT_OK
+
+
+def cmd_massive_dynamics(args) -> int:
+    # Refuse what the run would refuse, before SimTrace creates --out.
+    sc.Scenario([sc.Bootstrap(args.base), sc.MassiveJoin(args.join),
+                 sc.MassiveFail(fraction=args.fail_fraction)]).validate()
+    trace = sc.massive_dynamics(args.base, args.join, args.seed, args.fail_fraction,
+                                sc.SimTrace(args.out, dot=True))
+    final = trace.rows[-1]
+    print(f"final: live={final.live_nodes} routability={final.routability:.4f} "
+          f"missing={final.missing_edges}")
+    print(f"wrote {args.out}/trace.csv and snapshots")
     return EXIT_OK
 
 
@@ -366,13 +414,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("snapshot")
     p_an.add_argument("--pair-budget", type=int, default=None)
     p_an.set_defaults(fn=cmd_analyze)
+
+    p_hops = sub.add_parser("hops", help="mean greedy hops versus size and k")
+    p_hops.add_argument("--sizes", type=int, nargs="+", default=[256, 1024, 4096])
+    p_hops.add_argument("--ks", type=int, nargs="+", default=[1, 2, 4, 8])
+    p_hops.add_argument("--pairs", type=int, default=10_000)
+    p_hops.add_argument("--seed", type=int, default=1)
+    p_hops.set_defaults(fn=cmd_hops)
+
+    p_churn = sub.add_parser("churn-sweep", help="routability versus session time")
+    p_churn.add_argument("--nodes", type=int, default=256)
+    p_churn.add_argument("--multiples", type=float, nargs="+", default=[100, 30, 10, 3])
+    p_churn.add_argument("--duration", type=float, default=120.0)
+    p_churn.add_argument("--seed", type=int, default=3)
+    p_churn.set_defaults(fn=cmd_churn_sweep)
+
+    p_dyn = sub.add_parser("massive-dynamics", help="massive join, then failure")
+    p_dyn.add_argument("--base", type=int, default=256)
+    p_dyn.add_argument("--join", type=int, default=250)
+    p_dyn.add_argument("--fail-fraction", type=float, default=0.3)
+    p_dyn.add_argument("--seed", type=int, default=11)
+    p_dyn.add_argument("--out", default="out/massive")
+    p_dyn.set_defaults(fn=cmd_massive_dynamics)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except sc.ScenarioInvalid as exc:  # the experiments validate before they run
+        return _usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ out with each topology snapshot as it is taken, and the network's message
 counters.  Simulated runs are deterministic for a fixed (scenario, seed) pair.
 
 ``grow``, ``massive_dynamics`` and ``churn_sweep`` are the experiments
-that acceptance tests assert on and the scripts print; ``loopback``
-bootstraps a ring over real loopback sockets.
+that acceptance tests assert on and the ``ringnet`` subcommands print;
+``loopback`` bootstraps a ring over real loopback sockets.
 
 Departures here are always abrupt: a node's endpoints vanish and every
 edge it held dies silently; rejoining nodes keep their address and
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 from random import Random
 from statistics import mean
 
@@ -266,7 +267,8 @@ class ScenarioRunner:
                          Random(self.rng.getrandbits(64)))
         host.attach(node)
         self.handles[node_id] = node
-        node.on_join_failed = lambda n, reason: self._rejoin_later(node_id)
+        # A bound method, so that a deep copy of the runner rejoins on the copy.
+        node.on_join_failed = partial(self._rejoin_later, node_id)
         if proxy_ta is None:
             proxy = self._pick_proxy(exclude=node_id)
             proxy_ta = proxy.host.ta if proxy is not None else None
@@ -276,7 +278,7 @@ class ScenarioRunner:
             node.start_join(proxy_ta)
         return node
 
-    def _rejoin_later(self, node_id: int) -> None:
+    def _rejoin_later(self, node_id: int, node: NodeState, reason: str) -> None:
         self.network.call_later(1.0, self._respawn, node_id)
 
     def _respawn(self, node_id: int) -> None:

@@ -1,5 +1,7 @@
-"""CLI tests: config parsing, run/analyze flows, exit codes."""
+"""CLI tests: config parsing, run/analyze/experiment flows, exit codes."""
 
+import hashlib
+import itertools
 import os
 import re
 
@@ -498,6 +500,18 @@ def test_readme_names_every_key_the_reader_accepts():
         assert set(arguments) <= named, name
 
 
+def test_readme_commands_parse():
+    # Every "ringnet ..." line in a fenced block, comment stripped; an
+    # alternative written a|b|c is parsed once per choice.
+    blocks = read_readme().split("```")[1::2]
+    lines = [line.split("#", 1)[0].split() for block in blocks
+             for line in block.splitlines() if line.startswith("ringnet ")]
+    assert len(lines) >= 6
+    for words in lines:
+        for argv in itertools.product(*(word.split("|") for word in words[1:])):
+            cli.build_parser().parse_args(list(argv))
+
+
 # ----------------------------------------------------------------------
 # analyze command
 
@@ -582,3 +596,68 @@ def test_demo_real_converges_at_the_largest_advertised_size(capsys, transport):
     assert cli.main(["demo-real", "-n", "64", "--transport", transport,
                      "--budget", "60"]) == EXIT_OK
     assert "ring_correct=1.0000" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# experiment commands
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("an experiment ran on bad input")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hops", "--sizes", "1"],
+    ["hops", "--ks", "0"],
+    ["hops", "--pairs", "0"],
+    ["churn-sweep", "--duration", "0.5"],
+    ["churn-sweep", "--multiples", "10", "0"],
+    ["massive-dynamics", "--fail-fraction", "1.5"],
+])
+def test_bad_experiment_input_exits_two_before_any_work(tmp_path, monkeypatch,
+                                                        capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "routability", _forbidden)
+    monkeypatch.setattr(scenarios, "run", _forbidden)
+    assert cli.main(argv) == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []  # massive-dynamics makes no --out
+
+
+def test_hops_prints_the_hop_table(capsys):
+    assert cli.main(["hops", "--sizes", "64", "256", "--ks", "1", "4",
+                     "--pairs", "500"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "n,k,mean_hops,max_hops,c_fit\n"
+        "64,1,3.992,10,0.2341\n"
+        "256,1,7.232,20,0.2341\n"
+        "64,4,2.496,6,0.5277\n"
+        "256,4,3.936,10,0.5277\n")
+
+
+def test_churn_sweep_prints_one_row_per_multiple(capsys):
+    assert cli.main(["churn-sweep", "--nodes", "32", "--multiples", "10", "3",
+                     "--duration", "30"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "# mean establish time: 1.30s\n"
+        "session_multiple,session_s,routability_mean,routability_min,"
+        "ring_correct_mean\n"
+        "10.0,13.0,0.9423,0.8700,0.7937\n"
+        "3.0,3.9,0.3230,0.1179,0.0375\n")
+
+
+def test_massive_dynamics_writes_the_trace_and_every_snapshot(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert cli.main(["massive-dynamics", "--base", "16", "--join", "16",
+                     "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "final: live=22 routability=1.0000 missing=0\n"
+        f"wrote {out}/trace.csv and snapshots\n")
+    names = sorted(os.listdir(out))
+    assert len(names) == 459  # trace.csv and 229 .snap/.dot pairs
+    assert hashlib.md5((out / "trace.csv").read_bytes()).hexdigest() == (
+        "0f9ba1b9f654d23cbd51e2c841954ccd")
+    digest = hashlib.md5()
+    for name in names:
+        digest.update(name.encode() + b"\0" + (out / name).read_bytes())
+    assert digest.hexdigest() == "1a02b870b1cfb010eddb129d29ba5e9c"

@@ -1,5 +1,6 @@
 """Simulator tests: NAT filtering, determinism, churn model, scenarios."""
 
+import copy
 import gc
 import weakref
 from random import Random
@@ -414,6 +415,22 @@ def test_churned_nodes_rejoin_and_keep_address():
     assert trace.rows[-1].ring_correct_fraction == 1.0
     assert set(trace.snapshot.nodes) == set(
         h.address for h in runner.handles.values())
+
+
+def test_a_deep_copied_runner_respawns_on_its_own_network():
+    runner = ScenarioRunner(Scenario([Bootstrap(8, spacing=0.25), Wait(5)]),
+                            SimConfig(seed=1))
+    runner.run()
+    fork = copy.deepcopy(runner)
+    nid, node = next(iter(fork.handles.items()))
+    original = runner.handles[nid]
+    node.on_join_failed(node, "timeout")
+    # The respawn is due a second later, on the copy's network only.
+    runner.network.run_for(1.5)
+    fork.network.run_for(1.5)
+    assert runner.handles[nid] is original
+    assert fork.handles[nid] is not node
+    assert fork.handles[nid].address == node.address
 
 
 # ----------------------------------------------------------------------
