@@ -6,7 +6,8 @@ Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
 node's status path (sending and receiving a status body, and one status
 probe with its response: the retry timer armed, answered and cancelled),
-greedy routing decisions over 8 and 24 peers, the greedy replay of one
+greedy routing decisions over 8 and 24 peers (and over 24 with the
+previous hop and source a forwarding node passes), the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
 pair) and the simulator's transmit-to-receive of one datagram, with an
 empty timer queue and with 10,000 timers waiting.  Each side's per-layer
@@ -43,6 +44,7 @@ import subprocess
 import sys
 import time
 import timeit
+from bisect import bisect_left
 from random import Random
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -195,6 +197,13 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     peers_24 = sorted(rng.getrandbits(160) for _ in range(24))
     cases["greedy_decision_24"] = lambda: routing.greedy_next_hop(me, peers_24, None,
                                                                   target)
+    # As a forwarding node decides: prev is the hop the packet came from
+    # and skip its source, here the peer just clockwise of the target, so
+    # the decision steps past it.
+    flank = bisect_left(peers_24, target) % len(peers_24)
+    skip_24, prev_24 = peers_24[flank], peers_24[flank - 12]
+    cases["greedy_decision_24_skip"] = lambda: routing.greedy_next_hop(
+        me, peers_24, prev_24, target, skip_24)
 
     # One routed pair of the greedy replay over a 4096-node snapshot, k=4,
     # taking 4000 fixed pairs in turn.

@@ -6,8 +6,8 @@ of addresses in ascending order, not holding ``v``), the previous hop,
 and the target.  ``skip`` names one address the decision must not pick:
 the packet's source, which a packet never revisits; it may be absent
 from the ring or be ``v`` itself, and then excludes nothing.  Two
-destination-based modes share the same argmin core over
-``(ring - {skip}) ∪ {v}`` with ring distance to the target:
+destination-based modes rank ``(ring - {skip}) ∪ {v}`` by ring
+distance to the target:
 
 * greedy     - forward only to a strictly closer neighbor, otherwise the
                packet has arrived and is delivered here;
@@ -17,13 +17,15 @@ destination-based modes share the same argmin core over
                what lets join traffic land on both sides of a gap in a
                damaged ring.
 
-The argmin reads at most six peers: the three on each side of the
-target.  Going clockwise from the target, ring distance rises until the
+Going clockwise from the target, ring distance rises until the
 antipode, so every peer that precedes a peer ``p`` clockwise is strictly
 closer than ``p`` when ``p`` lies on the clockwise half; the same holds
-counterclockwise.  A peer among the two closest therefore has at most
-one peer before it on its own side, and is among the first two there.
-``skip`` can remove one of those, so a third per side covers it.
+counterclockwise.  The closest peer is therefore the first one on its
+own side of the target, and greedy reads only the two peers that flank
+the target, plus the next one on a side whose flank is ``skip``.
+Annealing also needs the second-closest, which has at most one peer
+before it on its own side, so it reads the three peers on each side of
+the target: two, and a third in case ``skip`` is one of them.
 
 Direction-based routing ignores the target value entirely: the packet
 walks hop by hop in a fixed direction, to the ring successor (clockwise)
@@ -74,10 +76,9 @@ def _best_two(v: int, ring: Sequence[int], target: int,
 
     Ordering key is (distance, candidate-is-not-v, address), so v wins
     ties with neighbors and neighbor ties go to the smaller address.
-    This is the hot loop of every routed hop, so the ring distance is
-    computed inline and a candidate is held as its distance and a tie
-    key: its address, or -1 for v, which orders v before any neighbor
-    at the same distance.
+    The ring distance is computed inline and a candidate is held as its
+    distance and a tie key: its address, or -1 for v, which orders v
+    before any neighbor at the same distance.
     """
     n = len(ring)
     if n > 6:
@@ -108,10 +109,44 @@ def _best_two(v: int, ring: Sequence[int], target: int,
 
 def greedy_next_hop(v: int, ring: Sequence[int], prev: int | None, target: int,
                     skip: int | None = None) -> int | None:
-    """The next hop, or None when the packet is delivered here."""
-    u_min, _ = _best_two(v, ring, target, skip)
-    if u_min != v and u_min != prev:
-        return u_min
+    """The next hop, or None when the packet is delivered here.
+
+    The hop of every routed packet and of every replayed pair, so it
+    reads the two peers that flank the target (module docstring) and
+    ranks them and ``v`` inline, in ``_best_two``'s order.
+    """
+    n = len(ring)
+    if not n:
+        return None
+    i = bisect_left(ring, target)
+    if i == n:
+        i = 0
+    # The first peer at or clockwise of the target, and the first before
+    # it; with one peer both are that peer.
+    cw, ccw = ring[i], ring[i - 1]
+    if cw == skip:
+        if n == 1:
+            return None
+        cw = ring[(i + 1) % n]
+    elif ccw == skip:
+        ccw = ring[i - 2]
+    d = (cw - target) % MODULUS
+    if d > HALF_MODULUS:
+        d = MODULUS - d
+    e = (target - ccw) % MODULUS
+    if e > HALF_MODULUS:
+        e = MODULUS - e
+    # The closer flank, the smaller address at equal distance; v wins a
+    # tie with it.
+    if e < d or (e == d and ccw < cw):
+        best, d = ccw, e
+    else:
+        best = cw
+    dv = (v - target) % MODULUS
+    if dv > HALF_MODULUS:
+        dv = MODULUS - dv
+    if d < dv and best != prev:
+        return best
     return None
 
 

@@ -635,6 +635,12 @@ def test_hops_prints_the_hop_table(capsys):
         "256,4,3.936,10,0.5277\n")
 
 
+def test_hops_default_table_is_unchanged(capsys):
+    assert cli.main(["hops"]) == EXIT_OK
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == (
+        "74e37fbfcc211e82dbc04bdf7ff5493b")
+
+
 def test_churn_sweep_prints_one_row_per_multiple(capsys):
     assert cli.main(["churn-sweep", "--nodes", "32", "--multiples", "10", "3",
                      "--duration", "30"]) == EXIT_OK

@@ -16,13 +16,20 @@ from ringnet.metrics import (
     read_snapshot,
     ring_correct,
     routability,
+    route_greedy,
     shortcut_cdf,
+    structured_adjacency,
     to_dot,
     write_snapshot,
 )
+from ringnet.node import OverlayConfig
+from ringnet.packet import PAYLOAD_APP, make_routed
+from ringnet.scenarios import take_snapshot
+from ringnet.simnet import ConstantLatency, SimConfig, SimNetwork
 from ringnet.topology import (
     closest_index,
     ring_addresses,
+    seed_ring,
     synthetic_snapshot,
 )
 
@@ -188,6 +195,38 @@ def test_routability_rejects_a_budget_below_one(budget):
     snap = synthetic_snapshot(8, k=1, seed=2)
     with pytest.raises(ValueError, match="pair_budget"):
         routability(snap, pair_budget=budget)
+
+
+def test_nodes_route_each_lookup_as_the_verifier_replays_it():
+    # The node decides with prev and skip=source, the replay with neither;
+    # on a still ring both must reach the same node in the same hops.
+    network = SimNetwork(SimConfig(seed=23, latency=ConstantLatency(0.0)))
+    nodes = seed_ring(network, 256, Random(23),
+                      OverlayConfig(k_shortcuts=4, status_interval=None), k=4)
+    network.run_until(2.0)
+    adj = structured_adjacency(take_snapshot(list(nodes.values()), network.now))
+    arrivals: dict[int, list[tuple[int, int]]] = {}
+
+    def on_delivery(node, pkt):
+        arrivals.setdefault(int.from_bytes(pkt.payload, "big"), []).append(
+            (node.address, pkt.header.hops))
+
+    for node in nodes.values():
+        node.app_handler = on_delivery
+    rng = Random(24)
+    addresses = sorted(nodes)
+    lookups = []
+    for i in range(500):
+        # Half the targets are node addresses, half arbitrary keys.
+        source, target = rng.sample(addresses, 2)
+        if i % 2:
+            target = rng.getrandbits(160)
+        lookups.append((source, target))
+        nodes[source].originate(make_routed(source, target, PAYLOAD_APP,
+                                            i.to_bytes(4, "big")))
+    network.run_until(network.now)
+    assert {i: arrivals.get(i) for i in range(len(lookups))} == {
+        i: [route_greedy(adj, s, t)] for i, (s, t) in enumerate(lookups)}
 
 
 def test_closest_node_wraps():

@@ -141,10 +141,10 @@ def test_best_two_matches_sorted_reference(case):
 
 @st.composite
 def ring_cases(draw):
-    """(v, sorted ring of 0-40 addresses without v, target, skip).  Ties
-    at target ± d and at the mirror of v, clusters around the target and
-    around v, and targets near 0 and MODULUS - 1 where the ring wraps.
-    skip comes from the ring, is v, or is neither."""
+    """(v, sorted ring of 0-40 addresses without v, target, skip, prev).
+    Ties at target ± d and at the mirror of v, clusters around the target
+    and around v, and targets near 0 and MODULUS - 1 where the ring wraps.
+    skip comes from the ring, is v, or is neither; prev is a peer or None."""
     edge = st.one_of(st.integers(0, 6), st.integers(MODULUS - 6, MODULUS - 1))
     address = st.one_of(edge, st.sampled_from([HALF_MODULUS, HALF_MODULUS + 1]),
                         st.integers(0, MODULUS - 1))
@@ -161,12 +161,16 @@ def ring_cases(draw):
                  (2 * target - v) % MODULUS}
     ring.discard(v)
     ring = sorted(ring)
-    # A skip among the peers nearest the target is the one that matters.
+    # A skip or prev among the peers nearest the target is the one that
+    # matters.
     nearest = sorted(ring, key=lambda u: ring_distance(u, target))[:4]
     skip = draw(st.one_of(st.sampled_from(nearest) if ring else st.nothing(),
                           st.sampled_from(ring) if ring else st.nothing(),
                           st.just(v), st.none(), address))
-    return v, ring, target, skip
+    prev = draw(st.one_of(st.sampled_from(nearest) if ring else st.nothing(),
+                          st.sampled_from(ring) if ring else st.nothing(),
+                          st.none()))
+    return v, ring, target, skip, prev
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,13 +178,30 @@ def ring_cases(draw):
 # The two closest after skip are the second and third clockwise of the
 # target, the ring wrapping between them (a two-per-side window fails).
 @example((HALF_MODULUS, sorted([MODULUS - 2, MODULUS - 1, 0, 2 ** 100, 2 ** 101,
-                                2 ** 102, 2 ** 103]), MODULUS - 3, MODULUS - 2))
+                                2 ** 102, 2 ** 103]), MODULUS - 3, MODULUS - 2, None))
+# An empty ring, and a one-peer ring whose only peer is skip.
+@example((5, [], 9, None, None))
+@example((5, [9], 9, 9, None))
+# Two peers, skip one: both flanks of the target are the other.
+@example((HALF_MODULUS, [10, 20], 15, 10, None))
+@example((HALF_MODULUS, [10, 20], 15, 20, None))
+# A target at a peer's address, and that peer as prev.
+@example((HALF_MODULUS, [10, 20, 30], 20, None, None))
+@example((HALF_MODULUS, [10, 20, 30], 20, None, 20))
+# Peers at target ± d, also across 0: the smaller address wins.
+@example((HALF_MODULUS, [90, 110], 100, None, None))
+@example((HALF_MODULUS, [5, MODULUS - 5], 0, None, None))
+# v tied with a peer on either side of the target: v wins.
+@example((90, [110], 100, None, None))
+@example((110, [90], 100, None, None))
 def test_sorted_ring_deciders_match_brute_force(case):
-    v, ring, target, skip = case
+    v, ring, target, skip, prev = case
     others = set(ring) - {skip}
     ranked = sorted(others | {v}, key=lambda u: (ring_distance(u, target), u != v, u))
     assert _best_two(v, ring, target, skip) == (
         ranked[0], ranked[1] if len(ranked) > 1 else None)
+    assert greedy_next_hop(v, ring, prev, target, skip) == (
+        None if ranked[0] in (v, prev) else ranked[0])
     for direction in (CW, CCW):
         expected = (forward(min(others, key=lambda u: directed_distance(v, u, direction)))
                     if others else DROP)
