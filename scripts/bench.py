@@ -9,15 +9,16 @@ probe with its response: the retry timer armed, answered and cancelled),
 greedy routing decisions over 8 and 24 peers (and over 24 with the
 previous hop and source a forwarding node passes), the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
-pair) and the simulator's transmit-to-receive of one datagram, with an
-empty timer queue and with 10,000 timers waiting.  Each side's per-layer
-cases run in a subprocess that imports that side's ``src``.  Then come
-three end-to-end rounds: each runs every end-to-end case (a 1024-node
-bootstrap and settle, and the 128+128 merge of ``scenarios/merge.cfg``)
-once per side, each run in a fresh process of its own, and the side
-that goes first alternates from round to round.  Every run's wall
-seconds, datagrams per wall second and peak RSS are recorded, with their
-medians per side:
+pair), the simulator's transmit-to-receive of one datagram, with an
+empty timer queue and with 10,000 timers waiting, and one routed hop
+through the simulator (transmit, delivery and a ring node's forward).
+Each side's per-layer cases run in a subprocess that imports that side's
+``src``.  Then come three end-to-end rounds: each runs every end-to-end
+case (a 1024-node bootstrap and settle, and the 128+128 merge of
+``scenarios/merge.cfg``) once per side, each run in a fresh process of
+its own, and the side that goes first alternates from round to round.
+Every run's wall seconds, datagrams per wall second and peak RSS are
+recorded, with their medians per side:
 
     python3 scripts/bench.py --before /path/to/parent/src --out BENCH.json
 
@@ -189,6 +190,28 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         busy.transmit(busy_sender, busy_receiver.ta, lookup)
         busy.run_until(busy.now)
     cases["transmit_with_pending_timers"] = transmit_with_pending_timers
+
+    # One routed hop through the simulator: the lookup, sent to a ring
+    # node's own ta, waits in the constant-latency lane, reaches the node
+    # through ``SimHost._receive`` and is forwarded.  The timer queue is
+    # emptied each round, so the forwarded datagram goes no further and
+    # no node timer fires.
+    hop_net = SimNetwork(SimConfig(seed=5, latency=ConstantLatency(0.01)))
+    hop_node = seed_ring(hop_net, 16, Random(5), OverlayConfig(
+        status_interval=None, k_shortcuts=0))[ring[0]]
+    origin = hop_net.new_host()
+    hop_timers = hop_net._timers
+
+    def sim_routed_hop() -> None:
+        hop_net.transmit(origin, hop_node.host.ta, lookup)
+        hop_net.run_until(hop_net.now + 0.01)
+        hop_timers._lane.clear()
+        hop_timers._heap.clear()
+    hop_timers._heap.clear()
+    sent = hop_net.stats["datagrams"]
+    sim_routed_hop()
+    assert hop_net.stats["datagrams"] == sent + 2
+    cases["sim_routed_hop"] = sim_routed_hop
 
     # The deciders take the peers as a sorted ring.
     peers = sorted(rng.getrandbits(160) for _ in range(8))

@@ -19,6 +19,7 @@ ADDRESS_BITS = 160
 ADDRESS_BYTES = 20
 MODULUS = 1 << ADDRESS_BITS
 HALF_MODULUS = 1 << (ADDRESS_BITS - 1)
+_fromhex, _from_bytes = bytes.fromhex, int.from_bytes
 
 DIRECTIONAL_CLASS = 124
 
@@ -65,9 +66,8 @@ def directional_address(direction: Direction) -> int:
     return _DIRECTIONAL[direction]
 
 
-def direction_of(a: int) -> Direction | None:
-    """Inverse of directional_address; None for any other address."""
-    return _DIRECTION_OF.get(a)
+# Inverse of directional_address, None otherwise; a lookup with no Python frame.
+direction_of = _DIRECTION_OF.get
 
 
 def format_address(a: int) -> str:
@@ -76,10 +76,15 @@ def format_address(a: int) -> str:
 
 
 def parse_address(text: str) -> int:
-    t = text.strip().lower()
-    if len(t) != 2 * ADDRESS_BYTES:
+    """Inverse of format_address, in either case.  ``fromhex`` skips
+    spaces, but 40 characters that give 20 bytes hold none."""
+    try:
+        raw = _fromhex(text)
+    except ValueError:
+        raw = b""
+    if len(raw) != ADDRESS_BYTES or len(text) != 2 * ADDRESS_BYTES:
         raise ValueError(f"address must be {2 * ADDRESS_BYTES} hex digits: {text!r}")
-    return int(t, 16)
+    return _from_bytes(raw, "big")
 
 
 def address_to_bytes(a: int) -> bytes:

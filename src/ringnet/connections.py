@@ -7,11 +7,12 @@ an existing ring neighbor is recorded on the same connection rather than
 opening a second edge).
 
 The table is the only writer of entries, roles and transport addresses,
-and every write bumps ``version``.  The structured peers the node routes
-over (in address order, the sorted ring the routing deciders take), the
-near set, and what the node sends and decides from it (the
-neighbor listing and its encoded bytes, the zipping bounds), are
-computed once per version and kept until the next write.
+and every write bumps ``version`` and drops what was derived from the
+entries.  The structured peers the node routes over (``ring``: in address
+order, the sorted ring the routing deciders take, which a forwarding node
+reads without a call), the near set, and what the node sends and decides
+from it (the neighbor listing and its encoded bytes, the zipping bounds),
+are computed once per version and kept until the next write.
 """
 
 from __future__ import annotations
@@ -79,12 +80,10 @@ class _NearView:
     list is built at once and the rest on first use; none of it is
     mutated afterwards."""
 
-    __slots__ = ("version", "near", "peers", "closest", "strict", "listing", "encoded")
+    __slots__ = ("near", "closest", "strict", "listing", "encoded")
 
     def __init__(self, table: "ConnectionTable") -> None:
-        self.version = table.version
         self.near = [c for c in table.by_peer.values() if NEAR in c.roles]
-        self.peers: tuple[int, ...] | None = None
         self.closest: list[Connection] | None = None
         self.strict: tuple[list[int], list[int]] | None = None
         self.listing: tuple | None = None
@@ -94,12 +93,13 @@ class _NearView:
 class ConnectionTable:
     """All connections of one node, indexed by peer address."""
 
-    __slots__ = ("owner", "by_peer", "version", "_view")
+    __slots__ = ("owner", "by_peer", "version", "ring", "_view")
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
         self.by_peer: dict[int, Connection] = {}
         self.version = 0
+        self.ring: tuple[int, ...] | None = None  # None until read after a write
         self._view: _NearView | None = None
 
     def get(self, peer: int) -> Connection | None:
@@ -107,14 +107,18 @@ class ConnectionTable:
 
     # -- writes ----------------------------------------------------------
 
+    def _changed(self) -> None:
+        self.version += 1
+        self.ring = self._view = None
+
     def add(self, conn: Connection) -> None:
         self.by_peer[conn.peer] = conn
-        self.version += 1
+        self._changed()
 
     def remove(self, peer: int) -> Connection | None:
         conn = self.by_peer.pop(peer, None)
         if conn is not None:
-            self.version += 1
+            self._changed()
         return conn
 
     def add_role(self, conn: Connection, role: str) -> bool:
@@ -122,13 +126,13 @@ class ConnectionTable:
         if role in conn.roles:
             return False
         conn.roles = conn.roles | {role}
-        self.version += 1
+        self._changed()
         return True
 
     def discard_role(self, conn: Connection, role: str) -> None:
         if role in conn.roles:
             conn.roles = conn.roles - {role}
-            self.version += 1
+            self._changed()
 
     def add_tas(self, conn: Connection, tas) -> None:
         """Append the transport addresses ``conn`` does not list yet."""
@@ -138,7 +142,7 @@ class ConnectionTable:
                 merged.append(ta)
         if len(merged) != len(conn.peer_tas):
             conn.peer_tas = tuple(merged)
-            self.version += 1
+            self._changed()
 
     # -- reads -----------------------------------------------------------
 
@@ -148,15 +152,14 @@ class ConnectionTable:
     def structured_peers(self) -> tuple[int, ...]:
         """Peers holding a near or shortcut role, in address order: the
         sorted ring the ``routing`` deciders take."""
-        view = self._near_view()
-        if view.peers is None:
-            view.peers = tuple(sorted(c.peer for c in self.by_peer.values()
-                                      if c.is_structured()))
-        return view.peers
+        if self.ring is None:
+            self.ring = tuple(sorted(c.peer for c in self.by_peer.values()
+                                     if c.is_structured()))
+        return self.ring
 
     def _near_view(self) -> _NearView:
         view = self._view
-        if view is None or view.version != self.version:
+        if view is None:
             view = self._view = _NearView(self)
         return view
 

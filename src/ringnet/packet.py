@@ -11,10 +11,11 @@ payload.  Layout, all integers big-endian:
     25      20    destination address
     45      1     payload type
 
-A node that forwards a routed packet reads only its header
-(``read_header``), rewrites only the 2-byte ``hops`` field (bytes 1-2)
-and relays every other byte unchanged; the payload is copied out
-(``decode``) only for a packet delivered to the node itself.
+A node that forwards a routed packet reads only its header, rewrites
+only the 2-byte ``hops`` field (bytes 1-2) and relays every other byte
+unchanged: per hop, one ``PacketHeader`` tuple (``read_header``), read
+once, and one rewritten ``bytes`` (``forwarded``).  The payload is
+copied out (``decode``) only for a packet delivered to the node itself.
 ``PacketHeader`` and ``Packet`` are named tuples.
 
 There is deliberately no checksum: edges are required to deliver whole,
@@ -32,7 +33,6 @@ HEADER_LEN = 46
 
 TYPE_LINK = 0x01
 TYPE_ROUTED = 0x02
-_KNOWN_TYPES = (TYPE_LINK, TYPE_ROUTED)
 
 # Payload type registry.
 PAYLOAD_APP = 0x00
@@ -44,6 +44,9 @@ DEFAULT_TTL = 100
 
 _HEADER = struct.Struct(">BHH20s20sB")
 assert _HEADER.size == HEADER_LEN
+_unpack_header, _int, _new_tuple = _HEADER.unpack_from, int.from_bytes, tuple.__new__
+# The type octet and the hops field: the bytes a forward rewrites.
+_HOPS = struct.Struct(">BH")
 
 
 class PacketError(ValueError):
@@ -97,11 +100,12 @@ def read_header(data: bytes) -> PacketHeader:
     """The header of the packet ``data``, leaving its payload unread."""
     if len(data) < HEADER_LEN:
         raise TooShort(f"packet is {len(data)} bytes, header needs {HEADER_LEN}")
-    ptype, hops, ttl, src, dst, payload_type = _HEADER.unpack_from(data)
-    if ptype not in _KNOWN_TYPES:
+    ptype, hops, ttl, src, dst, payload_type = _unpack_header(data)
+    if ptype != TYPE_ROUTED and ptype != TYPE_LINK:
         raise UnknownType(f"unknown packet type 0x{ptype:02x}")
-    return PacketHeader(ptype, hops, ttl, int.from_bytes(src, "big"),
-                        int.from_bytes(dst, "big"), payload_type)
+    # Built without PacketHeader's Python-level __new__.
+    return _new_tuple(PacketHeader, (ptype, hops, ttl, _int(src, "big"),
+                                     _int(dst, "big"), payload_type))
 
 
 def decode(data: bytes) -> Packet:
@@ -112,7 +116,7 @@ def forwarded(data: bytes, hops: int) -> bytes:
     """The packet ``data``, whose header says ``hops``, as the next hop gets
     it: ``encode(advance_hop(decode(data)))`` without the decode and
     encode.  The caller checks that ``hops < ttl``."""
-    return data[:1] + (hops + 1).to_bytes(2, "big") + data[3:]
+    return _HOPS.pack(data[0], hops + 1) + data[3:]
 
 
 def advance_hop(p: Packet) -> Packet | None:

@@ -79,10 +79,9 @@ def parse_ta(text: str) -> TransportAddress:
         raise MalformedTA(f"unknown protocol in {text!r}")
     if not host:
         raise MalformedTA(f"empty host in {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
+    if not (port_text.isascii() and port_text.isdigit()):
         raise MalformedTA(f"bad port in {text!r}")
+    port = int(port_text)
     if not 1 <= port <= 65535:
         raise MalformedTA(f"port out of range in {text!r}")
     return TransportAddress(proto, host, port)

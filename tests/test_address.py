@@ -155,3 +155,20 @@ def test_bytes_round_trip(a):
 def test_parse_address_rejects_bad_length():
     with pytest.raises(ValueError):
         parse_address("abc")
+
+
+def test_parse_address_takes_either_case():
+    assert parse_address("AbCd" * 10) == int("abcd" * 10, 16)
+
+
+@pytest.mark.parametrize("text", [
+    "-" + "1" * 39,        # a sign: int() would give a negative address
+    "0x" + "a" * 38,       # a base prefix
+    "1_" + "2" * 38,       # a digit separator
+    " " + "a" * 40,        # surrounding white space
+    "a" * 40 + "\n",
+    "\u0663" * 40,         # Arabic-Indic digits
+])
+def test_parse_address_takes_only_40_ascii_hex_digits(text):
+    with pytest.raises(ValueError, match="40 hex digits"):
+        parse_address(text)

@@ -277,6 +277,13 @@ def test_snapshot_reader_rejects_garbage(tmp_path):
         read_snapshot(str(empty))
 
 
+def test_snapshot_reader_rejects_a_signed_address(tmp_path):
+    path = tmp_path / "signed.snap"
+    path.write_text("# ringnet-snapshot time=0.000\nnode -" + "1" * 39 + "\n")
+    with pytest.raises(ValueError, match=r"signed\.snap:2: address must be 40 hex"):
+        read_snapshot(str(path))
+
+
 def test_snapshot_reader_rejects_a_header_only_file(tmp_path):
     path = tmp_path / "header.snap"
     path.write_text("# ringnet-snapshot time=0.000\n")

@@ -5,7 +5,9 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from ringnet.address import MODULUS
+from ringnet import routing
+from ringnet.address import CLOCKWISE_ADDRESS, COUNTERCLOCKWISE_ADDRESS, MODULUS
+from ringnet.connections import LEAF, Connection
 from ringnet.node import OverlayConfig
 from ringnet.packet import (
     DEFAULT_TTL,
@@ -194,3 +196,79 @@ def test_node_drops_a_routed_packet_whose_hops_reached_ttl(monkeypatch):
     node.on_datagram(edge, encode(make_routed(12345, far, PAYLOAD_APP, bytes(16),
                                               ttl=5, hops=4)))
     assert len(sent) == 1
+
+
+def _record_sends(monkeypatch, node):
+    """(remote ta, bytes) of each datagram ``node``'s network is asked to send."""
+    sent = []
+    monkeypatch.setattr(node.host.network, "transmit",
+                        lambda src, ta, data: sent.append((ta, data)))
+    return sent
+
+
+def test_node_counts_a_next_hop_missing_from_its_table(monkeypatch):
+    node, sent, far = _forwarding_node(monkeypatch)
+    edge = node.host.dial("ring.udp:10.9.9.9:7000")
+    stranger = (far + 2) % MODULUS
+    assert node.table.get(stranger) is None
+    monkeypatch.setattr(routing, "greedy_next_hop", lambda *args: stranger)
+    node.on_datagram(edge, encode(make_routed(12345, far, PAYLOAD_APP, bytes(16))))
+    assert sent == []
+    assert node.stats["forward_no_edge"] == 1
+
+
+def test_an_unjoined_node_passes_routed_packets_up_its_proxy_leaf(monkeypatch):
+    node, _, far = _forwarding_node(monkeypatch)
+    sent = _record_sends(monkeypatch, node)
+    edge = node.host.dial("ring.udp:10.9.9.9:7000")
+    data = encode(make_routed(12345, far, PAYLOAD_APP, bytes(16), ttl=9, hops=3))
+    node.joined = False
+    node.on_datagram(edge, data)
+    assert sent == []
+    assert node.stats["unroutable"] == 1
+    proxy_ta = "ring.udp:10.9.9.8:7000"
+    node.table.add(Connection(24680, node.host.dial(proxy_ta), frozenset({LEAF}),
+                              initiated_by_me=True))
+    node.on_datagram(edge, data)
+    assert sent == [(proxy_ta, encode(advance_hop(decode(data))))]
+    assert node.stats["unroutable"] == 1
+
+
+@pytest.mark.parametrize("direction", [CLOCKWISE_ADDRESS, COUNTERCLOCKWISE_ADDRESS])
+def test_a_directional_packet_walks_the_ring_until_hops_reach_ttl(monkeypatch, direction):
+    node, _, far = _forwarding_node(monkeypatch)
+    sent = _record_sends(monkeypatch, node)
+    got = []
+    node.app_handler = lambda n, pkt: got.append(pkt)
+    edge = node.host.dial("ring.udp:10.9.9.9:7000")
+    # The node holds the smallest address, so its ring successor is its
+    # smallest peer and its predecessor its largest.
+    peers = node.table.structured_peers()
+    neighbor = peers[0] if direction == CLOCKWISE_ADDRESS else peers[-1]
+    data = encode(make_routed(far, direction, PAYLOAD_APP, bytes(16), ttl=5, hops=2))
+    node.on_datagram(edge, data)
+    assert sent == [(node.table.get(neighbor).edge.remote_ta,
+                     encode(advance_hop(decode(data))))]
+    assert got == []
+    last = encode(make_routed(far, direction, PAYLOAD_APP, bytes(16), ttl=5, hops=5))
+    node.on_datagram(edge, last)
+    assert len(sent) == 1
+    assert got == [decode(last)]
+    assert node.stats["expired_packets"] == 0
+
+
+def test_a_packet_for_the_node_itself_reaches_its_app_handler_intact(monkeypatch):
+    node, sent, far = _forwarding_node(monkeypatch)
+    got = []
+    node.app_handler = lambda n, pkt: got.append((n, pkt))
+    edge = node.host.dial("ring.udp:10.9.9.9:7000")
+    data = encode(make_routed(far, node.address, PAYLOAD_APP, b"lookup body",
+                              ttl=9, hops=4))
+    node.on_datagram(edge, data)
+    assert sent == []
+    assert got == [(node, decode(data))]
+    pkt = got[0][1]
+    assert pkt.header == read_header(data) == PacketHeader(
+        TYPE_ROUTED, 4, 9, far, node.address, PAYLOAD_APP)
+    assert pkt.payload == b"lookup body"
+    assert node.stats["app_delivered"] == 1

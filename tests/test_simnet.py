@@ -147,6 +147,26 @@ def test_nated_internal_address_is_unroutable_from_outside():
     assert net.stats["undeliverable"] == 1
 
 
+@pytest.mark.parametrize("port", ["+7000", "7_000", " 7000", "\u0667\u0660\u0660\u0660"])
+def test_a_port_spelled_other_than_in_ascii_digits_names_no_host(port):
+    net = SimNetwork(SimConfig(seed=34))
+    a, b = net.new_host(), net.new_host()
+    received = []
+    class Probe:
+        def on_datagram(self, edge, data):
+            received.append(data)
+        def stop(self):
+            pass
+    b.attach(Probe())
+    spelling = f"ring.udp:{b.ip}:{port}"
+    assert a.dial(spelling) is None
+    assert a.edges == {}
+    net.transmit(a, spelling, b"x" * 46)
+    net.run_for(1)
+    assert received == []
+    assert net.stats["bad_destination"] == 1
+
+
 # ----------------------------------------------------------------------
 # latency, loss, determinism
 

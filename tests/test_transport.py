@@ -61,6 +61,9 @@ def test_port_zero_is_malformed():
 @pytest.mark.parametrize("bad", [
     "tcp:127.0.0.1", "ipx:1:2", "ring.tcp::99", "ring.udp:h:99999",
     "ring.udp:h:notaport", "",
+    # Ports int() reads as 7000: one endpoint would have several spellings.
+    "ring.udp:h:+7000", "ring.udp:h:7_000", "ring.udp:h: 7000",
+    "ring.udp:h:\u0667\u0660\u0660\u0660",
 ])
 def test_malformed_addresses(bad):
     with pytest.raises(MalformedTA):
