@@ -10,8 +10,9 @@ greedy routing decisions over 8 and 24 peers (and over 24 with the
 previous hop and source a forwarding node passes), the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
 pair), the simulator's transmit-to-receive of one datagram, with an
-empty timer queue and with 10,000 timers waiting, and one routed hop
-through the simulator (transmit, delivery and a ring node's forward).
+empty timer queue, with 10,000 timers waiting and to a NATed host's
+external mapping, and one routed hop through the simulator (transmit,
+delivery and a ring node's forward).
 Each side's per-layer cases run in a subprocess that imports that side's
 ``src``.  Then come three end-to-end rounds: each runs every end-to-end
 case (a 1024-node bootstrap and settle, and the 128+128 merge of
@@ -58,7 +59,7 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     from ringnet.connections import NEAR
     from ringnet.metrics import route_greedy, structured_adjacency
     from ringnet.node import OverlayConfig
-    from ringnet.simnet import ConstantLatency, SimConfig, SimNetwork
+    from ringnet.simnet import ConstantLatency, NatKind, SimConfig, SimNetwork
     from ringnet.topology import seed_ring, synthetic_snapshot
 
     rng = Random(3)
@@ -190,6 +191,22 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         busy.transmit(busy_sender, busy_receiver.ta, lookup)
         busy.run_until(busy.now)
     cases["transmit_with_pending_timers"] = transmit_with_pending_timers
+
+    # One datagram to a NATed host through its external mapping, which
+    # the host opened by sending first: the path of every spelling that
+    # is not a plain host's own ta.
+    natted = SimNetwork(SimConfig(seed=7, latency=ConstantLatency(0.0)))
+    outsider, inner = natted.new_host(), natted.new_host(nat=NatKind.PORT_RESTRICTED_CONE)
+    natted.transmit(inner, outsider.ta, lookup)
+    [external] = inner.nat_box.mappings.values()
+    external_ta = f"ring.udp:{inner.nat_box.external_ip}:{external}"
+
+    def transmit_nat_host() -> None:
+        natted.transmit(outsider, external_ta, lookup)
+        natted.run_until(natted.now)
+    transmit_nat_host()
+    assert natted.stats["undeliverable"] == natted.stats["nat_dropped"] == 0
+    cases["transmit_nat_host"] = transmit_nat_host
 
     # One routed hop through the simulator: the lookup, sent to a ring
     # node's own ta, waits in the constant-latency lane, reaches the node

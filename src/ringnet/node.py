@@ -15,11 +15,11 @@ The node is transport-agnostic.  Its environment ("host") must provide::
 and edges must provide ``send(bytes)``, ``close()``, ``remote_ta`` and
 a writable ``peer_address`` that starts as None.  ``transport.Host`` is
 the core the simulated and real hosts share: node attachment, timers and
-one ``DatagramEdge`` per remote ta.  A TCP edge also carries ``dialed``:
-False when the peer opened it, so that its ``remote_ta`` names the
-peer's ephemeral source port, which nobody can dial.  Incoming datagrams
-are fed to ``on_datagram(edge, data)``.  All events for one node must be
-delivered serially; distinct nodes may run concurrently.
+one ``DatagramEdge`` per remote endpoint.  A TCP edge also carries
+``dialed``: False when the peer opened it, so that its ``remote_ta``
+names the peer's ephemeral source port, which nobody can dial.  Incoming
+datagrams are fed to ``on_datagram(edge, data)``.  All events for one
+node must be delivered serially; distinct nodes may run concurrently.
 
 ``stop()`` ends a node's life on every host: it cancels every timer the
 node holds, and ``on_datagram`` drops what is still in flight to it.  A
@@ -105,7 +105,7 @@ from .packet import (
 )
 from . import routing
 from .routing import DecisionKind
-from .transport import MAX_TA_LEN, MalformedTA, parse_ta
+from .transport import MAX_TA_LEN, MalformedTA, normal_ta
 
 log = logging.getLogger(__name__)
 
@@ -308,17 +308,20 @@ class NodeState:
         return tas[: MAX_ADVERTISED_TAS]
 
     def _learn_self_ta(self, ta: str) -> None:
-        # The peer writes this string.  Keep only a well-formed TA, so no
-        # peer can push this node's advertised TA list past one frame.
-        if (not ta or len(ta) > MAX_TA_LEN or ta in self.learned_tas
-                or ta in self.host.local_tas()):
+        # The peer writes this string.  Keep only a well-formed TA, in its
+        # one spelling, so no peer can push this node's advertised TA list
+        # past one frame or fill it with aliases.  An echo of a kept TA,
+        # the usual case, is not parsed.
+        if ta in self.learned_tas or ta in self.host.local_tas():
             return
         try:
-            parse_ta(ta)
+            ta = normal_ta(ta)
         except MalformedTA:
             return
-        self.learned_tas.append(ta)
-        del self.learned_tas[: -MAX_ADVERTISED_TAS]
+        if (len(ta) <= MAX_TA_LEN and ta not in self.learned_tas
+                and ta not in self.host.local_tas()):
+            self.learned_tas.append(ta)
+            del self.learned_tas[: -MAX_ADVERTISED_TAS]
 
     # ------------------------------------------------------------------
     # joining

@@ -23,9 +23,8 @@ closer than ``p`` when ``p`` lies on the clockwise half; the same holds
 counterclockwise.  The closest peer is therefore the first one on its
 own side of the target, and greedy reads only the two peers that flank
 the target, plus the next one on a side whose flank is ``skip``.
-Annealing also needs the second-closest, which has at most one peer
-before it on its own side, so it reads the three peers on each side of
-the target: two, and a third in case ``skip`` is one of them.
+Annealing, which a node uses only for near and leaf connect requests,
+ranks the whole ring.
 
 Direction-based routing ignores the target value entirely: the packet
 walks hop by hop in a fixed direction, to the ring successor (clockwise)
@@ -80,15 +79,6 @@ def _best_two(v: int, ring: Sequence[int], target: int,
     distance and a tie key: its address, or -1 for v, which orders v
     before any neighbor at the same distance.
     """
-    n = len(ring)
-    if n > 6:
-        # The three peers on each side of the target (module docstring);
-        # near the end, negative indices wrap the window to the start.
-        i = bisect_left(ring, target)
-        if i > n - 3:
-            i -= n
-        ring = (ring[i - 3], ring[i - 2], ring[i - 1],
-                ring[i], ring[i + 1], ring[i + 2])
     d = (v - target) % MODULUS
     best_d = d if d <= HALF_MODULUS else MODULUS - d
     best = -1

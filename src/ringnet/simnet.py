@@ -1,14 +1,18 @@
 """Seeded discrete-event network simulator.
 
 Hosts many overlay nodes over virtual datagram endpoints with a
-configurable latency model, optional loss, and per-host NAT boxes.  The
-event queue is the ``TimerQueue`` the real transports use too: events
-fire by time, then in scheduling order, so runs are bit-deterministic
-for a fixed seed: same config, same events, same metrics.  With constant
-latency, datagram deliveries wait in the queue's FIFO lane, which
-``fire_due`` merges with the timer heap by (due time, order); with any
-other latency model they go on the heap.  Either way they fire in the
-same order.
+configurable latency model, optional loss, and per-host NAT boxes.  Two
+tables find a datagram's host: plain hosts under their own ``ta`` (any
+other spelling is parsed once and looked up as ``format_ta`` spells it),
+and NATed hosts under their box's external IP, reached only when the box
+lets the datagram in, never at their internal address.  Every host is a
+UDP endpoint, so a ``tcp`` address reaches none.  The event queue is the
+``TimerQueue`` the real transports use too: events fire by time, then in
+scheduling order, so runs are bit-deterministic for a fixed seed: same
+config, same events, same metrics.  With constant latency, datagram
+deliveries wait in the queue's FIFO lane, which ``fire_due`` merges with
+the timer heap by (due time, order); with any other latency model they
+go on the heap.  Either way they fire in the same order.
 
 Simulated time is the clock for every protocol timer; nothing here reads
 the wall clock.
@@ -23,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
-from .transport import DatagramEdge, Host, Timer, TimerQueue, format_ta, parse_ta
+from .transport import DatagramEdge, Host, Timer, TimerQueue, format_ta, normal_ta, parse_ta
 
 
 # ----------------------------------------------------------------------
@@ -83,24 +87,19 @@ class NatBox:
 
     Cone kinds keep one external port per internal (ip, port) and record
     the peers the host has sent to; the symmetric kind allocates a fresh
-    external port per destination, which is what defeats hole punching.
+    external port per destination, which is what defeats hole punching,
+    so each of its ports has sent to exactly one peer.
     """
 
     def __init__(self, kind: NatKind, external_ip: str) -> None:
         self.kind = kind
         self.external_ip = external_ip
         self._next_port = 30000
-        # cone: (int_ip, int_port) -> ext_port
+        # (int_ip, int_port), symmetric (int_ip, int_port, dst_ip, dst_port)
+        # -> ext_port
         self.mappings: dict[tuple, int] = {}
         # ext_port -> set of (dst_ip, dst_port) the internal host sent to
         self.permitted: dict[int, set[tuple[str, int]]] = {}
-        # ext_port -> (int_ip, int_port); symmetric also records the dest
-        self.reverse: dict[int, tuple] = {}
-
-    def _alloc(self) -> int:
-        port = self._next_port
-        self._next_port += 1
-        return port
 
     def outbound(self, int_ip: str, int_port: int,
                  dst_ip: str, dst_port: int) -> tuple[str, int]:
@@ -111,28 +110,24 @@ class NatBox:
             key = (int_ip, int_port)
         ext = self.mappings.get(key)
         if ext is None:
-            ext = self._alloc()
-            self.mappings[key] = ext
-            self.reverse[ext] = key
+            ext = self.mappings[key] = self._next_port
+            self._next_port += 1
             self.permitted[ext] = set()
         self.permitted[ext].add((dst_ip, dst_port))
         return self.external_ip, ext
 
     def inbound_allowed(self, ext_port: int, src_ip: str, src_port: int) -> bool:
-        if ext_port not in self.reverse:
+        sent = self.permitted.get(ext_port)
+        if sent is None:
             return False
         kind = self.kind
         if kind is NatKind.FULL_CONE:
             return True
-        sent = self.permitted.get(ext_port, set())
         if kind is NatKind.RESTRICTED_CONE:
             return any(ip == src_ip for ip, _ in sent)
-        if kind is NatKind.PORT_RESTRICTED_CONE:
-            return (src_ip, src_port) in sent
-        # Symmetric: the mapping exists per destination; only that exact
-        # destination may answer on it.
-        key = self.reverse[ext_port]
-        return key[2] == src_ip and key[3] == src_port
+        # Port-restricted cone, and symmetric, whose port has sent to one
+        # peer: only a peer the host sent to may answer.
+        return (src_ip, src_port) in sent
 
 
 # ----------------------------------------------------------------------
@@ -152,11 +147,10 @@ class SimNetwork:
         self._lane_delay = (latency.seconds if isinstance(latency, ConstantLatency)
                             else None)
         self._host_seq = itertools.count(1)
-        self.hosts: dict[str, "SimHost"] = {}          # plain ip -> host
         # Each live host without a NAT under its own ``ta``: the spelling
         # nearly every datagram is sent to, found without parsing it.
         self.plain_tas: dict[str, "SimHost"] = {}
-        self.nat_externals: dict[str, NatBox] = {}     # external ip -> box
+        self.nat_externals: dict[str, "SimHost"] = {}  # external ip -> host
         self.stats: Counter = Counter()
 
     # -- scheduling --
@@ -177,15 +171,13 @@ class SimNetwork:
         index = next(self._host_seq)
         ip = f"10.{(index >> 16) & 255}.{(index >> 8) & 255}.{index & 255}"
         host = SimHost(self, ip, 7000, nat)
-        self.hosts[ip] = host
         if host.nat_box is not None:
-            self.nat_externals[host.nat_box.external_ip] = host.nat_box
+            self.nat_externals[host.nat_box.external_ip] = host
         else:
             self.plain_tas[host.ta] = host
         return host
 
     def remove_host(self, host: "SimHost") -> None:
-        self.hosts.pop(host.ip, None)
         if host.nat_box is not None:
             self.nat_externals.pop(host.nat_box.external_ip, None)
         else:
@@ -197,7 +189,8 @@ class SimNetwork:
         self.stats["datagrams"] += 1
         self.stats["bytes"] += len(data)
         # A plain host's own ta needs no parsing; any other spelling, a NAT
-        # mapping, a dead host or a malformed ta goes through parse_ta.
+        # mapping, a dead host or a malformed ta is parsed once and looked
+        # up again under its one spelling.
         target = self.plain_tas.get(dst_ta)
         if target is not None:
             dst_ip, dst_port = target.ip, target.port
@@ -208,19 +201,25 @@ class SimNetwork:
                 self.stats["bad_destination"] += 1
                 return
             dst_ip, dst_port = dst.host, dst.port
+            target = self.plain_tas.get(format_ta(*dst))
         # Source address as the receiver will see it.
         if src_host.nat_box is not None:
-            ext_ip, ext_port = src_host.nat_box.outbound(
+            src_ip, src_port = src_host.nat_box.outbound(
                 src_host.ip, src_host.port, dst_ip, dst_port)
-            visible_src = format_ta("udp", ext_ip, ext_port)
-            src_ip, src_port = ext_ip, ext_port
+            visible_src = format_ta("udp", src_ip, src_port)
         else:
             visible_src = src_host.ta
             src_ip, src_port = src_host.ip, src_host.port
 
         if target is None:
-            target = self._resolve(dst_ip, dst_port, src_ip, src_port)
-            if target is None:
+            # Only a NATed host's external mapping is left, and only for a
+            # datagram its box lets in.
+            target = self.nat_externals.get(dst_ip)
+            if target is None or dst.protocol != "udp":
+                self.stats["undeliverable"] += 1
+                return
+            if not target.nat_box.inbound_allowed(dst_port, src_ip, src_port):
+                self.stats["nat_dropped"] += 1
                 return
         if self.config.loss_rate > 0.0 and self.rng.random() < self.config.loss_rate:
             self.stats["lost"] += 1
@@ -232,30 +231,6 @@ class SimNetwork:
         delay = self.config.latency.sample(self.rng, src_host.ip, dst_ip)
         # call_later without its frame: the same (due time, order) entry.
         self._timers.push(self.now + max(0.0, delay), target._receive, visible_src, data)
-
-    def _resolve(self, dst_ip: str, dst_port: int,
-                 src_ip: str, src_port: int) -> "SimHost | None":
-        """The host a datagram to (dst_ip, dst_port) reaches, or None after
-        counting the datagram once: ``nat_dropped`` when a NAT filters it,
-        ``undeliverable`` when no live host is there."""
-        host = self.hosts.get(dst_ip)
-        if host is not None and host.port == dst_port:
-            if host.nat_box is None:
-                return host
-            # A NATed host's internal address is not routable from
-            # outside; only its external mapping is.
-        else:
-            box = self.nat_externals.get(dst_ip)
-            if box is not None:
-                if not box.inbound_allowed(dst_port, src_ip, src_port):
-                    self.stats["nat_dropped"] += 1
-                    return None
-                int_ip, int_port = box.reverse[dst_port][:2]
-                inner = self.hosts.get(int_ip)
-                if inner is not None and inner.port == int_port:
-                    return inner
-        self.stats["undeliverable"] += 1
-        return None
 
 
 class SimHost(Host):
@@ -278,7 +253,7 @@ class SimHost(Host):
 
     def dial(self, ta: str) -> DatagramEdge | None:
         try:
-            parse_ta(ta)
+            ta = normal_ta(ta)
         except ValueError:
             return None
         return self.datagram_edge(ta, ta)

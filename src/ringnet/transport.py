@@ -10,10 +10,10 @@ no argument, and the ``stats`` Counter holds the ``datagrams`` and
 ``bytes`` sent, among others.  Every host has a ``ta`` to join through,
 ``now()``, ``call_later``, ``dial``, ``local_tas`` and ``shutdown()``.
 
-Transport addresses are written ``<namespace>.<proto>:host:port``; the
-namespace tag is free-form (parsing is liberal, and a bare
-``udp:host:port`` is accepted too), output is normalized to the ``ring``
-namespace with a lowercase scheme.
+Transport addresses are written ``<namespace>.<proto>:host:port``.
+Parsing takes aliases (any namespace tag or none, any scheme case, leading
+zeros in the port), but edges, learned addresses and the simulator's host
+table use only the ``ring.<proto>:host:port`` spelling ``format_ta`` writes.
 
 Wire rules:
 
@@ -45,7 +45,7 @@ import socket
 import struct
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -62,8 +62,7 @@ class MalformedTA(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TransportAddress:
+class TransportAddress(NamedTuple):
     protocol: str  # "udp" or "tcp"
     host: str
     port: int
@@ -89,6 +88,13 @@ def parse_ta(text: str) -> TransportAddress:
 
 def format_ta(protocol: str, host: str, port: int) -> str:
     return f"{TA_NAMESPACE}.{protocol.lower()}:{host}:{port}"
+
+
+def normal_ta(text: str) -> str:
+    """``text`` as ``format_ta`` spells it, and ``text`` itself when it is
+    spelled so already, so that no second copy is kept; or ``MalformedTA``."""
+    spelled = format_ta(*parse_ta(text))
+    return text if spelled == text else spelled
 
 
 # ----------------------------------------------------------------------
@@ -256,10 +262,10 @@ class DatagramEdge:
 
 class Host:
     """What the simulated and real hosts share: the network, the attached
-    node, its clock and timers, one datagram edge per remote ta in
-    ``edges``, and ``shutdown``.  A subclass supplies ``ta`` (the address
-    peers join through), ``dial``, ``local_tas`` and
-    ``send_datagram(remote, data)``."""
+    node, its clock and timers, one datagram edge per remote endpoint in
+    ``edges``, filed under its ``format_ta`` spelling, and ``shutdown``.
+    A subclass supplies ``ta`` (the address peers join through),
+    ``dial``, ``local_tas`` and ``send_datagram(remote, data)``."""
 
     def __init__(self, network) -> None:
         self.network = network
@@ -440,6 +446,7 @@ class RealHost(Host):
             ta = parse_ta(ta_text)
         except MalformedTA:
             return None
+        ta_text = format_ta(*ta)
         if ta.protocol == "udp":
             if self.udp_sock is None:
                 return None

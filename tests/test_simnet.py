@@ -76,6 +76,7 @@ def test_symmetric_allocates_per_destination_mappings():
     # Only the mapping's own destination may answer on it.
     assert box.inbound_allowed(port_a, "10.0.0.1", 7000) is True
     assert box.inbound_allowed(port_a, "10.0.0.2", 7000) is False
+    assert box.inbound_allowed(port_a, "10.0.0.1", 7001) is False
 
 
 def _nated_pair(kind_a: NatKind, kind_b: NatKind, seed: int):
@@ -516,15 +517,42 @@ def test_alias_spellings_reach_the_host_of_its_own_ta():
     sender = net.new_host()
     target, probe = _probed_host(net)
     assert target.ta == f"ring.udp:{target.ip}:7000"
-    for ta in (target.ta, f"udp:{target.ip}:7000", f"RING.UDP:{target.ip}:7000"):
+    spellings = (target.ta, f"udp:{target.ip}:7000", f"RING.UDP:{target.ip}:7000",
+                 f"ring.udp:{target.ip}:07000")
+    for ta in spellings:
         net.transmit(sender, ta, ta.encode())
     net.run_for(1)
-    assert [data for _, data in probe.got] == [
-        target.ta.encode(), f"udp:{target.ip}:7000".encode(),
-        f"RING.UDP:{target.ip}:7000".encode()]
+    assert [data for _, data in probe.got] == [ta.encode() for ta in spellings]
     assert {src for src, _ in probe.got} == {sender.ta}
-    assert net.stats["datagrams"] == 3
+    assert net.stats["datagrams"] == 4
     assert net.stats["undeliverable"] == net.stats["bad_destination"] == 0
+
+
+def test_alias_spellings_dial_one_edge_under_the_one_spelling():
+    net = SimNetwork(SimConfig(seed=40))
+    host, target = net.new_host(), net.new_host()
+    edges = {host.dial(ta) for ta in (
+        f"ring.udp:{target.ip}:7000", f"ring.udp:{target.ip}:07000",
+        f"RING.UDP:{target.ip}:7000", f"udp:{target.ip}:7000")}
+    assert len(edges) == 1
+    assert host.edges == {target.ta: edges.pop()}
+    assert host.edges[target.ta].remote == target.ta
+
+
+def test_a_tcp_spelling_reaches_no_simulated_host():
+    # A simulated host is a UDP endpoint; the TCP address of the same ip
+    # and port names another endpoint, which nobody listens on.
+    net = SimNetwork(SimConfig(seed=40))
+    sender = net.new_host()
+    target, probe = _probed_host(net)
+    inner, inner_probe = _probed_host(net, nat=NatKind.FULL_CONE)
+    net.transmit(inner, sender.ta, b"open the mapping")
+    external = next(iter(inner.nat_box.mappings.values()))
+    net.transmit(sender, f"ring.tcp:{target.ip}:7000", b"x")
+    net.transmit(sender, f"ring.tcp:{inner.nat_box.external_ip}:{external}", b"x")
+    net.run_for(1)
+    assert probe.got == inner_probe.got == []
+    assert net.stats["undeliverable"] == 2
 
 
 def test_removed_host_ta_is_undeliverable():

@@ -285,6 +285,39 @@ def test_learn_self_ta_keeps_only_well_formed_tas():
         net.close()
 
 
+def test_learn_self_ta_ignores_aliases_of_an_advertised_ta():
+    net = RealNetwork("udp")
+    try:
+        hn = net.new_host()
+        node = NodeState(1, hn, quiet_config(), Random(1))
+        _, ip, port = hn.udp_ta.split(":")
+        node._learn_self_ta("udp:192.0.2.7:4000")
+        assert node.learned_tas == ["ring.udp:192.0.2.7:4000"]
+        for alias in ("ring.udp:192.0.2.7:04000", "RING.UDP:192.0.2.7:4000",
+                      "legacy.udp:192.0.2.7:4000", f"udp:{ip}:{port}",
+                      f"RING.UDP:{ip}:0{port}"):
+            node._learn_self_ta(alias)
+        assert node.learned_tas == ["ring.udp:192.0.2.7:4000"]
+        assert node.advertised_tas() == ["ring.udp:192.0.2.7:4000", hn.udp_ta]
+    finally:
+        net.close()
+
+
+def test_alias_spellings_dial_one_udp_edge_under_the_one_spelling():
+    net = RealNetwork("udp")
+    try:
+        host, target = net.new_host(), net.new_host()
+        _, ip, port = target.udp_ta.split(":")
+        edges = {host.dial(ta) for ta in (
+            f"ring.udp:{ip}:{port}", f"ring.udp:{ip}:0{port}",
+            f"RING.UDP:{ip}:{port}", f"udp:{ip}:{port}")}
+        assert len(edges) == 1
+        assert host.edges == {target.udp_ta: edges.pop()}
+        assert host.edges[target.udp_ta].remote == (ip, int(port))
+    finally:
+        net.close()
+
+
 def test_full_link_handshake_over_tcp_loopback():
     net = RealNetwork("tcp")
     try:
