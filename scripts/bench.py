@@ -9,17 +9,24 @@ probe with its response: the retry timer armed, answered and cancelled),
 greedy routing decisions over 8 and 24 peers (and over 24 with the
 previous hop and source a forwarding node passes), the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
-pair), the simulator's transmit-to-receive of one datagram, with an
-empty timer queue, with 10,000 timers waiting and to a NATed host's
-external mapping, and one routed hop through the simulator (transmit,
-delivery and a ring node's forward).
-Each side's per-layer cases run in a subprocess that imports that side's
-``src``.  Then come three end-to-end rounds: each runs every end-to-end
-case (a 1024-node bootstrap and settle, and the 128+128 merge of
-``scenarios/merge.cfg``) once per side, each run in a fresh process of
-its own, and the side that goes first alternates from round to round.
-Every run's wall seconds, datagrams per wall second and peak RSS are
-recorded, with their medians per side:
+pair), the offline verifier's steps on that snapshot as ``ringnet
+analyze`` takes them (``read_snapshot``, and ``ring_correct``,
+``routability`` over 4000 pairs and ``shortcut_cdf`` on a fresh snapshot
+object, so that each call derives what it reads from the edges), the
+simulator's transmit-to-receive of one datagram, with an empty timer
+queue, with 10,000 timers waiting and to a NATed host's external
+mapping, and one routed hop through the simulator (transmit, delivery
+and a ring node's forward).
+Every measurement runs in a fresh process that imports its side's
+``src``, and the sides take turns: in each of five per-layer rounds,
+each side times every per-layer case ``--repeat`` times in a process of
+its own, and the side that goes first alternates from round to round, so
+that the host's drift between processes falls on both sides alike.  Then
+each end-to-end case (a 1024-node bootstrap and settle, and the 128+128
+merge of ``scenarios/merge.cfg``) runs in three rounds of one process per
+side, in the same alternation.  Every
+run's wall seconds, datagrams per wall second and peak RSS are recorded,
+with their medians per side:
 
     python3 scripts/bench.py --before /path/to/parent/src --out BENCH.json
 
@@ -28,8 +35,9 @@ default).  The output file is written whole and holds both sides and the
 after/before ratio of every case they share (a checkout without
 ``packet.read_header`` has no ``packet_read_header`` case); an
 end-to-end ratio divides the medians.  A per-layer figure is
-microseconds per call: the fastest of ``--repeat`` timing runs, taken
-round-robin over the cases, and their median beside it.
+microseconds per call: the fastest of all its timing runs (``--repeat``
+in each round's process, taken round-robin over the cases), with their
+median and the number of processes it is the best of beside it.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 from bisect import bisect_left
@@ -57,7 +66,9 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     from ringnet import messages, packet, routing
     from ringnet.address import MODULUS
     from ringnet.connections import NEAR
-    from ringnet.metrics import route_greedy, structured_adjacency
+    from ringnet.metrics import (TopologySnapshot, read_snapshot, ring_correct,
+                                 route_greedy, routability, shortcut_cdf,
+                                 structured_adjacency, write_snapshot)
     from ringnet.node import OverlayConfig
     from ringnet.simnet import ConstantLatency, NatKind, SimConfig, SimNetwork
     from ringnet.topology import seed_ring, synthetic_snapshot
@@ -247,10 +258,24 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
 
     # One routed pair of the greedy replay over a 4096-node snapshot, k=4,
     # taking 4000 fixed pairs in turn.
-    adj = structured_adjacency(synthetic_snapshot(4096, 4, seed=1))
+    verify = synthetic_snapshot(4096, 4, seed=1)
+    adj = structured_adjacency(verify)
     addresses = sorted(adj)
     pairs = itertools.cycle([tuple(rng.sample(addresses, 2)) for _ in range(4000)])
     cases["routability_pair_4096"] = lambda: route_greedy(adj, *next(pairs))
+
+    # The verifier's steps on the same snapshot.  A checkout may derive
+    # and keep views on a snapshot object, so each check gets a new one,
+    # as the first check of an analysis does.
+    def new_object() -> TopologySnapshot:
+        return TopologySnapshot(verify.timestamp, verify.nodes, verify.edges)
+    snap_dir = tempfile.TemporaryDirectory()  # removed when the process exits
+    write_snapshot(verify, os.path.join(snap_dir.name, "verify.snap"))
+    cases["verify_read_snapshot_4096"] = lambda: read_snapshot(
+        os.path.join(snap_dir.name, "verify.snap"))
+    cases["verify_ring_correct_4096"] = lambda: ring_correct(new_object())
+    cases["verify_routability_4096"] = lambda: routability(new_object(), 4000, seed=1)
+    cases["verify_shortcut_cdf_4096"] = lambda: shortcut_cdf(new_object())
     return cases
 
 
@@ -283,21 +308,35 @@ def run_end_to_end(case: str) -> dict:
 
 END_TO_END = ("bootstrap_1024", "merge_128_128")
 PER_LAYER = "per_layer"
+PER_LAYER_ROUNDS = 5
 END_TO_END_ROUNDS = 3
 END_TO_END_KEYS = ("wall_s", "datagrams_per_s", "peak_rss_mb")
 
 
 def time_cases(cases: dict, repeat: int) -> dict:
     """Time every case ``repeat`` times, round-robin, so that each case's
-    runs spread over the whole session rather than one stretch of it."""
+    runs spread over the whole session rather than one stretch of it;
+    each run's microseconds per call, by case."""
     timers = {name: timeit.Timer(fn) for name, fn in cases.items()}
     numbers = {name: timer.autorange()[0] for name, timer in timers.items()}
     runs: dict[str, list[float]] = {name: [] for name in cases}
     for _ in range(repeat):
         for name, timer in timers.items():
-            runs[name].append(timer.timeit(numbers[name]) / numbers[name] * 1e6)
-    return {name: {"us": round(min(r), 4), "us_median": round(statistics.median(r), 4),
-                   "number": numbers[name]} for name, r in runs.items()}
+            runs[name].append(round(timer.timeit(numbers[name]) / numbers[name] * 1e6, 4))
+    return runs
+
+
+def alternate(sides: dict, rounds: int, args: list[str]) -> dict:
+    """Run this script with ``args`` in ``rounds`` rounds of one fresh
+    process per side, the first side alternating from round to round;
+    each side's results in round order."""
+    results: dict[str, list] = {side: [] for side in sides}
+    for round_index in range(rounds):
+        order = list(sides) if round_index % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            results[side].append(run_side(sides[side], args))
+            print(f"{side:6s} {' '.join(args)} (round {round_index + 1} of {rounds})")
+    return results
 
 
 def run_side(src: str, args: list[str]) -> dict:
@@ -316,7 +355,8 @@ def main() -> int:
     parser.add_argument("--before",
                         help="directory holding the ringnet package to time as 'before'")
     parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--repeat", type=int, default=25)
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="timing runs of each per-layer case in each process")
     parser.add_argument("--case", choices=END_TO_END + (PER_LAYER,),
                         help="run only this case on --src and print its JSON")
     args = parser.parse_args()
@@ -336,20 +376,23 @@ def main() -> int:
         parser.error("--before and --out are required")
 
     sides = {"before": os.path.abspath(args.before), "after": os.path.abspath(args.src)}
-    data = {side: {"cases": run_side(src, ["--case", PER_LAYER,
-                                           "--repeat", str(args.repeat)])}
-            for side, src in sides.items()}
+    layer = alternate(sides, PER_LAYER_ROUNDS,
+                      ["--case", PER_LAYER, "--repeat", str(args.repeat)])
+    data = {side: {"cases": {name: {
+        "us": min(min(p[name]) for p in processes),
+        "us_median": round(statistics.median(us for p in processes for us in p[name]), 4),
+        "best_of_processes": len(processes),
+        "best_of_runs": sum(len(p[name]) for p in processes)}
+        for name in processes[0]}} for side, processes in layer.items()}
     for name in data["after"]["cases"]:
         print(f"{name:28s}" + "".join(
             f"  {side} {data[side]['cases'][name]['us']:9.3f} us"
             for side in sides if name in data[side]["cases"]))
-    runs = {side: {case: [] for case in END_TO_END} for side in sides}
-    for round_index in range(END_TO_END_ROUNDS):
-        order = list(sides) if round_index % 2 == 0 else list(sides)[::-1]
-        for case in END_TO_END:
-            for side in order:
-                runs[side][case].append(run_side(sides[side], ["--case", case]))
-                print(f"{side:6s} {case:24s} {runs[side][case][-1]}")
+    runs = {side: {} for side in sides}
+    for case in END_TO_END:
+        for side, r in alternate(sides, END_TO_END_ROUNDS, ["--case", case]).items():
+            runs[side][case] = r
+            print(f"{side:6s} {case:24s} {r}")
     for side in sides:
         data[side]["end_to_end"] = {case: {"runs": r, "median": {
             key: statistics.median(run[key] for run in r) for key in END_TO_END_KEYS}}
@@ -364,8 +407,10 @@ def main() -> int:
                                             / before["end_to_end"][case]["median"][key], 3)
     data.update(after_over_before=ratios, python=platform.python_version(),
                 nproc=os.cpu_count(),
-                unit=("cases: microseconds per call, fastest of the timing runs; "
-                      f"end_to_end: {END_TO_END_ROUNDS} rounds, each running every case "
+                unit=("cases: microseconds per call, fastest of the timing runs of "
+                      f"{PER_LAYER_ROUNDS} rounds, each timing every case {args.repeat} "
+                      "times per side in a fresh process, the first side alternating; "
+                      f"end_to_end: {END_TO_END_ROUNDS} rounds per case, each running it "
                       "once per side in a fresh process, the first side alternating; "
                       "after_over_before of an end-to-end figure divides the medians"))
     with open(args.out, "w", encoding="utf-8") as fh:

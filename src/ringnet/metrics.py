@@ -7,6 +7,10 @@ over a static snapshot and replays only the pure next-hop deciders.
 Snapshots can be read back from the line-oriented files the simulator
 emits, so analysis works offline from run artifacts alone.
 
+Every check reads what one pass over a snapshot's edges derives (each
+node's ring deficit and its sorted ring of peers), cached on the frozen
+snapshot; ``read_snapshot`` parses each distinct address once.
+
 Checks provided: one ring check (``ring_correct`` walks the sorted ring
 once and counts each node's nearest live addresses it lacks a near link
 to; ``missing_edges`` is the sum), routability (the fraction of ordered
@@ -23,15 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
-from .address import (
-    MODULUS,
-    directed_distance,
-    Direction,
-    format_address,
-    parse_address,
-)
+from .address import MODULUS, format_address, parse_address
 from .connections import NEAR_PER_SIDE
 from .routing import greedy_next_hop
 
@@ -51,6 +50,38 @@ class TopologySnapshot:
     timestamp: float
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int, str], ...]
+
+    @cached_property
+    def ring_views(self) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+        """Per node: its ring deficit (see ``ring_correct``), and its near
+        and shortcut peers as a sorted ring, over undirected edges between
+        nodes; both from one pass over the edges.  Read-only."""
+        near: dict = {a: set() for a in self.nodes}
+        structured: dict = {a: [] for a in self.nodes}  # shortcut peers, at first
+        for a, b, label in self.edges:
+            if a in near and b in near:
+                if label == NEAR_LABEL:
+                    near[a].add(b)
+                    near[b].add(a)
+                elif label == SHORTCUT_LABEL:
+                    structured[a].append(b)
+                    structured[b].append(a)
+        # In place, so each list is freed as its tuple replaces it: lists
+        # and one set at a time take less memory than a set per node.
+        for a, chords in structured.items():
+            structured[a] = tuple(sorted(near[a].union(chords)))
+        # The deficits are kept, not the near sets: a few bytes per node.
+        ring = sorted(near)
+        # ring[i]'s window is padded[i:i + width] (the whole ring, if tiny).
+        padded = ring[-NEAR_PER_SIDE:] + ring + ring[:NEAR_PER_SIDE]
+        width = 2 * NEAR_PER_SIDE + 1
+        deficits = {}
+        for i, a in enumerate(ring):
+            window = set(padded[i:i + width])
+            window -= near[a]
+            window.discard(a)
+            deficits[a] = len(window)
+        return deficits, structured
 
 
 @dataclass(frozen=True)
@@ -73,26 +104,9 @@ class ShortcutReport:
 # ring geometry
 
 
-def _adjacency(snapshot: TopologySnapshot,
-               labels: tuple[str, ...]) -> dict[int, set[int]]:
-    """Each node's peers over the edges carrying one of ``labels``,
-    undirected; edges to addresses that are not nodes are ignored."""
-    adj: dict[int, set[int]] = {a: set() for a in snapshot.nodes}
-    for a, b, label in snapshot.edges:
-        if label in labels and a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
-
-
 def structured_adjacency(snapshot: TopologySnapshot) -> dict[int, tuple[int, ...]]:
-    """Each node's near and shortcut peers as a sorted ring, the form
-    the ``routing`` deciders take."""
-    adj: dict = _adjacency(snapshot, (NEAR_LABEL, SHORTCUT_LABEL))
-    # In place, so each set is freed as its tuple replaces it.
-    for a, peers in adj.items():
-        adj[a] = tuple(sorted(peers))
-    return adj
+    """Each node's near and shortcut peers as a sorted ring (read-only)."""
+    return snapshot.ring_views[1]
 
 
 def ring_correct(snapshot: TopologySnapshot) -> tuple[dict[int, int], float]:
@@ -101,24 +115,14 @@ def ring_correct(snapshot: TopologySnapshot) -> tuple[dict[int, int], float]:
     ``deficits[a]`` counts the addresses among a's ``NEAR_PER_SIDE``
     nearest live addresses on each side that a holds no near link to (0:
     correct).  A neighbour on both sides of a tiny ring counts once."""
-    near = _adjacency(snapshot, (NEAR_LABEL,))
-    ring = sorted(near)
-    # ring[i]'s window is padded[i:i + width] (the whole ring, if tiny).
-    padded = ring[-NEAR_PER_SIDE:] + ring + ring[:NEAR_PER_SIDE]
-    width = 2 * NEAR_PER_SIDE + 1
-    deficits = {}
-    for i, a in enumerate(ring):
-        window = set(padded[i:i + width])
-        window -= near[a]
-        window.discard(a)
-        deficits[a] = len(window)
+    deficits = snapshot.ring_views[0]
     correct = sum(not d for d in deficits.values())
-    return deficits, correct / len(deficits) if deficits else 1.0
+    return dict(deficits), correct / len(deficits) if deficits else 1.0
 
 
 def missing_edges(snapshot: TopologySnapshot) -> int:
     """Count of (node, required near neighbor) relations absent."""
-    return sum(ring_correct(snapshot)[0].values())
+    return sum(snapshot.ring_views[0].values())
 
 
 # ----------------------------------------------------------------------
@@ -218,14 +222,17 @@ def ks_distance(samples: list[int], cdf) -> float:
     worst = 0.0
     for i, x in enumerate(xs):
         f = cdf(x)
-        worst = max(worst, (i + 1) / n - f, f - i / n)
+        if (above := (i + 1) / n - f) > worst:
+            worst = above
+        if (below := f - i / n) > worst:
+            worst = below
     return worst
 
 
 def shortcut_distances(snapshot: TopologySnapshot) -> list[int]:
     """Clockwise offsets of shortcut edges, requester first in the tuple."""
-    return [directed_distance(a, b, Direction.CLOCKWISE)
-            for a, b, label in snapshot.edges if label == SHORTCUT_LABEL]
+    return [(b - a) % MODULUS for a, b, label in snapshot.edges
+            if label == SHORTCUT_LABEL]
 
 
 def shortcut_cdf(snapshot: TopologySnapshot) -> ShortcutReport:
@@ -245,26 +252,28 @@ def shortcut_cdf(snapshot: TopologySnapshot) -> ShortcutReport:
 def read_snapshot(path: str) -> TopologySnapshot:
     timestamp = 0.0
     nodes: dict[int, None] = {}  # an insertion-ordered set
+    spelled: dict[str, int] = {}  # each node line's text, parsed once
     edges: list[tuple[int, int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts:
                 continue
-            parts = line.split()
             try:
-                if parts[0] == "#" and "time=" in line:
-                    timestamp = float(line.split("time=")[1])
+                if parts[0] == "edge" and len(parts) == 4:
+                    _, a, b, label = parts
+                    edges.append((spelled[a] if a in spelled else parse_address(a),
+                                  spelled[b] if b in spelled else parse_address(b),
+                                  label))
                 elif parts[0] == "node" and len(parts) == 2:
-                    address = parse_address(parts[1])
+                    address = spelled[parts[1]] = parse_address(parts[1])
                     if address in nodes:
                         raise ValueError(f"repeated node {parts[1]}")
                     nodes[address] = None
-                elif parts[0] == "edge" and len(parts) == 4:
-                    edges.append((parse_address(parts[1]),
-                                  parse_address(parts[2]), parts[3]))
+                elif parts[0] == "#" and "time=" in raw:
+                    timestamp = float(raw.split("time=")[1])
                 else:
-                    raise ValueError(f"unrecognized line: {line!r}")
+                    raise ValueError(f"unrecognized line: {raw.strip()!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}")
     if not nodes:

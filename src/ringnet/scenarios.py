@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from random import Random
 from statistics import mean
@@ -307,8 +307,11 @@ class ScenarioRunner:
         snap = take_snapshot(nodes, now)
         if len(snap.nodes) == 0:
             return
-        report = routability(snap, self.scenario.pair_budget, seed=self.metrics_seed)
-        deficits, correct = ring_correct(snap)
+        # The checks read a copy, so the views they cache on it end with this
+        # measurement rather than stay with the trace's newest snapshot.
+        checked = replace(snap)
+        report = routability(checked, self.scenario.pair_budget, seed=self.metrics_seed)
+        deficits, correct = ring_correct(checked)
         self.trace.record(TraceRow(
             now, len(snap.nodes), report.routability, correct,
             sum(deficits.values()), report.mean_hops), snap)
@@ -457,15 +460,19 @@ def churn_sweep(nodes: int, multiples, duration: float,
                       Wait(10)], measurement_interval=60, pair_budget=100)
     t_establish = mean(run(probe, SimConfig(seed=seed), overlay)
                        .establish_durations[-8:])
-    steady_from = nodes * 0.25 + 10 + duration / 3
-    rows = {}
-    for mult in multiples:
-        scenario = Scenario([Bootstrap(nodes, spacing=0.25), Wait(10),
+    sweep = {mult: Scenario([Bootstrap(nodes, spacing=0.25), Wait(10),
                              Churn(duration, 1.0 / (t_establish * mult))],
                             measurement_interval=5, pair_budget=1200)
-        trace = run(scenario, SimConfig(seed=seed), overlay)
-        rows[mult] = [r for r in trace.rows if r.simulated_time_s > steady_from]
-    return t_establish, rows
+             for mult in multiples}
+    for mult, scenario in sweep.items():  # every multiple, before the first run
+        try:
+            scenario.validate()
+        except ScenarioInvalid as exc:
+            raise ScenarioInvalid(f"session multiple {mult}: {exc}") from None
+    steady_from = nodes * 0.25 + 10 + duration / 3
+    return t_establish, {mult: [r for r in run(scenario, SimConfig(seed=seed), overlay).rows
+                                if r.simulated_time_s > steady_from]
+                         for mult, scenario in sweep.items()}
 
 
 # Wall-clock runs want snappier timers than the simulator defaults.

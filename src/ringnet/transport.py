@@ -13,7 +13,8 @@ no argument, and the ``stats`` Counter holds the ``datagrams`` and
 Transport addresses are written ``<namespace>.<proto>:host:port``.
 Parsing takes aliases (any namespace tag or none, any scheme case, leading
 zeros in the port), but edges, learned addresses and the simulator's host
-table use only the ``ring.<proto>:host:port`` spelling ``format_ta`` writes.
+table use only the ``ring.<proto>:host:port`` spelling ``format_ta`` writes;
+a real host dials a host name as the numeric address it resolves to.
 
 Wire rules:
 
@@ -444,18 +445,19 @@ class RealHost(Host):
     def dial(self, ta_text: str):
         try:
             ta = parse_ta(ta_text)
-        except MalformedTA:
+            remote = (socket.gethostbyname(ta.host), ta.port)
+        except (ValueError, OSError):
             return None
-        ta_text = format_ta(*ta)
+        ta_text = format_ta(ta.protocol, *remote)
         if ta.protocol == "udp":
             if self.udp_sock is None:
                 return None
-            return self.datagram_edge(ta_text, (ta.host, ta.port))
+            return self.datagram_edge(ta_text, remote)
         if self.tcp_listener is None and self.udp_sock is None:
             return None
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setblocking(False)
-        err = sock.connect_ex((ta.host, ta.port))
+        err = sock.connect_ex(remote)
         if err not in (0, errno.EINPROGRESS, errno.EWOULDBLOCK):
             sock.close()
             return None

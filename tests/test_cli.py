@@ -652,6 +652,21 @@ def test_churn_sweep_prints_one_row_per_multiple(capsys):
         "3.0,3.9,0.3230,0.1179,0.0375\n")
 
 
+def test_churn_sweep_refuses_a_short_multiple_before_its_first_sweep_run(monkeypatch,
+                                                                        capsys):
+    # 1 / (t_establish * 0.5) with t_establish 1.3 s is a churn probability above 1.
+    ran = []
+    real_run = scenarios.run
+    monkeypatch.setattr(scenarios, "run",
+                        lambda scenario, *rest: ran.append(scenario) or real_run(
+                            scenario, *rest))
+    assert cli.main(["churn-sweep", "--nodes", "32", "--multiples", "2", "0.5",
+                     "--duration", "10"]) == EXIT_USAGE
+    assert len(ran) == 1  # the establish probe, and no sweep run
+    assert capsys.readouterr().err == (
+        "session multiple 0.5: churn probability must be in [0, 1)\n")
+
+
 def test_massive_dynamics_writes_the_trace_and_every_snapshot(tmp_path, capsys):
     out = tmp_path / "D"
     assert cli.main(["massive-dynamics", "--base", "16", "--join", "16",

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringnet.address import MODULUS
+from ringnet.address import MODULUS, format_address
 from ringnet.connections import LEAF, NEAR_PER_SIDE
 from ringnet.metrics import (
     InsufficientSamples,
@@ -58,11 +58,30 @@ def test_removing_one_near_edge_flags_exactly_two_nodes():
     assert missing_edges(snap2) == 2
 
 
+def reference_adjacency(snapshot: TopologySnapshot,
+                        labels: tuple[str, ...]) -> dict[int, set[int]]:
+    """The reference model of the verifier's peer views, one label set
+    per pass: each node's peers over the edges carrying one of
+    ``labels``, undirected; edges to addresses that are not nodes are
+    ignored."""
+    adj: dict[int, set[int]] = {a: set() for a in snapshot.nodes}
+    for a, b, label in snapshot.edges:
+        if label in labels and a in adj and b in adj:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def reference_structured_adjacency(snapshot: TopologySnapshot) -> dict:
+    return {a: tuple(sorted(peers)) for a, peers in
+            reference_adjacency(snapshot, (NEAR_LABEL, SHORTCUT_LABEL)).items()}
+
+
 def reference_ring_check(snapshot: TopologySnapshot):
     """The ring check built the long way, as two separate maps: the set of
     addresses each node must hold near links to, and the near adjacency.
     Returns per-node deficits, the correct fraction and the missing count."""
-    ring = sorted(snapshot.nodes)
+    ring = sorted(set(snapshot.nodes))
     n = len(ring)
     required = {a: set() for a in ring}
     if n >= 2:
@@ -71,31 +90,39 @@ def reference_ring_check(snapshot: TopologySnapshot):
                 required[a].add(ring[(i + step) % n])
                 required[a].add(ring[(i - step) % n])
             required[a].discard(a)
-    adj = {a: set() for a in snapshot.nodes}
-    for a, b, label in snapshot.edges:
-        if label == NEAR_LABEL and a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
+    adj = reference_adjacency(snapshot, (NEAR_LABEL,))
     flags = {a: required[a] <= adj[a] for a in snapshot.nodes}
     fraction = sum(flags.values()) / len(flags) if flags else 1.0
     deficits = {a: len(required[a] - adj[a]) for a in snapshot.nodes}
     return deficits, fraction, sum(deficits.values())
 
 
+def reference_routability(snapshot: TopologySnapshot) -> tuple:
+    """Every ordered pair of node entries replayed over the reference
+    adjacency: pairs, routable pairs, mean and max hops."""
+    adj = reference_structured_adjacency(snapshot)
+    nodes = sorted(snapshot.nodes)
+    pairs = [(s, t) for i, s in enumerate(nodes) for j, t in enumerate(nodes) if i != j]
+    hops = [h for s, t in pairs for end, h in [route_greedy(adj, s, t)] if end == t]
+    return len(pairs), len(hops), sum(hops) / len(hops) if hops else 0.0, max(hops, default=0)
+
+
 @st.composite
 def random_snapshots(draw):
     """1-12 distinct nodes, so tiny rings put a neighbour on both sides,
-    with near, shortcut and leaf edges in either orientation, repeated
-    edges, self edges and edges to addresses that are not nodes."""
+    some listed twice, with near, shortcut and leaf edges in either
+    orientation, repeated edges, self edges and edges to addresses that
+    are not nodes."""
     address = st.integers(0, MODULUS - 1)
     nodes = draw(st.lists(address, min_size=1, max_size=12, unique=True))
+    repeated = draw(st.lists(st.sampled_from(nodes), max_size=3))
     strangers = draw(st.lists(address, max_size=3))
     endpoint = st.sampled_from(nodes + strangers)
     label = st.sampled_from([NEAR_LABEL, SHORTCUT_LABEL, LEAF])
     edges = draw(st.lists(st.tuples(endpoint, endpoint, label), max_size=60))
     if edges:
         edges += draw(st.lists(st.sampled_from(edges), max_size=6))
-    return TopologySnapshot(0.0, tuple(draw(st.permutations(nodes))),
+    return TopologySnapshot(0.0, tuple(draw(st.permutations(nodes + repeated))),
                             tuple(draw(st.permutations(edges))))
 
 
@@ -105,10 +132,24 @@ def test_ring_check_matches_the_reference(snap, extra, seed):
     deficits, fraction, missing = reference_ring_check(snap)
     assert ring_correct(snap) == (deficits, fraction)
     assert missing_edges(snap) == missing
+    assert structured_adjacency(snap) == reference_structured_adjacency(snap)
+    report = routability(snap)
+    assert (report.pairs_tested, report.pairs_routable, report.mean_hops,
+            report.max_hops) == reference_routability(snap)
     # A budget that covers every ordered pair replays every pair.
     n = len(snap.nodes)
-    assert routability(snap) == routability(
-        snap, pair_budget=max(1, n * (n - 1)) + extra, seed=seed)
+    assert report == routability(snap, pair_budget=max(1, n * (n - 1)) + extra, seed=seed)
+
+
+def test_a_snapshot_derives_its_ring_views_once():
+    snap = synthetic_snapshot(16, k=2, seed=3)
+    views = snap.ring_views
+    deficits, _ = ring_correct(snap)
+    deficits[snap.nodes[0]] = 5  # the caller's copy, not the cached one
+    assert missing_edges(snap) == 0
+    routability(snap)
+    assert snap.ring_views is views
+    assert structured_adjacency(snap) is views[1]
 
 
 def test_two_node_population_is_correct_iff_mutually_connected():
@@ -264,6 +305,38 @@ def test_snapshot_file_round_trip(tmp_path):
     write_snapshot(snap, path)
     loaded = read_snapshot(path)
     assert loaded == snap
+
+
+def test_snapshot_reader_parses_an_edge_to_an_address_that_is_no_node(tmp_path):
+    a, b, stranger = 2, 4 + (1 << 150), 6 + (1 << 159)
+    path = tmp_path / "stranger.snap"
+    write_snapshot(TopologySnapshot(1.5, (a, b), ((a, b, NEAR_LABEL),
+                                                  (b, stranger, SHORTCUT_LABEL))),
+                   str(path))
+    snap = read_snapshot(str(path))
+    assert snap.edges == ((a, b, NEAR_LABEL), (b, stranger, SHORTCUT_LABEL))
+    assert structured_adjacency(snap) == {a: (b,), b: (a,)}
+
+
+def test_snapshot_reader_reads_an_uppercase_spelling_as_its_node(tmp_path):
+    a, b = 0xABC, 0xDEF0 << 100
+    path = tmp_path / "upper.snap"
+    path.write_text(f"node {format_address(a)}\nnode {format_address(b)}\n"
+                    f"edge {format_address(a).upper()} {format_address(b)} {NEAR_LABEL}\n"
+                    f"edge {format_address(b).upper()} {format_address(a).upper()} "
+                    f"{SHORTCUT_LABEL}\n")
+    snap = read_snapshot(str(path))
+    assert snap.nodes == (a, b)
+    assert snap.edges == ((a, b, NEAR_LABEL), (b, a, SHORTCUT_LABEL))
+    assert ring_correct(snap) == ({a: 0, b: 0}, 1.0)
+
+
+def test_snapshot_reader_names_the_line_of_a_malformed_edge_address(tmp_path):
+    a, b = format_address(2), format_address(4)
+    path = tmp_path / "edge.snap"
+    path.write_text(f"node {a}\nnode {b}\nedge {a} {b[:-1]}g {NEAR_LABEL}\n")
+    with pytest.raises(ValueError, match=r"edge\.snap:3: address must be 40 hex"):
+        read_snapshot(str(path))
 
 
 def test_snapshot_reader_rejects_garbage(tmp_path):

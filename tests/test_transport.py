@@ -318,6 +318,25 @@ def test_alias_spellings_dial_one_udp_edge_under_the_one_spelling():
         net.close()
 
 
+def test_a_peer_dialed_by_host_name_is_answered_on_the_dialed_edge():
+    net = RealNetwork("udp")
+    try:
+        a, b = net.new_host(), net.new_host()
+        got_a, got_b = Script(), Script()
+        a.attach(got_a)
+        b.attach(got_b)
+        port = a.udp_ta.rsplit(":", 1)[1]
+        dialed = b.dial(f"ring.udp:localhost:{port}")
+        dialed.send(b"ping")
+        assert wait_for(net, lambda: got_a.got, 5.0)
+        got_a.got[0][0].send(b"pong")
+        assert wait_for(net, lambda: got_b.got, 5.0)
+        assert b.edges == {a.udp_ta: dialed}
+        assert got_b.got == [(dialed, b"pong")]
+    finally:
+        net.close()
+
+
 def test_full_link_handshake_over_tcp_loopback():
     net = RealNetwork("tcp")
     try:
