@@ -15,8 +15,10 @@ analyze`` takes them (``read_snapshot``, and ``ring_correct``,
 object, so that each call derives what it reads from the edges), the
 simulator's transmit-to-receive of one datagram, with an empty timer
 queue, with 10,000 timers waiting and to a NATed host's external
-mapping, and one routed hop through the simulator (transmit, delivery
-and a ring node's forward).
+mapping, one routed hop through the simulator (transmit, delivery and a
+ring node's forward), and topology set-up (``synthetic_snapshot`` and
+``write_snapshot`` of that 4096-node snapshot, ``seed_ring`` of 1024
+nodes with k=4, and one simulated dial of a live host's own ta).
 Every measurement runs in a fresh process that imports its side's
 ``src``, and the sides take turns: in each of five per-layer rounds,
 each side times every per-layer case ``--repeat`` times in a process of
@@ -37,7 +39,10 @@ after/before ratio of every case they share (a checkout without
 end-to-end ratio divides the medians.  A per-layer figure is
 microseconds per call: the fastest of all its timing runs (``--repeat``
 in each round's process, taken round-robin over the cases), with their
-median and the number of processes it is the best of beside it.
+median and the number of processes it is the best of beside it.  Each
+per-layer case also gets one after/before ratio per round, of the two
+sides' fastest runs in that round, and the median of those ratios
+beside the ratio of the fastest-of figures.
 """
 
 from __future__ import annotations
@@ -276,6 +281,20 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     cases["verify_ring_correct_4096"] = lambda: ring_correct(new_object())
     cases["verify_routability_4096"] = lambda: routability(new_object(), 4000, seed=1)
     cases["verify_shortcut_cdf_4096"] = lambda: shortcut_cdf(new_object())
+
+    # Topology set-up as the benchmark's workloads pay it: the snapshot
+    # that ``verify-4096`` synthesizes and writes, ``lookup-1024``'s
+    # pre-wired ring, and one simulated dial of a live host's own ta (an
+    # edge it holds already, so the dial is all that is timed).
+    cases["synthetic_snapshot_4096"] = lambda: synthetic_snapshot(4096, 4, seed=1)
+    cases["write_snapshot_4096"] = lambda: write_snapshot(
+        verify, os.path.join(snap_dir.name, "written.snap"))
+    cases["seed_ring_1024"] = lambda: seed_ring(
+        SimNetwork(SimConfig(seed=1, latency=ConstantLatency(0.01))), 1024, Random(1),
+        OverlayConfig(k_shortcuts=4, status_interval=None), k=4)
+    dialer, dialed = plain.new_host(), plain.new_host()
+    dialer.dial(dialed.ta)
+    cases["sim_dial_plain_ta"] = lambda: dialer.dial(dialed.ta)
     return cases
 
 
@@ -384,10 +403,17 @@ def main() -> int:
         "best_of_processes": len(processes),
         "best_of_runs": sum(len(p[name]) for p in processes)}
         for name in processes[0]}} for side, processes in layer.items()}
+    # The fastest run of each side's process in each round, divided: one
+    # ratio per round, whose median a drift between rounds moves less.
+    per_round = {name: [round(min(a[name]) / min(b[name]), 3)
+                        for b, a in zip(layer["before"], layer["after"])]
+                 for name in data["after"]["cases"] if name in data["before"]["cases"]}
     for name in data["after"]["cases"]:
         print(f"{name:28s}" + "".join(
             f"  {side} {data[side]['cases'][name]['us']:9.3f} us"
-            for side in sides if name in data[side]["cases"]))
+            for side in sides if name in data[side]["cases"])
+            + (f"  rounds' median x{statistics.median(per_round[name]):.3f}"
+               if name in per_round else ""))
     runs = {side: {} for side in sides}
     for case in END_TO_END:
         for side, r in alternate(sides, END_TO_END_ROUNDS, ["--case", case]).items():
@@ -400,19 +426,25 @@ def main() -> int:
 
     before, after = data["before"], data["after"]
     ratios = {name: round(after["cases"][name]["us"] / before["cases"][name]["us"], 3)
-              for name in after["cases"] if name in before["cases"]}
+              for name in per_round}
     for case in END_TO_END:
         for key in END_TO_END_KEYS:
             ratios[f"{case}.{key}"] = round(after["end_to_end"][case]["median"][key]
                                             / before["end_to_end"][case]["median"][key], 3)
-    data.update(after_over_before=ratios, python=platform.python_version(),
+    data.update(after_over_before=ratios,
+                after_over_before_per_round=per_round,
+                after_over_before_median_of_rounds={
+                    name: round(statistics.median(r), 3) for name, r in per_round.items()},
+                python=platform.python_version(),
                 nproc=os.cpu_count(),
                 unit=("cases: microseconds per call, fastest of the timing runs of "
                       f"{PER_LAYER_ROUNDS} rounds, each timing every case {args.repeat} "
                       "times per side in a fresh process, the first side alternating; "
                       f"end_to_end: {END_TO_END_ROUNDS} rounds per case, each running it "
                       "once per side in a fresh process, the first side alternating; "
-                      "after_over_before of an end-to-end figure divides the medians"))
+                      "after_over_before of an end-to-end figure divides the medians; "
+                      "after_over_before_per_round divides the two sides' fastest runs "
+                      "in each per-layer round, and _median_of_rounds is their median"))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

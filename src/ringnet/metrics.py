@@ -9,7 +9,9 @@ emits, so analysis works offline from run artifacts alone.
 
 Every check reads what one pass over a snapshot's edges derives (each
 node's ring deficit and its sorted ring of peers), cached on the frozen
-snapshot; ``read_snapshot`` parses each distinct address once.
+snapshot; ``read_snapshot`` parses each distinct address once, and
+``write_snapshot`` formats an edge's first address once for each run of
+edges that share it.
 
 Checks provided: one ring check (``ring_correct`` walks the sorted ring
 once and counts each node's nearest live addresses it lacks a near link
@@ -286,8 +288,13 @@ def write_snapshot(snapshot: TopologySnapshot, path: str) -> None:
         fh.write(f"# ringnet-snapshot time={snapshot.timestamp:.3f}\n")
         for a in snapshot.nodes:
             fh.write(f"node {format_address(a)}\n")
+        # Edges come grouped by their first address (sorted, or requester
+        # by requester), so its spelling is formatted once per group.
+        last, spelled = None, ""
         for a, b, label in snapshot.edges:
-            fh.write(f"edge {format_address(a)} {format_address(b)} {label}\n")
+            if a != last:
+                last, spelled = a, format_address(a)
+            fh.write(f"edge {spelled} {format_address(b)} {label}\n")
 
 
 def to_dot(snapshot: TopologySnapshot) -> str:

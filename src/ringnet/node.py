@@ -111,6 +111,8 @@ log = logging.getLogger(__name__)
 
 # Read once: an enum member looked up on its class costs about 0.1 µs.
 _FORWARD = DecisionKind.FORWARD
+# Both directions, iterated on every tick without the Enum's class iterator.
+_DIRECTIONS = (Direction.CLOCKWISE, Direction.COUNTERCLOCKWISE)
 
 # Cap on the density-sized shortcut count (k_shortcuts = None).
 K_MAX = 16
@@ -1050,7 +1052,7 @@ class NodeState:
         _, cw_closest, ccw_closest = cache
         horizon = REPAIR_HORIZON_GAPS * self.gap_ewma if self.gap_ewma else None
         converged = True
-        for direction in Direction:
+        for direction in _DIRECTIONS:
             closest = cw_closest if direction is Direction.CLOCKWISE else ccw_closest
             satisfied = True
             acted = False

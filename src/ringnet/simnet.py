@@ -5,7 +5,9 @@ configurable latency model, optional loss, and per-host NAT boxes.  Two
 tables find a datagram's host: plain hosts under their own ``ta`` (any
 other spelling is parsed once and looked up as ``format_ta`` spells it),
 and NATed hosts under their box's external IP, reached only when the box
-lets the datagram in, never at their internal address.  Every host is a
+lets the datagram in, never at their internal address.  ``SimHost.dial``
+files its edge under a live plain host's ``ta`` as given and parses any
+other spelling, so that aliases share one edge.  Every host is a
 UDP endpoint, so a ``tcp`` address reaches none.  The event queue is the
 ``TimerQueue`` the real transports use too: events fire by time, then in
 scheduling order, so runs are bit-deterministic for a fixed seed: same
@@ -252,10 +254,12 @@ class SimHost(Host):
     # host interface ----------------------------------------------------
 
     def dial(self, ta: str) -> DatagramEdge | None:
-        try:
-            ta = normal_ta(ta)
-        except ValueError:
-            return None
+        # A live plain host's own ta is spelled as format_ta spells it.
+        if ta not in self.network.plain_tas:
+            try:
+                ta = normal_ta(ta)
+            except ValueError:
+                return None
         return self.datagram_edge(ta, ta)
 
     def local_tas(self) -> list[str]:

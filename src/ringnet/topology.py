@@ -6,6 +6,16 @@ test oracle) and constructive seeding of live simulator nodes in an
 already-converged state, which is how large "correct ring" starting
 points for failure and merge scenarios are produced without paying for
 a full protocol bootstrap.
+
+A shortcut's endpoint is the node nearest the offset its requester
+drew, and only the two nodes that flank the offset can be nearest, as in
+greedy routing (see ``routing``).  Every other node is farther clockwise
+than the first node at or clockwise of the offset, and farther
+counterclockwise than the one before it (or than the first, when it is
+on the offset), so it is strictly farther than the nearer of the two.
+For the same reason the first can be nearest only clockwise and the one
+before it only counterclockwise, so ``closest_index`` compares just
+those two distances.
 """
 
 from __future__ import annotations
@@ -29,15 +39,18 @@ def ring_addresses(n: int, rng: Random) -> list[int]:
 
 
 def closest_index(ring: list[int], target: int) -> int:
-    """Index of the ring address nearest target (symmetric metric)."""
+    """Index of the ring address nearest target (symmetric metric), ties
+    to the smaller address: ``ring[i]`` clockwise or ``ring[i - 1]``
+    counterclockwise of target (see the module docstring)."""
     n = len(ring)
     i = bisect_left(ring, target) % n
-    candidates = [(i - 1) % n, i, (i + 1) % n]
-    def dist(j: int) -> tuple[int, int]:
-        d = (ring[j] - target) % MODULUS
-        d = min(d, MODULUS - d)
-        return (d, ring[j])
-    return min(candidates, key=dist)
+    j = i - 1 if i else n - 1
+    after, before = ring[i], ring[j]
+    d_after = (after - target) % MODULUS
+    d_before = (target - before) % MODULUS
+    if d_before < d_after or (d_before == d_after and before < after):
+        return j
+    return i
 
 
 def _near_pairs(ring: list[int]):

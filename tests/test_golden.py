@@ -1,7 +1,8 @@
 """Golden traces: seed-1 runs of the shipped scenarios, pinned byte for byte.
 
-Beside them: a synthetic snapshot file, a pre-wired ring's connection
-tables, and small merge and churn runs with loss, whose departures and
+Beside them: synthetic snapshot files of 1024 and 4096 nodes, a
+pre-wired ring's connection tables, the snapshot of a 256-node pre-wired
+ring, and small merge and churn runs with loss, whose departures and
 failed joins both respawn nodes.
 
 The digests below were taken from the protocol as it stands.  A change
@@ -172,6 +173,10 @@ def test_smoke_node_decision_trace_is_pinned():
 
 SYNTHETIC_SNAPSHOT = "347dab185dae657246714cb9aaaa38284d2509b513492ebb48a000fa3068dadd"
 SEED_RING = "ee35de4822852fd196b496afaf26456a7a265b21693f8c462a439e2410ab3e48"
+# At benchmark scale: the snapshot file of synthetic_snapshot(4096, 4, seed
+# 1), and the repr() of take_snapshot over seed_ring(256, k=4, seed 1).
+SYNTHETIC_SNAPSHOT_4096 = "7f9c9a69741c1fb37293fbb29cb98c89241ce72dd6b48701f88d606e46e79292"
+SEED_RING_SNAPSHOT_256 = "a3478955241710a1d176ec312619404bcf565041b8b0d0d651b30209a0dddfb7"
 SMALL_RUNS = {
     "churn": "2d538ee165284356ac3c488fd0be5eb8e24d27e21db10863669a1ac36dc24b41",
     "merge": "e0ded578c0f42ed6f80d98324c2533ed716872cfed140502ef91fad8272fe6fd",
@@ -188,6 +193,22 @@ def test_synthetic_snapshot_file_is_pinned(tmp_path):
     got = _sha256(path)
     _report("synthetic snapshot", got)
     assert got == SYNTHETIC_SNAPSHOT
+
+
+def test_synthetic_snapshot_file_at_4096_nodes_is_pinned(tmp_path):
+    path = tmp_path / "synthetic.snap"
+    write_snapshot(topology.synthetic_snapshot(4096, 4, seed=1), str(path))
+    got = _sha256(path)
+    _report("synthetic snapshot 4096", got)
+    assert got == SYNTHETIC_SNAPSHOT_4096
+
+
+def test_seed_ring_snapshot_at_256_nodes_is_pinned():
+    nodes = topology.seed_ring(SimNetwork(SimConfig(seed=1)), 256, Random(1),
+                               OverlayConfig(k_shortcuts=4), k=4)
+    got = _repr_sha256(sc.take_snapshot(list(nodes.values()), 0.0))
+    _report("seed_ring snapshot 256", got)
+    assert got == SEED_RING_SNAPSHOT_256
 
 
 def test_seed_ring_tables_are_pinned():

@@ -1,5 +1,6 @@
 """Offline verification tests: correctness predicate, routability, files."""
 
+from bisect import bisect_left
 from random import Random
 
 import pytest
@@ -275,6 +276,51 @@ def test_closest_node_wraps():
     assert ring[closest_index(ring, 1)] == MODULUS - 4  # wraps backwards
     assert ring[closest_index(ring, 3)] == 10  # distance tie breaks to smaller address
     assert ring[closest_index(ring, 80)] == 100
+    assert ring[closest_index(ring, 55)] == 10  # halfway: the smaller again
+
+
+def reference_closest_index(ring: list[int], target: int) -> int:
+    """The nearest of the three addresses around target's bisection point,
+    ties to the smaller address: the model ``closest_index`` must match."""
+    n = len(ring)
+    i = bisect_left(ring, target) % n
+    candidates = [(i - 1) % n, i, (i + 1) % n]
+
+    def dist(j: int) -> tuple[int, int]:
+        d = (ring[j] - target) % MODULUS
+        d = min(d, MODULUS - d)
+        return (d, ring[j])
+    return min(candidates, key=dist)
+
+
+@st.composite
+def rings_and_targets(draw):
+    """A sorted ring of 1-64 distinct addresses, small ones crowding both
+    ends of the space, and a target on a node, near or at a node's
+    antipode, past either end of the ring, halfway between two nodes, or
+    anywhere."""
+    address = st.one_of(st.integers(0, 64), st.integers(MODULUS - 64, MODULUS - 1),
+                        st.integers(0, MODULUS - 1))
+    ring = sorted(draw(st.lists(address, min_size=1, max_size=64, unique=True)))
+    node = st.sampled_from(ring)
+    nudge = st.integers(-2, 2)
+    target = draw(st.one_of(
+        node,
+        st.builds(lambda a, d: (a + (MODULUS >> 1) + d) % MODULUS, node, nudge),
+        st.integers(0, ring[0]),
+        st.integers(ring[-1], MODULUS - 1),
+        st.builds(lambda i, d: (ring[i - 1] + (ring[i] - ring[i - 1]) % MODULUS // 2
+                                + d) % MODULUS,
+                  st.integers(0, len(ring) - 1), nudge),
+        address))
+    return ring, target
+
+
+@settings(max_examples=500, deadline=None)
+@given(rings_and_targets())
+def test_closest_index_matches_the_three_candidate_model(case):
+    ring, target = case
+    assert closest_index(ring, target) == reference_closest_index(ring, target)
 
 
 def test_shortcut_cdf_on_law_generated_snapshot():
@@ -305,6 +351,12 @@ def test_snapshot_file_round_trip(tmp_path):
     write_snapshot(snap, path)
     loaded = read_snapshot(path)
     assert loaded == snap
+    # Edges whose first addresses come interleaved, not grouped.
+    edges = list(snap.edges)
+    Random(8).shuffle(edges)
+    shuffled = TopologySnapshot(snap.timestamp, snap.nodes, tuple(edges))
+    write_snapshot(shuffled, path)
+    assert read_snapshot(path) == shuffled
 
 
 def test_snapshot_reader_parses_an_edge_to_an_address_that_is_no_node(tmp_path):

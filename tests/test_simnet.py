@@ -531,12 +531,39 @@ def test_alias_spellings_reach_the_host_of_its_own_ta():
 def test_alias_spellings_dial_one_edge_under_the_one_spelling():
     net = SimNetwork(SimConfig(seed=40))
     host, target = net.new_host(), net.new_host()
+    # Aliases dialed before and after the host's own ta.
     edges = {host.dial(ta) for ta in (
-        f"ring.udp:{target.ip}:7000", f"ring.udp:{target.ip}:07000",
+        f"ring.udp:{target.ip}:07000", f"ring.udp:{target.ip}:7000",
         f"RING.UDP:{target.ip}:7000", f"udp:{target.ip}:7000")}
     assert len(edges) == 1
     assert host.edges == {target.ta: edges.pop()}
     assert host.edges[target.ta].remote == target.ta
+
+
+def test_a_dead_hosts_ta_dials_an_edge_whose_datagrams_are_undeliverable():
+    net = SimNetwork(SimConfig(seed=44))
+    host = net.new_host()
+    target, probe = _probed_host(net)
+    ta = target.ta
+    target.shutdown()
+    edge = host.dial(ta)
+    assert host.dial(f"RING.UDP:{target.ip}:7000") is edge
+    assert host.edges == {ta: edge} and edge.remote == ta
+    edge.send(b"late")
+    net.run_for(1)
+    assert probe.got == []
+    assert net.stats["undeliverable"] == 1
+
+
+@pytest.mark.parametrize("ta", ["", "ring.udp:10.0.0.2", "ring.sctp:10.0.0.2:7000",
+                                "ring.udp::7000", "ring.udp:10.0.0.2:0",
+                                "ring.udp:10.0.0.2:70000", "ring.udp:10.0.0.2:7000:1"])
+def test_a_malformed_ta_dials_nothing(ta):
+    net = SimNetwork(SimConfig(seed=45))
+    host, target = net.new_host(), net.new_host()
+    assert target.ta == "ring.udp:10.0.0.2:7000"
+    assert host.dial(ta) is None
+    assert host.edges == {}
 
 
 def test_a_tcp_spelling_reaches_no_simulated_host():
