@@ -34,15 +34,14 @@ with their medians per side:
 
 ``--src`` names the ``after`` side's ``src`` (this checkout's by
 default).  The output file is written whole and holds both sides and the
-after/before ratio of every case they share (a checkout without
-``packet.read_header`` has no ``packet_read_header`` case); an
-end-to-end ratio divides the medians.  A per-layer figure is
-microseconds per call: the fastest of all its timing runs (``--repeat``
-in each round's process, taken round-robin over the cases), with their
-median and the number of processes it is the best of beside it.  Each
-per-layer case also gets one after/before ratio per round, of the two
-sides' fastest runs in that round, and the median of those ratios
-beside the ratio of the fastest-of figures.
+after/before ratio of every case they share; an end-to-end ratio
+divides the medians.  A per-layer figure is microseconds per call: the
+fastest of all its timing runs (``--repeat`` in each round's process,
+taken round-robin over the cases), with their median and the number of
+processes it is the best of beside it.  Each per-layer case also gets
+one after/before ratio per round, of the two sides' fastest runs in
+that round, and the median of those ratios beside the ratio of the
+fastest-of figures.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         bytes(16), ttl=100))
     pkt = packet.decode(routed)
     cases["packet_decode"] = lambda: packet.decode(routed)
-    if hasattr(packet, "read_header"):
-        cases["packet_read_header"] = lambda: packet.read_header(routed)
+    cases["packet_read_header"] = lambda: packet.read_header(routed)
     cases["packet_encode"] = lambda: packet.encode(pkt)
     cases["forward_one_hop"] = lambda: packet.encode(
         packet.advance_hop(packet.decode(routed)))
@@ -133,8 +131,6 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         rng.getrandbits(160), ring[8], packet.PAYLOAD_APP, bytes(16)))
     hop = routing.greedy_next_hop(node.address, node.table.structured_peers(), None,
                                   ring[8])
-    if isinstance(hop, tuple):  # a checkout whose greedy decider returns a Decision
-        hop = hop.next_hop
     assert hop in node.table.structured_peers()
     inbound = DiscardEdge()
     cases["node_forward_one_hop"] = lambda: node.on_datagram(inbound, lookup)

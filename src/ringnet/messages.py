@@ -53,10 +53,9 @@ CONNECT_RESPONSE = 0x02
 # a leaf peer (how a response reaches a joiner that is not yet routable).
 CONNECT_RELAY = 0x03
 
-# Link status codes.
+# Link status codes; a node reads any other status as a rejection.
 LINK_OK = 0x00
 LINK_COLLISION = 0x01
-LINK_REJECTED = 0x02
 
 # Connection type codes (see connections.py for the label strings).
 CT_LEAF = 0x00

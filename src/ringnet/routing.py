@@ -34,39 +34,19 @@ hop count reaches its ttl.
 Distance ties break toward the numerically smaller address, with the
 deciding node winning ties against its neighbors, which makes every
 decision deterministic for a given input.
+
+Greedy returns the next hop, or None to deliver here.  Annealing and
+directional return a ``(deliver, next_hop)`` pair: ``(False, u)``
+forwards to ``u``, ``(True, None)`` delivers here, ``(True, u)`` delivers
+here and also forwards to ``u``, and ``(False, None)`` drops the packet.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .address import HALF_MODULUS, MODULUS, Direction
-
-
-class DecisionKind(enum.Enum):
-    FORWARD = "forward"
-    DELIVER_LOCAL = "deliver_local"
-    DELIVER_AND_FORWARD = "deliver_and_forward"
-    DROP = "drop"
-
-
-class Decision(NamedTuple):
-    kind: DecisionKind
-    next_hop: int | None = None
-
-
-DELIVER_LOCAL = Decision(DecisionKind.DELIVER_LOCAL)
-DROP = Decision(DecisionKind.DROP)
-
-
-def forward(next_hop: int) -> Decision:
-    return Decision(DecisionKind.FORWARD, next_hop)
-
-
-def deliver_and_forward(next_hop: int) -> Decision:
-    return Decision(DecisionKind.DELIVER_AND_FORWARD, next_hop)
 
 
 def _best_two(v: int, ring: Sequence[int], target: int,
@@ -141,19 +121,19 @@ def greedy_next_hop(v: int, ring: Sequence[int], prev: int | None, target: int,
 
 
 def annealing_next_hop(v: int, ring: Sequence[int], prev: int | None, target: int,
-                       skip: int | None = None) -> Decision:
+                       skip: int | None = None) -> tuple[bool, int | None]:
     u_min, u_sec = _best_two(v, ring, target, skip)
     if u_min != v and u_min != prev:
-        return forward(u_min)
+        return False, u_min
     if u_sec is not None and u_sec != v and u_sec != prev:
-        return deliver_and_forward(u_sec)
-    return DELIVER_LOCAL
+        return True, u_sec
+    return True, None
 
 
-def directional_next_hop(v: int, ring: Sequence[int], direction: Direction,
-                         hops: int, ttl: int, skip: int | None = None) -> Decision:
+def directional_next_hop(v: int, ring: Sequence[int], direction: Direction, hops: int,
+                         ttl: int, skip: int | None = None) -> tuple[bool, int | None]:
     if hops >= ttl:
-        return DELIVER_LOCAL
+        return True, None
     n = len(ring)
     if direction is Direction.CLOCKWISE:
         i, step = bisect_right(ring, v), 1
@@ -164,5 +144,5 @@ def directional_next_hop(v: int, ring: Sequence[int], direction: Direction,
     for j in range(min(n, 2)):
         u = ring[(i + j * step) % n]
         if u != skip:
-            return forward(u)
-    return DROP
+            return False, u
+    return False, None

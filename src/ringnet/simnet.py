@@ -164,9 +164,6 @@ class SimNetwork:
         self._timers.fire_due(t, self)
         self.now = max(self.now, t)
 
-    def run_for(self, duration: float) -> None:
-        self.run_until(self.now + duration)
-
     # -- topology --
 
     def new_host(self, nat: NatKind | None = None) -> "SimHost":

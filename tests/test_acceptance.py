@@ -189,7 +189,7 @@ def test_06_massive_failure_recovery():
     net = SimNetwork(SimConfig(seed=6))
     overlay = OverlayConfig(k_shortcuts=4, status_interval=3.0)
     nodes = seed_ring(net, 512, Random(66), overlay, k=4)
-    net.run_for(5)
+    net.run_until(net.now + 5)
     snap = take_snapshot(list(nodes.values()), net.now)
     assert ring_correct(snap)[1] == 1.0 and missing_edges(snap) == 0
 
@@ -201,7 +201,7 @@ def test_06_massive_failure_recovery():
 
     recovered_at = None
     for _ in range(24):  # up to 120 simulated seconds
-        net.run_for(5)
+        net.run_until(net.now + 5)
         snap = take_snapshot(survivors, net.now)
         if missing_edges(snap) == 0:
             recovered_at = net.now
@@ -279,7 +279,7 @@ def nat_trial(seed: int, kind_b: NatKind) -> bool:
         NatKind.PORT_RESTRICTED_CONE, kind_b, seed=seed)
     a.initiate_link([ta_b], messages.CT_NEAR, expect_addr=b.address)
     b.initiate_link([ta_a], messages.CT_NEAR, expect_addr=a.address)
-    net.run_for(20)
+    net.run_until(net.now + 20)
     return (a.table.get(b.address) is not None
             and b.table.get(a.address) is not None)
 
@@ -369,12 +369,12 @@ def test_supplementary_join_cost(converged_1024):
         net = runner.network
         for _ in range(30):  # settle until a whole window passes silently
             idle_before = net.stats["datagrams"]
-            net.run_for(10)
+            net.run_until(net.now + 10)
             if net.stats["datagrams"] == idle_before:
                 break
         assert net.stats["datagrams"] == idle_before, "network not quiet"
         runner._spawn()
-        net.run_for(15)
+        net.run_until(net.now + 15)
         return net.stats["datagrams"] - idle_before
 
     for size, phases in ((64, [Bootstrap(64, spacing=0.25), Wait(10)]),

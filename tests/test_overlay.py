@@ -58,7 +58,7 @@ def test_join_into_single_node_network_forms_mutual_ring():
     a = new_node(net, 100, cfg, seed=1, joined=True)
     b = new_node(net, HALF_MODULUS, cfg, seed=2)
     b.start_join(a.host.ta)
-    net.run_for(8)
+    net.run_until(net.now + 8)
     assert b.joined
     assert NEAR in a.table.get(b.address).roles
     assert NEAR in b.table.get(a.address).roles
@@ -75,13 +75,13 @@ def test_join_lands_between_both_ring_neighbors():
     rng = Random(5)
     ring = [i * (MODULUS // 8) for i in range(8)]
     nodes = seed_ring(net, 8, rng, cfg, addresses=ring)
-    net.run_for(3)
+    net.run_until(net.now + 3)
 
     joiner_addr = ring[3] + (MODULUS // 16)  # strictly between ring[3] and ring[4]
     joiner = new_node(net, joiner_addr, cfg, seed=9)
     proxy = nodes[ring[0]]  # far away from the join position
     joiner.start_join(proxy.host.ta)
-    net.run_for(10)
+    net.run_until(net.now + 10)
 
     assert joiner.joined
     near_peers = {c.peer for c in joiner.table.with_role(NEAR)}
@@ -94,11 +94,11 @@ def test_join_into_correct_64_ring_keeps_everyone_correct():
     net = SimNetwork(SimConfig(seed=3))
     cfg = quiet_config()
     nodes = seed_ring(net, 64, Random(7), cfg)
-    net.run_for(3)
+    net.run_until(net.now + 3)
     joiner = new_node(net, 12345 * 2, cfg, seed=11)
     proxy = nodes[sorted(nodes)[20]]
     joiner.start_join(proxy.host.ta)
-    net.run_for(15)
+    net.run_until(net.now + 15)
     everyone = list(nodes.values()) + [joiner]
     _, fraction = ring_correct(take_snapshot(everyone, net.now))
     assert fraction == 1.0
@@ -111,7 +111,7 @@ def test_join_timeout_reports_failure():
     failures = []
     node.on_join_failed = lambda n, reason: failures.append(reason)
     node.start_join("ring.udp:10.9.9.9:7000")  # nobody there
-    net.run_for(30)
+    net.run_until(net.now + 30)
     assert not node.joined
     assert failures
 
@@ -122,7 +122,7 @@ def test_leaf_connection_dropped_after_join():
     a = new_node(net, 100, cfg, seed=1, joined=True)
     b = new_node(net, HALF_MODULUS, cfg, seed=2)
     b.start_join(a.host.ta)
-    net.run_for(10)
+    net.run_until(net.now + 10)
     assert b.joined
     assert not b.table.with_role(LEAF)
     assert not a.table.with_role(LEAF)
@@ -144,7 +144,7 @@ def test_joins_through_unjoined_proxies_form_one_ring(seed):
         if i:
             node.start_join(nodes[rng.randrange(i)].host.ta)
         nodes.append(node)
-    net.run_for(30)
+    net.run_until(net.now + 30)
     assert all(node.joined for node in nodes)
     _, fraction = ring_correct(take_snapshot(nodes, net.now))
     assert fraction == 1.0
@@ -197,7 +197,7 @@ def test_unjoined_proxy_passes_join_requests_up_its_own_leaf(monkeypatch):
     net.transmit = spy
 
     joiner._send_join_request(joiner.table.get(proxy.address))
-    net.run_for(3)
+    net.run_until(net.now + 3)
     assert joiner.joined
     assert NEAR in ring.table.get(joiner.address).roles
     assert not proxy.joined
@@ -207,7 +207,7 @@ def test_unjoined_proxy_passes_join_requests_up_its_own_leaf(monkeypatch):
     proxy._join_attempts_left = 1
     proxy._join_check()
     assert [dst for src, dst in sent if src is proxy.host] == [ring.host.ta]
-    net.run_for(3)
+    net.run_until(net.now + 3)
     assert proxy.joined
     _, fraction = ring_correct(take_snapshot([ring, proxy, joiner], net.now))
     assert fraction == 1.0
@@ -223,7 +223,7 @@ def test_handshake_commits_on_both_sides_with_two_round_trips():
     a = new_node(net, 1000, cfg, seed=1, joined=True)
     b = new_node(net, 2000, cfg, seed=2, joined=True)
     a.initiate_link([b.host.ta], messages.CT_NEAR, expect_addr=b.address)
-    net.run_for(0.2)  # inside the push-status debounce window
+    net.run_until(net.now + 0.2)  # inside the push-status debounce window
     conn_ab = a.table.get(b.address)
     conn_ba = b.table.get(a.address)
     assert conn_ab is not None and conn_ba is not None
@@ -232,7 +232,7 @@ def test_handshake_commits_on_both_sides_with_two_round_trips():
     # Four link-layer datagrams: link req/resp, status req/resp.
     assert net.stats["datagrams"] == 4
     # The follow-up neighborhood pushes settle quickly.
-    net.run_for(2)
+    net.run_until(net.now + 2)
     assert net.stats["datagrams"] <= 8
 
 
@@ -254,7 +254,7 @@ def test_handshake_with_own_address_is_rejected():
     a = new_node(net, 777, cfg, seed=1, joined=True)
     b = new_node(net, 777, cfg, seed=2, joined=True)  # address collision
     a.initiate_link([b.host.ta], messages.CT_NEAR)
-    net.run_for(5)
+    net.run_until(net.now + 5)
     assert a.table.get(777) is None
     assert b.table.get(777) is None
     assert b.stats["address_collision"] == 1
@@ -281,11 +281,11 @@ def test_half_open_handshake_commits_nowhere():
     edge = ghost_host.dial(a.host.ta)
     edge.send(encode(make_link(31337, a.address, PAYLOAD_LINK,
                                messages.encode_link(req))))
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert received  # link response came back
     assert a.provisional  # half-open
     assert a.table.get(31337) is None
-    net.run_for(60)
+    net.run_until(net.now + 60)
     assert not a.provisional
     assert a.table.get(31337) is None
 
@@ -299,7 +299,7 @@ def test_nated_node_learns_translated_address_from_echo():
     hidden = NodeState(6000, host, cfg, Random(2))
     host.attach(hidden)
     hidden.start_join(public.host.ta)
-    net.run_for(5)
+    net.run_until(net.now + 5)
     assert hidden.joined
     assert hidden.learned_tas, "echo should reveal the external address"
     external = hidden.learned_tas[0]
@@ -313,12 +313,12 @@ def test_connect_request_to_connected_peer_adds_role_without_new_edge():
     a = new_node(net, 1000, cfg, seed=1, joined=True)
     b = new_node(net, 3000, cfg, seed=2, joined=True)
     a.initiate_link([b.host.ta], messages.CT_NEAR, expect_addr=b.address)
-    net.run_for(2)
+    net.run_until(net.now + 2)
     established = (a.stats["connections_established"],
                    b.stats["connections_established"])
     a.send_connect_request(b.address, messages.CT_SHORTCUT, kind="shortcut",
                            sampled_gap=1 << 150)
-    net.run_for(2)
+    net.run_until(net.now + 2)
     assert (a.stats["connections_established"],
             b.stats["connections_established"]) == established
     assert len(a.table.by_peer) == 1 and len(b.table.by_peer) == 1
@@ -335,12 +335,12 @@ def test_target_dials_requester_directly():
     cfg = quiet_config()
     ring = [i * (MODULUS // 4) for i in range(4)]
     nodes = seed_ring(net, 4, Random(3), cfg, addresses=ring)
-    net.run_for(2)
+    net.run_until(net.now + 2)
     requester = nodes[ring[0]]
     target_addr = ring[2]
     requester.send_connect_request(target_addr, messages.CT_SHORTCUT,
                                    kind="shortcut", sampled_gap=1 << 158)
-    net.run_for(3)
+    net.run_until(net.now + 3)
     conn = requester.table.get(target_addr)
     assert conn is not None
     assert not conn.initiated_by_me  # the target dialed us
@@ -355,13 +355,13 @@ def test_status_listing_only_current_neighbors_is_a_fixed_point():
     net = SimNetwork(SimConfig(seed=12))
     cfg = quiet_config()
     nodes = seed_ring(net, 8, Random(3), cfg)
-    net.run_for(3)
+    net.run_until(net.now + 3)
     node = nodes[sorted(nodes)[0]]
     before = net.stats["datagrams"]
     listing = node.table.neighbor_listing()
     conn = node.table.with_role(NEAR)[0]
     node._process_status(conn, listing)
-    net.run_for(2)
+    net.run_until(net.now + 2)
     assert not node.pending_links
     assert net.stats["datagrams"] == before
 
@@ -369,7 +369,7 @@ def test_status_listing_only_current_neighbors_is_a_fixed_point():
 def test_a_repeated_listing_is_zipped_again_only_after_a_table_write(monkeypatch):
     net = SimNetwork(SimConfig(seed=12))
     nodes = seed_ring(net, 16, Random(3), quiet_config())
-    net.run_for(3)
+    net.run_until(net.now + 3)
     ring = sorted(nodes)
     node = nodes[ring[0]]
     conn = node.table.get(ring[1])
@@ -456,13 +456,13 @@ def test_missing_near_neighbor_is_repaired_from_listings():
     net = SimNetwork(SimConfig(seed=13))
     cfg = quiet_config()
     nodes = seed_ring(net, 16, Random(3), cfg)
-    net.run_for(3)
+    net.run_until(net.now + 3)
     ring = sorted(nodes)
     node = nodes[ring[0]]
     second_cw = ring[2]
     node._drop_connection(second_cw, notify=True, reason="test")
     assert node.table.get(second_cw) is None
-    net.run_for(5)  # a couple of maintenance passes
+    net.run_until(net.now + 5)  # a couple of maintenance passes
     restored = node.table.get(second_cw)
     assert restored is not None and NEAR in restored.roles
     _, fraction = ring_correct(take_snapshot(list(nodes.values()), net.now))
@@ -475,11 +475,11 @@ def test_two_bridged_rings_zip_into_one():
     rng = Random(21)
     left = seed_ring(net, 8, rng, cfg)
     right = seed_ring(net, 8, rng, cfg)
-    net.run_for(3)
+    net.run_until(net.now + 3)
     bridge = new_node(net, rng.getrandbits(160) & (MODULUS - 2), cfg, seed=8)
     bridge.start_join(next(iter(left.values())).host.ta)
     bridge.add_bootstrap(next(iter(right.values())).host.ta)
-    net.run_for(60)
+    net.run_until(net.now + 60)
     everyone = list(left.values()) + list(right.values()) + [bridge]
     _, fraction = ring_correct(take_snapshot(everyone, net.now))
     assert fraction == 1.0
@@ -503,7 +503,7 @@ def test_convergence_from_random_connected_graph():
         for _ in range(10):  # extra random edges
             x, y = rng.sample(addrs, 2)
             install_connection(nodes[x], nodes[y], {NEAR})
-        net.run_for(90)
+        net.run_until(net.now + 90)
         _, fraction = ring_correct(take_snapshot(list(nodes.values()), net.now))
         assert fraction == 1.0, f"seed {seed} failed to converge"
 
@@ -516,9 +516,9 @@ def test_converged_ring_ticks_are_no_ops():
     net = SimNetwork(SimConfig(seed=15))
     cfg = quiet_config()
     nodes = seed_ring(net, 12, Random(3), cfg)
-    net.run_for(5)  # settle any initial status pushes
+    net.run_until(net.now + 5)  # settle any initial status pushes
     before = net.stats["datagrams"]
-    net.run_for(10)
+    net.run_until(net.now + 10)
     assert net.stats["datagrams"] == before
 
 
@@ -532,7 +532,7 @@ def test_surplus_near_connections_are_trimmed_keeping_closest():
     install_connection(node, nodes[ring[3]], {NEAR})
     install_connection(node, nodes[ring[4]], {NEAR})
     assert len(node.table.with_role(NEAR)) == 6
-    net.run_for(5)
+    net.run_until(net.now + 5)
     near_peers = {c.peer for c in node.table.with_role(NEAR)}
     assert near_peers == {ring[1], ring[2], ring[14], ring[15]}
     # The trimmed peers no longer hold the reverse connection either.
@@ -544,7 +544,7 @@ def test_shortcut_deficit_filled_to_k():
     net = SimNetwork(SimConfig(seed=17))
     cfg = quiet_config(k_shortcuts=3)
     nodes = seed_ring(net, 32, Random(3), cfg)
-    net.run_for(30)
+    net.run_until(net.now + 30)
     for node in nodes.values():
         assert len(node.table.initiated_shortcuts()) == 3
         for conn in node.table.initiated_shortcuts():
@@ -555,12 +555,12 @@ def test_dead_shortcut_peer_is_replaced():
     net = SimNetwork(SimConfig(seed=18))
     cfg = quiet_config(k_shortcuts=2, status_interval=2.0)
     nodes = seed_ring(net, 24, Random(3), cfg, k=2)
-    net.run_for(3)
+    net.run_until(net.now + 3)
     node = nodes[sorted(nodes)[0]]
     victim_conn = node.table.initiated_shortcuts()[0]
     victim = nodes.pop(victim_conn.peer)
     victim.host.shutdown()
-    net.run_for(30)
+    net.run_until(net.now + 30)
     assert victim_conn.peer not in node.table.by_peer
     assert len(node.table.initiated_shortcuts()) == 2
 

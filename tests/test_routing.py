@@ -12,13 +12,9 @@ from ringnet.address import (
     ring_distance,
 )
 from ringnet.routing import (
-    DELIVER_LOCAL,
-    DROP,
-    DecisionKind,
     _best_two,
     annealing_next_hop,
     directional_next_hop,
-    forward,
     greedy_next_hop,
 )
 
@@ -46,13 +42,15 @@ def ring_adjacency(ring: list[int], per_side: int = 1) -> dict[int, tuple[int, .
 
 
 def greedy_decision(v, ring, prev, target):
-    """greedy_next_hop as a Decision, for the walks annealing shares."""
+    """greedy_next_hop as a (deliver, next_hop) pair, for the walks
+    annealing shares."""
     hop = greedy_next_hop(v, ring, prev, target)
-    return DELIVER_LOCAL if hop is None else forward(hop)
+    return hop is None, hop
 
 
 def walk(adj, source, target, decide):
-    """Follow decisions from source; returns (delivered set, path).
+    """Follow (deliver, next_hop) decisions from source; returns
+    (delivered set, path).
 
     Annealing can fork on a deliver-and-forward, so the walk carries a
     work list of (node, prev, hops) and a hop budget.
@@ -65,16 +63,12 @@ def walk(adj, source, target, decide):
         current, prev, hops = work.pop()
         if hops > budget:
             raise AssertionError("walk exceeded hop budget")
-        decision = decide(current, adj[current], prev, target)
-        if decision.kind is DecisionKind.FORWARD:
-            path.append(decision.next_hop)
-            work.append((decision.next_hop, current, hops + 1))
-        elif decision.kind is DecisionKind.DELIVER_LOCAL:
+        deliver, next_hop = decide(current, adj[current], prev, target)
+        if deliver:
             delivered.append(current)
-        elif decision.kind is DecisionKind.DELIVER_AND_FORWARD:
-            delivered.append(current)
-            path.append(decision.next_hop)
-            work.append((decision.next_hop, current, hops + 1))
+        if next_hop is not None:
+            path.append(next_hop)
+            work.append((next_hop, current, hops + 1))
     return delivered, path
 
 
@@ -202,10 +196,18 @@ def test_sorted_ring_deciders_match_brute_force(case):
         ranked[0], ranked[1] if len(ranked) > 1 else None)
     assert greedy_next_hop(v, ring, prev, target, skip) == (
         None if ranked[0] in (v, prev) else ranked[0])
+    if ranked[0] not in (v, prev):
+        annealed = (False, ranked[0])
+    elif len(ranked) > 1 and ranked[1] not in (v, prev):
+        annealed = (True, ranked[1])
+    else:
+        annealed = (True, None)
+    assert annealing_next_hop(v, ring, prev, target, skip) == annealed
     for direction in (CW, CCW):
-        expected = (forward(min(others, key=lambda u: directed_distance(v, u, direction)))
-                    if others else DROP)
+        expected = ((False, min(others, key=lambda u: directed_distance(v, u, direction)))
+                    if others else (False, None))
         assert directional_next_hop(v, ring, direction, 0, 1, skip) == expected
+        assert directional_next_hop(v, ring, direction, 1, 1, skip) == (True, None)
 
 
 def test_greedy_does_not_bounce_back_to_prev():
@@ -224,9 +226,7 @@ def test_annealing_dual_delivery_at_local_minimum():
     v = 1000
     adj = [1300, 5000]
     target = 1001
-    decision = annealing_next_hop(v, adj, None, target)
-    assert decision.kind is DecisionKind.DELIVER_AND_FORWARD
-    assert decision.next_hop == 1300
+    assert annealing_next_hop(v, adj, None, target) == (True, 1300)
 
 
 def test_annealing_matches_greedy_when_a_closer_neighbor_exists():
@@ -239,7 +239,7 @@ def test_annealing_matches_greedy_when_a_closer_neighbor_exists():
         target = rng.getrandbits(160)
         g = greedy_next_hop(v, ring, None, target)
         if g is not None:
-            assert annealing_next_hop(v, ring, None, target) == forward(g)
+            assert annealing_next_hop(v, ring, None, target) == (False, g)
 
 
 def test_annealing_first_hop_may_move_away():
@@ -249,9 +249,7 @@ def test_annealing_first_hop_may_move_away():
     adj = [2000]
     target = 999
     assert greedy_next_hop(v, adj, None, target) is None
-    decision = annealing_next_hop(v, adj, None, target)
-    assert decision.kind is DecisionKind.DELIVER_AND_FORWARD
-    assert decision.next_hop == 2000
+    assert annealing_next_hop(v, adj, None, target) == (True, 2000)
 
 
 def test_annealing_broken_ring_delivers_both_gap_endpoints():
@@ -283,32 +281,31 @@ def test_annealing_broken_ring_delivers_both_gap_endpoints():
 
 
 def test_directional_delivers_when_hops_reach_ttl():
-    assert directional_next_hop(0, [5], CW, 2, 2).kind is DecisionKind.DELIVER_LOCAL
+    assert directional_next_hop(0, [5], CW, 2, 2) == (True, None)
 
 
 def test_directional_one_hop_reaches_immediate_neighbor():
     ring = spaced_ring(8)
     adj = ring_adjacency(ring, per_side=2)
-    decision = directional_next_hop(ring[2], adj[ring[2]], CW, 0, 1)
-    assert decision.kind is DecisionKind.FORWARD
-    assert decision.next_hop == ring[3]
-    decision = directional_next_hop(ring[2], adj[ring[2]], CCW, 0, 1)
-    assert decision.next_hop == ring[1]
+    assert directional_next_hop(ring[2], adj[ring[2]], CW, 0, 1) == (False, ring[3])
+    assert directional_next_hop(ring[2], adj[ring[2]], CCW, 0, 1) == (False, ring[1])
 
 
 def test_directional_drop_when_isolated():
-    assert directional_next_hop(0, [], CW, 0, 3).kind is DecisionKind.DROP
+    assert directional_next_hop(0, [], CW, 0, 3) == (False, None)
 
 
 def directional_walk(adj, source, direction, ttl):
     current, hops = source, 0
     visited = [source]
     while True:
-        decision = directional_next_hop(current, adj[current], direction, hops, ttl)
-        if decision.kind is DecisionKind.DELIVER_LOCAL:
+        deliver, next_hop = directional_next_hop(current, adj[current], direction,
+                                                 hops, ttl)
+        if deliver:
+            assert next_hop is None
             return current, visited
-        assert decision.kind is DecisionKind.FORWARD
-        current = decision.next_hop
+        assert next_hop is not None
+        current = next_hop
         visited.append(current)
         hops += 1
 

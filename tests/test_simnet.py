@@ -101,7 +101,7 @@ def _nated_pair(kind_a: NatKind, kind_b: NatKind, seed: int):
         # Prime the NAT mapping the way a leaf exchange would.
         host.dial(coordinator.ta).send(b"x" * 46)
         nodes.append(node)
-    net.run_for(0.1)
+    net.run_until(net.now + 0.1)
     externals = []
     for node in nodes:
         box = node.host.nat_box
@@ -115,7 +115,7 @@ def test_two_port_restricted_nodes_complete_link_handshake():
         NatKind.PORT_RESTRICTED_CONE, NatKind.PORT_RESTRICTED_CONE, seed=31)
     a.initiate_link([ta_b], messages.CT_NEAR, expect_addr=b.address)
     b.initiate_link([ta_a], messages.CT_NEAR, expect_addr=a.address)
-    net.run_for(15)
+    net.run_until(net.now + 15)
     assert a.table.get(b.address) is not None
     assert b.table.get(a.address) is not None
     assert net.stats["nat_dropped"] >= 1  # the hole-punch openers
@@ -126,7 +126,7 @@ def test_symmetric_nat_defeats_the_handshake():
         NatKind.PORT_RESTRICTED_CONE, NatKind.SYMMETRIC, seed=32)
     a.initiate_link([ta_b], messages.CT_NEAR, expect_addr=b.address)
     b.initiate_link([ta_a], messages.CT_NEAR, expect_addr=a.address)
-    net.run_for(30)
+    net.run_until(net.now + 30)
     assert a.table.get(b.address) is None
     assert b.table.get(a.address) is None
 
@@ -143,7 +143,7 @@ def test_nated_internal_address_is_unroutable_from_outside():
     host.attach(Probe())
     outsider = net.new_host()
     outsider.dial(host.ta).send(b"direct to internal address")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert received == []
     assert net.stats["undeliverable"] == 1
 
@@ -163,7 +163,7 @@ def test_a_port_spelled_other_than_in_ascii_digits_names_no_host(port):
     assert a.dial(spelling) is None
     assert a.edges == {}
     net.transmit(a, spelling, b"x" * 46)
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert received == []
     assert net.stats["bad_destination"] == 1
 
@@ -197,7 +197,7 @@ def test_loss_rate_one_delivers_nothing():
     b.attach(Probe())
     for _ in range(20):
         a.dial(b.ta).send(b"payload")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert got == []
     assert net.stats["lost"] == 20
 
@@ -391,7 +391,7 @@ def test_abrupt_departure_sends_no_goodbye():
     cfg = OverlayConfig(status_interval=None, k_shortcuts=0)
     from ringnet.topology import seed_ring
     nodes = seed_ring(net, 6, Random(3), cfg)
-    net.run_for(2)
+    net.run_until(net.now + 2)
     before = net.stats["datagrams"]
     victim = nodes[sorted(nodes)[0]]
     victim.host.shutdown()
@@ -447,8 +447,8 @@ def test_a_deep_copied_runner_respawns_on_its_own_network():
     original = runner.handles[nid]
     node.on_join_failed(node, "timeout")
     # The respawn is due a second later, on the copy's network only.
-    runner.network.run_for(1.5)
-    fork.network.run_for(1.5)
+    runner.network.run_until(runner.network.now + 1.5)
+    fork.network.run_until(fork.network.now + 1.5)
     assert runner.handles[nid] is original
     assert fork.handles[nid] is not node
     assert fork.handles[nid].address == node.address
@@ -521,7 +521,7 @@ def test_alias_spellings_reach_the_host_of_its_own_ta():
                  f"ring.udp:{target.ip}:07000")
     for ta in spellings:
         net.transmit(sender, ta, ta.encode())
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert [data for _, data in probe.got] == [ta.encode() for ta in spellings]
     assert {src for src, _ in probe.got} == {sender.ta}
     assert net.stats["datagrams"] == 4
@@ -550,7 +550,7 @@ def test_a_dead_hosts_ta_dials_an_edge_whose_datagrams_are_undeliverable():
     assert host.dial(f"RING.UDP:{target.ip}:7000") is edge
     assert host.edges == {ta: edge} and edge.remote == ta
     edge.send(b"late")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert probe.got == []
     assert net.stats["undeliverable"] == 1
 
@@ -577,7 +577,7 @@ def test_a_tcp_spelling_reaches_no_simulated_host():
     external = next(iter(inner.nat_box.mappings.values()))
     net.transmit(sender, f"ring.tcp:{target.ip}:7000", b"x")
     net.transmit(sender, f"ring.tcp:{inner.nat_box.external_ip}:{external}", b"x")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert probe.got == inner_probe.got == []
     assert net.stats["undeliverable"] == 2
 
@@ -590,7 +590,7 @@ def test_removed_host_ta_is_undeliverable():
     target.shutdown()
     net.transmit(sender, ta, b"late")
     net.transmit(sender, f"udp:{target.ip}:7000", b"late alias")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert probe.got == []
     assert net.stats["undeliverable"] == 2
 
@@ -600,7 +600,7 @@ def test_wrong_port_of_a_live_host_is_undeliverable():
     sender = net.new_host()
     target, probe = _probed_host(net)
     net.transmit(sender, f"ring.udp:{target.ip}:7001", b"x")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert probe.got == []
     assert net.stats["undeliverable"] == 1
 
@@ -612,14 +612,14 @@ def test_nated_host_is_reached_only_through_its_external_mapping():
         net, nat=NatKind.PORT_RESTRICTED_CONE)
     # The NATed host speaks first, to the outsider's own ta.
     net.transmit(inner, outsider.ta, b"hello")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     [(external_ta, data)] = outsider_probe.got
     assert data == b"hello"
     assert external_ta != inner.ta
     assert external_ta.startswith(f"ring.udp:{inner.nat_box.external_ip}:")
     net.transmit(outsider, inner.ta, b"to internal address")
     net.transmit(outsider, external_ta, b"to external mapping")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert inner_probe.got == [(outsider.ta, b"to external mapping")]
     assert net.stats["undeliverable"] == 1
 
@@ -631,7 +631,7 @@ def test_malformed_destination_counts_bad_destination():
     for ta in ("garbage", "ring.udp:10.0.0.2", "ring.sctp:10.0.0.2:7000",
                "ring.udp:10.0.0.2:0", "ring.udp::7000", "ring.udp:10.0.0.2:x"):
         net.transmit(sender, ta, b"x")
-    net.run_for(1)
+    net.run_until(net.now + 1)
     assert probe.got == []
     assert net.stats["bad_destination"] == 6
     assert net.stats["datagrams"] == 6
@@ -658,19 +658,19 @@ def test_every_datagram_is_delivered_dropped_or_in_flight(monkeypatch):
     nated, _ = _probed_host(net, nat=NatKind.PORT_RESTRICTED_CONE)
     ring = sorted(nodes)
     dead = nodes[ring[3]].host
-    net.run_for(3)
+    net.run_until(net.now + 3)
     dead.shutdown()
     for i in range(40):
         src = nodes[ring[i % 16]].host
         if src is not dead:
             net.transmit(src, nated.ta if i % 2 else nated.ta + ":x", b"stray")
     net.transmit(nated, nodes[ring[0]].host.ta, bytes(46))
-    net.run_for(1)
+    net.run_until(net.now + 1)
     external = next(iter(nated.nat_box.mappings.values()))
     external_ta = f"ring.udp:{nated.nat_box.external_ip}:{external}"
     net.transmit(nodes[ring[0]].host, external_ta, b"answer")
     net.transmit(nodes[ring[5]].host, external_ta, b"unsolicited")
-    net.run_for(3)
+    net.run_until(net.now + 3)
 
     def dropped():
         s = net.stats
@@ -682,7 +682,7 @@ def test_every_datagram_is_delivered_dropped_or_in_flight(monkeypatch):
     for node in nodes.values():
         node.host.shutdown()
     nated.shutdown()
-    net.run_for(1)
+    net.run_until(net.now + 1)
     # Nothing is sent after the cut; what was in flight then lands now.
     assert net.stats["datagrams"] == sent_at_cut
     assert sent_at_cut == delivered[0] + dropped()

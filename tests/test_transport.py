@@ -579,7 +579,7 @@ def run_script_sim():
         for _ in range(200):
             if done():
                 return
-            net.run_for(0.05)
+            net.run_until(net.now + 0.05)
         raise AssertionError("sim script stalled")
 
     return scripted_exchange(node, host.ta, script, peer_host.dial, pump)
