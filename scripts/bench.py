@@ -6,7 +6,8 @@ Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
 node's status path (sending and receiving a status body, and one status
 probe with its response: the retry timer armed, answered and cancelled),
-greedy routing decisions over 8 and 24 peers (and over 24 with the
+one maintenance tick of a settled node, alone and after a write to one
+of its shortcuts, greedy routing decisions over 8 and 24 peers (and over 24 with the
 previous hop and source a forwarding node passes), the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
 pair), the offline verifier's steps on that snapshot as ``ringnet
@@ -28,7 +29,8 @@ each end-to-end case (a 1024-node bootstrap and settle, and the 128+128
 merge of ``scenarios/merge.cfg``) runs in three rounds of one process per
 side, in the same alternation.  Every
 run's wall seconds, datagrams per wall second and peak RSS are recorded,
-with their medians per side:
+with their medians per side, and each ``bootstrap_1024`` run also records
+the hits and misses of ``messages._decode_neighbors``' cache:
 
     python3 scripts/bench.py --before /path/to/parent/src --out BENCH.json
 
@@ -69,7 +71,7 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     """name -> zero-argument callable, all set up from fixed seeds."""
     from ringnet import messages, packet, routing
     from ringnet.address import MODULUS
-    from ringnet.connections import NEAR
+    from ringnet.connections import NEAR, SHORTCUT
     from ringnet.metrics import (TopologySnapshot, read_snapshot, ring_correct,
                                  route_greedy, routability, shortcut_cdf,
                                  structured_adjacency, write_snapshot)
@@ -180,6 +182,40 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     node_probe_round()
     assert not prober.pending_probes and not heap
     cases["node_probe_round"] = node_probe_round
+
+    # One maintenance tick of a settled node on an evenly spaced,
+    # pre-wired 16-node ring with k=2, probing at 1.5 s: the clock does
+    # not move, so nothing is stale, pending or owed.  Then the same tick
+    # right after a write to one of its shortcuts (the role dropped and
+    # given back), which changes no near connection.  The heap is emptied
+    # each round, so it holds only the next tick's timer.
+    tick_net = SimNetwork(SimConfig(seed=5))
+    tick_node = seed_ring(tick_net, 16, Random(5),
+                          OverlayConfig(status_interval=1.5, k_shortcuts=2), k=2,
+                          addresses=ring)[ring[0]]
+    tick_heap = tick_net._timers._heap
+    tick_heap.clear()
+
+    def node_tick_settled() -> None:
+        tick_node.tick()
+        tick_heap.clear()
+    # Its only role, so the role write is a shortcut write alone.
+    shortcut = next(c for c in tick_node.table.initiated_shortcuts()
+                    if c.roles == {SHORTCUT})
+
+    def node_tick_after_shortcut_write() -> None:
+        tick_node.table.discard_role(shortcut, SHORTCUT)
+        tick_node.table.add_role(shortcut, SHORTCUT)
+        tick_node.tick()
+        tick_heap.clear()
+    entries = {c.peer: c.roles for c in tick_node.table.by_peer.values()}
+    for case in (node_tick_settled, node_tick_after_shortcut_write, node_tick_settled):
+        case()
+    assert tick_node.sides_converged and not tick_node.pending_requests
+    assert not tick_node.pending_probes and not tick_node.pending_links
+    assert {c.peer: c.roles for c in tick_node.table.by_peer.values()} == entries
+    cases["node_tick_settled"] = node_tick_settled
+    cases["node_tick_after_shortcut_write"] = node_tick_after_shortcut_write
 
     # One datagram from a host to a plain host's own ta, sent and received
     # (no node is attached, so the receiver drops it on arrival).
@@ -315,10 +351,18 @@ def run_end_to_end(case: str) -> dict:
     runner.run()
     wall = time.perf_counter() - start
     datagrams = runner.network.stats["datagrams"]
-    return {"wall_s": round(wall, 3), "sim_s": runner.network.now,
-            "datagrams": datagrams, "datagrams_per_s": round(datagrams / wall),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                                 / 1024, 2)}
+    result = {"wall_s": round(wall, 3), "sim_s": runner.network.now,
+              "datagrams": datagrams, "datagrams_per_s": round(datagrams / wall),
+              "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                                   / 1024, 2)}
+    if case == "bootstrap_1024":
+        # How often a received neighbor listing was decoded already.
+        from ringnet.messages import _decode_neighbors
+        info = _decode_neighbors.cache_info()
+        result["decode_neighbors_cache"] = {
+            "hits": info.hits, "misses": info.misses, "maxsize": info.maxsize,
+            "hit_rate": round(info.hits / (info.hits + info.misses), 4)}
+    return result
 
 
 END_TO_END = ("bootstrap_1024", "merge_128_128")

@@ -6,13 +6,26 @@ carry both a near and a shortcut role (a sampled shortcut that lands on
 an existing ring neighbor is recorded on the same connection rather than
 opening a second edge).
 
-The table is the only writer of entries, roles and transport addresses,
-and every write bumps ``version`` and drops what was derived from the
-entries.  The structured peers the node routes over (``ring``: in address
-order, the sorted ring the routing deciders take, which a forwarding node
-reads without a call), the near set, and what the node sends and decides
-from it (the neighbor listing and its encoded bytes, the zipping bounds),
-are computed once per version and kept until the next write.
+Entries, their roles, their transport addresses and the node's shortcut
+ownership marks are written only through the table.  Every write of an
+entry, a role or a transport address bumps ``version``, which the node's
+own version-keyed caches (a connection's ``zipped_version``, the near
+repair's neighborhood) read.  What the table derives from its entries is
+computed on first read and kept until a write that can change it:
+
+- the near view (the near list, its closest peers on each side, the keep
+  set and gap estimate taken from them, the arc lengths on each side, the
+  neighbor listing and its encoded bytes) is dropped only by a write to
+  a near connection: adding or removing one (an ``add`` that replaces an
+  entry counts the old roles with the new), NEAR gained or lost, and
+  ``add_tas`` on a near peer;
+- ``ring``, the structured peers in address order (the sorted ring the
+  routing deciders take, which a forwarding node reads without a call),
+  is dropped only by a write of a NEAR or SHORTCUT role or entry;
+- ``with_role(role)`` is dropped by writes of that role or of an entry
+  holding it, and ``initiated_shortcuts()`` by SHORTCUT writes and by
+  ``set_initiated_shortcut``, which bumps no version: nothing keyed on
+  the version reads ownership.
 """
 
 from __future__ import annotations
@@ -50,7 +63,8 @@ def label_for(conn_type: int) -> str:
 class Connection:
     peer: int
     edge: "Any"
-    # Roles and transport addresses change only through the table.
+    # Roles, transport addresses and shortcut ownership change only
+    # through the table.
     roles: frozenset[str]
     peer_tas: tuple[str, ...] = ()
     established_at: float = 0.0
@@ -76,15 +90,17 @@ class Connection:
 
 
 class _NearView:
-    """What the table derives from its entries at one version.  The near
-    list is built at once and the rest on first use; none of it is
-    mutated afterwards."""
+    """What the table derives from its near connections.  The near list
+    is built at once and the rest on first use; none of it is mutated
+    afterwards."""
 
-    __slots__ = ("near", "closest", "strict", "listing", "encoded")
+    __slots__ = ("near", "closest", "keep", "gap", "strict", "listing", "encoded")
 
     def __init__(self, table: "ConnectionTable") -> None:
         self.near = [c for c in table.by_peer.values() if NEAR in c.roles]
         self.closest: list[Connection] | None = None
+        self.keep: frozenset[int] = frozenset()
+        self.gap: int | None = None
         self.strict: tuple[list[int], list[int]] | None = None
         self.listing: tuple | None = None
         self.encoded: bytes | None = None
@@ -93,7 +109,7 @@ class _NearView:
 class ConnectionTable:
     """All connections of one node, indexed by peer address."""
 
-    __slots__ = ("owner", "by_peer", "version", "ring", "_view")
+    __slots__ = ("owner", "by_peer", "version", "ring", "_view", "_by_role", "_mine")
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
@@ -101,24 +117,36 @@ class ConnectionTable:
         self.version = 0
         self.ring: tuple[int, ...] | None = None  # None until read after a write
         self._view: _NearView | None = None
+        self._by_role: dict[str, list[Connection]] = {}
+        self._mine: list[Connection] | None = None
 
     def get(self, peer: int) -> Connection | None:
         return self.by_peer.get(peer)
 
     # -- writes ----------------------------------------------------------
 
-    def _changed(self) -> None:
+    def _changed(self, roles) -> None:
+        """Bump the version and drop what a write to an entry holding
+        ``roles``, or to one of ``roles``, can change."""
         self.version += 1
-        self.ring = self._view = None
+        if NEAR in roles:
+            self._view = self.ring = None
+        elif SHORTCUT in roles:
+            self.ring = None
+        if SHORTCUT in roles:
+            self._mine = None
+        for role in roles:
+            self._by_role.pop(role, None)
 
     def add(self, conn: Connection) -> None:
+        old = self.by_peer.get(conn.peer)
         self.by_peer[conn.peer] = conn
-        self._changed()
+        self._changed(conn.roles if old is None else conn.roles | old.roles)
 
     def remove(self, peer: int) -> Connection | None:
         conn = self.by_peer.pop(peer, None)
         if conn is not None:
-            self._changed()
+            self._changed(conn.roles)
         return conn
 
     def add_role(self, conn: Connection, role: str) -> bool:
@@ -126,13 +154,13 @@ class ConnectionTable:
         if role in conn.roles:
             return False
         conn.roles = conn.roles | {role}
-        self._changed()
+        self._changed((role,))
         return True
 
     def discard_role(self, conn: Connection, role: str) -> None:
         if role in conn.roles:
             conn.roles = conn.roles - {role}
-            self._changed()
+            self._changed((role,))
 
     def add_tas(self, conn: Connection, tas) -> None:
         """Append the transport addresses ``conn`` does not list yet."""
@@ -142,12 +170,27 @@ class ConnectionTable:
                 merged.append(ta)
         if len(merged) != len(conn.peer_tas):
             conn.peer_tas = tuple(merged)
-            self._changed()
+            self.version += 1
+            if NEAR in conn.roles:
+                self._view = None
+
+    def set_initiated_shortcut(self, conn: Connection, initiated: bool,
+                               sampled_gap: int | None = None) -> None:
+        """Mark ``conn`` as a shortcut this node asked for, drawn under the
+        gap estimate ``sampled_gap``, or clear the mark (see Connection)."""
+        conn.initiated_shortcut = initiated
+        conn.sampled_gap = sampled_gap
+        self._mine = None
 
     # -- reads -----------------------------------------------------------
 
     def with_role(self, role: str) -> list[Connection]:
-        return [c for c in self.by_peer.values() if role in c.roles]
+        """Connections holding ``role`` in table order; do not mutate the list."""
+        conns = self._by_role.get(role)
+        if conns is None:
+            conns = self._by_role[role] = [c for c in self.by_peer.values()
+                                           if role in c.roles]
+        return conns
 
     def structured_peers(self) -> tuple[int, ...]:
         """Peers holding a near or shortcut role, in address order: the
@@ -174,27 +217,34 @@ class ConnectionTable:
             return sorted(self.near(), key=lambda c: (c.peer - owner) % MODULUS)
         return sorted(self.near(), key=lambda c: (owner - c.peer) % MODULUS)
 
-    def _closest(self) -> list[Connection]:
-        """The closest ``NEAR_PER_SIDE`` near peers clockwise, then
-        counterclockwise; on tiny rings one peer may appear in both."""
+    def _closest_view(self) -> _NearView:
+        """The near view with ``closest`` (the ``NEAR_PER_SIDE`` closest
+        near peers clockwise, then counterclockwise; on tiny rings one
+        peer may appear in both), ``keep`` and ``gap`` filled in."""
         view = self._near_view()
         if view.closest is None:
             k = NEAR_PER_SIDE
-            view.closest = (self.near_sorted(Direction.CLOCKWISE)[:k]
-                            + self.near_sorted(Direction.COUNTERCLOCKWISE)[:k])
-        return view.closest
+            closest = view.closest = (self.near_sorted(Direction.CLOCKWISE)[:k]
+                                      + self.near_sorted(Direction.COUNTERCLOCKWISE)[:k])
+            view.keep = frozenset(c.peer for c in closest)
+            if closest:
+                per_side = min(k, len(view.near))
+                spans = ((closest[per_side - 1].peer - self.owner) % MODULUS
+                         + (self.owner - closest[-1].peer) % MODULUS)
+                view.gap = max(1, spans // (2 * per_side))
+        return view
 
-    def near_keep_set(self) -> set[int]:
+    def near_keep_set(self) -> frozenset[int]:
         """Peers holding a currently-required near slot."""
-        return {c.peer for c in self._closest()}
+        return self._closest_view().keep
 
     def neighbor_listing(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
         """What a status message lists: each required near peer once, with
         up to three of its transport addresses."""
-        view = self._near_view()
+        view = self._closest_view()
         if view.listing is None:
             seen: dict[int, tuple[str, ...]] = {}
-            for c in self._closest():
+            for c in view.closest:
                 if c.peer not in seen:
                     seen[c.peer] = c.peer_tas[:3]
             view.listing = tuple(seen.items())
@@ -210,14 +260,7 @@ class ConnectionTable:
     def gap_estimate(self) -> int | None:
         """Mean gap between the owner and its required near peers; None
         until there is a near peer."""
-        near = self.near()
-        if not near:
-            return None
-        per_side = min(NEAR_PER_SIDE, len(near))
-        closest = self._closest()
-        spans = ((closest[per_side - 1].peer - self.owner) % MODULUS
-                 + (self.owner - closest[-1].peer) % MODULUS)
-        return max(1, spans // (2 * per_side))
+        return self._closest_view().gap
 
     def _strict_sides(self) -> tuple[list[int], list[int]]:
         """Sorted arc lengths of the near peers on each side of the ring:
@@ -246,5 +289,9 @@ class ConnectionTable:
                 ccw[k - 1] if len(ccw) >= k else MODULUS)
 
     def initiated_shortcuts(self) -> list[Connection]:
-        return [c for c in self.by_peer.values()
-                if SHORTCUT in c.roles and c.initiated_shortcut]
+        """Shortcuts this node asked for, in table order; do not mutate
+        the list."""
+        if self._mine is None:
+            self._mine = [c for c in self.by_peer.values()
+                          if SHORTCUT in c.roles and c.initiated_shortcut]
+        return self._mine

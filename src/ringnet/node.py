@@ -262,7 +262,8 @@ class NodeState:
         self._join_attempts_left = 0
         self._push_timer = None
         # (table version, closest (address, tas) clockwise, the same
-        # counterclockwise) for _near_repair; None once a listing changes.
+        # counterclockwise, whether a pass found every one of them a near
+        # peer) for _near_repair; None once a listing changes.
         self._repair_cache: tuple | None = None
         self._tick_timer = host.call_later(
             rng.uniform(0.0, config.tick_interval), self.tick)
@@ -602,7 +603,7 @@ class NodeState:
         if self.table.add_role(conn, label) and label == NEAR:
             self._near_changed()
         if pend is not None and pend.kind == "shortcut" and label == SHORTCUT:
-            self._own_shortcut(conn, pend.sampled_gap)
+            self.table.set_initiated_shortcut(conn, True, pend.sampled_gap)
 
     # ------------------------------------------------------------------
     # connection table updates
@@ -625,17 +626,12 @@ class NodeState:
         edge.peer_address = peer
         pend = self.pending_requests.pop(req_token, None) if req_token else None
         if pend is not None and pend.kind == "shortcut" and label == SHORTCUT:
-            self._own_shortcut(conn, pend.sampled_gap)
+            self.table.set_initiated_shortcut(conn, True, pend.sampled_gap)
         self._trace("commit", peer, label)
         self.stats["connections_established"] += 1
         if label == NEAR:
             self._near_changed()
         return conn
-
-    def _own_shortcut(self, conn: Connection, sampled_gap: int | None) -> None:
-        """Record conn as a shortcut this node asked for (see Connection)."""
-        conn.initiated_shortcut = True
-        conn.sampled_gap = sampled_gap
 
     def _drop_connection(self, peer: int, *, notify: bool, reason: str) -> None:
         conn = self.table.remove(peer)
@@ -1024,9 +1020,12 @@ class NodeState:
         closest entries on each side, is kept in ``_repair_cache``, keyed
         on the table version.  The neighborhood is built from the
         structured peers, their transport addresses and the near peers'
-        listings: every table write bumps the version, and
-        ``_process_status`` drops the cache whenever a listing changes,
-        so a kept one equals a rebuild.
+        listings: every write of an entry, role or transport address bumps
+        the version, and ``_process_status`` drops the cache whenever a
+        listing changes, so a kept one equals a rebuild.  A pass that
+        found every entry held by a near peer marks the cache; at the same
+        version a pass would find them held again and act on nothing, so
+        it only sets ``sides_converged``.
         """
         if not self.table.near():
             leafs = self.table.with_role(LEAF)
@@ -1038,17 +1037,21 @@ class NodeState:
                 self.send_connect_request(self.address, CT_NEAR, kind="anchor")
             return
 
+        version = self.table.version
         cache = self._repair_cache
-        if cache is None or cache[0] != self.table.version:
+        if cache is None or cache[0] != version:
             known = self._known_neighborhood()
             me = self.address
             # No key in ``known`` is this node's own address, so every key
             # is at a distinct clockwise distance, and the counterclockwise
             # order is the clockwise one reversed.
             clockwise = sorted(known.items(), key=lambda item: (item[0] - me) % MODULUS)
-            cache = self._repair_cache = (self.table.version, clockwise[:NEAR_PER_SIDE],
-                                          clockwise[::-1][:NEAR_PER_SIDE])
-        _, cw_closest, ccw_closest = cache
+            cache = self._repair_cache = (version, clockwise[:NEAR_PER_SIDE],
+                                          clockwise[::-1][:NEAR_PER_SIDE], False)
+        elif cache[3]:
+            self.sides_converged = True
+            return
+        _, cw_closest, ccw_closest, _ = cache
         horizon = REPAIR_HORIZON_GAPS * self.gap_ewma if self.gap_ewma else None
         converged = True
         for direction in _DIRECTIONS:
@@ -1079,6 +1082,9 @@ class NodeState:
                     acted = True
             converged = converged and satisfied
         self.sides_converged = converged
+        if converged:
+            # Nothing was written, so the version is the cache's.
+            self._repair_cache = (version, cw_closest, ccw_closest, True)
 
     def _has_pending(self, kind: str, direction: Direction | None) -> bool:
         for pend in self.pending_requests.values():
@@ -1107,9 +1113,9 @@ class NodeState:
 
     def _trim_near(self, now: float) -> None:
         near = self.table.near()
-        if len(near) <= NEAR_PER_SIDE:
-            return
         keep = self.table.near_keep_set()
+        if len(keep) == len(near):
+            return
         for conn in near:
             if conn.peer in keep:
                 continue
@@ -1149,20 +1155,18 @@ class NodeState:
         # A shortcut goes stale when the local density has drifted far
         # from the estimate it was sampled under.  The realized offset is
         # left alone: landing nearer than the sampled distance is normal
-        # closest-node resolution, not a contract violation.
+        # closest-node resolution, not a contract violation.  The oldest
+        # stale shortcut goes first.
         factor = SHORTCUT_STALE_FACTOR
         gap = self.gap_ewma
-        for conn in sorted(mine, key=lambda c: c.established_at):
-            sampled = conn.sampled_gap
-            if sampled is not None and (sampled > gap * factor
-                                        or sampled * factor < gap):
-                self._demote_shortcut(conn)
-                self.stats["shortcut_refreshed"] += 1
-                return
+        stale = [conn for conn in mine if conn.sampled_gap is not None
+                 and (conn.sampled_gap > gap * factor or conn.sampled_gap * factor < gap)]
+        if stale:
+            self._demote_shortcut(min(stale, key=lambda c: c.established_at))
+            self.stats["shortcut_refreshed"] += 1
 
     def _demote_shortcut(self, conn: Connection) -> None:
-        conn.initiated_shortcut = False
-        conn.sampled_gap = None
+        self.table.set_initiated_shortcut(conn, False)
         if NEAR in conn.roles or LEAF in conn.roles:
             self.table.discard_role(conn, SHORTCUT)
         else:

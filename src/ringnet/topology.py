@@ -118,7 +118,7 @@ def install_connection(node_a: NodeState, node_b: NodeState, roles: set[str],
             for role in roles:
                 me.table.add_role(conn, role)
         if SHORTCUT in roles and initiator is me:
-            me._own_shortcut(conn, sampled_gap)
+            me.table.set_initiated_shortcut(conn, True, sampled_gap)
 
 
 def seed_ring(network: SimNetwork, n: int, rng: Random,

@@ -28,9 +28,8 @@ def make_table(owner, peers):
 # Reference versions: the near set recomputed from scratch on every call.
 
 def ref_near_sorted(table, direction):
-    conns = table.with_role(NEAR)
-    conns.sort(key=lambda c: directed_distance(table.owner, c.peer, direction))
-    return conns
+    return sorted((c for c in table.by_peer.values() if NEAR in c.roles),
+                  key=lambda c: directed_distance(table.owner, c.peer, direction))
 
 
 def ref_candidate(table, a):
@@ -101,6 +100,10 @@ def test_every_write_bumps_the_version_and_refreshes_views():
 
     assert bumps(lambda: table.add(conn)) == 1
     assert table.neighbor_listing() == ()
+    # Ownership is read by nothing keyed on the version.
+    assert table.initiated_shortcuts() == []
+    assert bumps(lambda: table.set_initiated_shortcut(conn, True, 7)) == 0
+    assert table.initiated_shortcuts() == [conn] and conn.sampled_gap == 7
     assert bumps(lambda: table.add_role(conn, NEAR)) == 1
     assert table.neighbor_listing() == ((100, (udp,)),)
     assert bumps(lambda: table.add_role(conn, NEAR)) == 0
@@ -115,35 +118,65 @@ def test_every_write_bumps_the_version_and_refreshes_views():
 
 
 
-_pool = st.sampled_from([3, 1 << 80, MODULUS - 1, 12345])
+_pool = st.sampled_from([3, 1 << 80, MODULUS - 1, 12345, HALF_MODULUS,
+                         MODULUS - (1 << 90)])
+_roles = st.sampled_from([NEAR, SHORTCUT, LEAF])
 _tas = st.lists(st.sampled_from(["ring.udp:10.0.0.1:7000", "ring.tcp:10.0.0.1:7000",
                                  "ring.udp:10.0.0.2:7000"]), max_size=2)
 _writes = st.one_of(
-    st.tuples(st.just("add"), _pool, role_sets),
+    st.tuples(st.just("add"), _pool, role_sets, _tas),
     st.tuples(st.just("remove"), _pool),
-    st.tuples(st.just("add_role"), _pool, st.sampled_from([NEAR, SHORTCUT, LEAF])),
-    st.tuples(st.just("discard_role"), _pool, st.sampled_from([NEAR, SHORTCUT, LEAF])),
+    st.tuples(st.just("add_role"), _pool, _roles),
+    st.tuples(st.just("discard_role"), _pool, _roles),
     st.tuples(st.just("add_tas"), _pool, _tas),
+    st.tuples(st.just("set_initiated_shortcut"), _pool, st.booleans(),
+              st.sampled_from([None, 7, 1 << 150])),
 )
+
+
+def cached_reads(table):
+    """Every read the table keeps between writes; a list read as the
+    identities of its connections."""
+    def ids(conns):
+        return [id(c) for c in conns]
+    return {
+        "near": ids(table.near()),
+        "neighbor_listing": table.neighbor_listing(),
+        "encoded_listing": table.encoded_listing(),
+        "near_bounds": table.near_bounds(),
+        "side_size": [table.side_size(d) for d in Direction],
+        "gap_estimate": table.gap_estimate(),
+        "near_keep_set": table.near_keep_set(),
+        "structured_peers": table.structured_peers(),
+        "with_role": [ids(table.with_role(role)) for role in (LEAF, NEAR, SHORTCUT)],
+        "initiated_shortcuts": ids(table.initiated_shortcuts()),
+    }
 
 
 @given(st.lists(_writes, max_size=30))
 def test_structured_peers_follow_every_write(writes):
+    """After every write, each cached read equals a recompute: the reads
+    of a new table over the same entries."""
     table = ConnectionTable(0)
     returned = []
-    for op, peer, *arg in writes:
+    for op, peer, *args in writes:
         conn = table.get(peer)
         if op == "add":
-            table.add(Connection(peer, None, frozenset(arg[0])))
+            table.add(Connection(peer, None, frozenset(args[0]), tuple(args[1])))
         elif op == "remove":
             table.remove(peer)
         elif conn is not None:
-            getattr(table, op)(conn, arg[0])
+            getattr(table, op)(conn, *args)
         got = table.structured_peers()
         assert got == tuple(sorted(c.peer for c in table.by_peer.values()
                                    if c.is_structured()))
         assert table.structured_peers() is got
+        fresh = ConnectionTable(table.owner)
+        fresh.by_peer = dict(table.by_peer)
+        assert cached_reads(table) == cached_reads(fresh)
+        for read in (table.near(), table.with_role(LEAF), table.initiated_shortcuts()):
+            returned.append((read, list(read)))
         returned.append((got, list(got)))
     # What an earlier call returned stays as it was after later writes.
     for got, then in returned:
-        assert isinstance(got, tuple) and list(got) == then
+        assert list(got) == then

@@ -1,6 +1,7 @@
 """Protocol behavior tests: joining, linking, status repair, maintenance."""
 
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -410,12 +411,12 @@ def test_repair_cache_follows_table_writes_and_new_listings():
     nodes = seed_ring(net, 16, Random(3), cfg, addresses=ring)
     node = nodes[ring[0]]
     node._near_repair(net.now)
-    assert node._repair_cache[1:] == closest_known(node)
+    assert node._repair_cache[1:3] == closest_known(node)
     # A table write: a near peer closer clockwise than ring[1].
     install_connection(node, new_node(net, ring[1] // 2, cfg, joined=True), {NEAR})
     node._near_repair(net.now)
     assert node._repair_cache[1][0][0] == ring[1] // 2
-    assert node._repair_cache[1:] == closest_known(node)
+    assert node._repair_cache[1:3] == closest_known(node)
     # A listing with an address closer counterclockwise than ring[15];
     # the zip dials it, and the table is not written.
     version, closer = node.table.version, ring[15] + MODULUS // 32
@@ -423,7 +424,7 @@ def test_repair_cache_follows_table_writes_and_new_listings():
     node._near_repair(net.now)
     assert node.table.version == version
     assert node._repair_cache[2][0][0] == closer
-    assert node._repair_cache[1:] == closest_known(node)
+    assert node._repair_cache[1:3] == closest_known(node)
 
 
 def test_repair_neighborhood_cache_equals_a_recompute_at_every_tick(monkeypatch):
@@ -439,9 +440,9 @@ def test_repair_neighborhood_cache_equals_a_recompute_at_every_tick(monkeypatch)
         reads_it = bool(node.table.near())
         near_repair(node, now)
         if reads_it:
-            assert node._repair_cache[1:] == expected
+            assert node._repair_cache[1:3] == expected
             checked.append(node.address)
-            if node._repair_cache is before:
+            if before is not None and node._repair_cache[1] is before[1]:
                 reused.append(node.address)
 
     monkeypatch.setattr(NodeState, "_near_repair", checking_near_repair)
@@ -450,6 +451,148 @@ def test_repair_neighborhood_cache_equals_a_recompute_at_every_tick(monkeypatch)
     ScenarioRunner(scenario, SimConfig(seed=7),
                    OverlayConfig(k_shortcuts=2, status_interval=1.0)).run()
     assert len(checked) > 500 and len(reused) > 100
+
+
+# Reference tick steps: each full pass as written before any step skipped
+# work, computed from scratch and acting on nothing.
+
+def entries(node):
+    """Each peer's roles and shortcut ownership."""
+    return {c.peer: (c.roles, c.initiated_shortcut, c.sampled_gap)
+            for c in node.table.by_peer.values()}
+
+
+def ref_near_repair(node):
+    """The peers a full near repair pass claims, the addresses it dials,
+    the sides it discovers and its ``sides_converged``, for a node with a
+    near peer."""
+    cw_closest, ccw_closest = closest_known(node)
+    horizon = node_module.REPAIR_HORIZON_GAPS * node.gap_ewma if node.gap_ewma else None
+    claims, dials, discovers = [], [], []
+    converged = True
+    for direction, closest in ((Direction.CLOCKWISE, cw_closest),
+                               (Direction.COUNTERCLOCKWISE, ccw_closest)):
+        satisfied, acted = True, False
+        for a, tas in closest:
+            conn = node.table.get(a)
+            if conn is not None and (NEAR in conn.roles or a in claims):
+                continue
+            satisfied = False
+            if conn is not None:
+                claims.append(a)
+            elif not acted:
+                acted = True
+                if tas and (horizon is None
+                            or directed_distance(node.address, a, direction) <= horizon):
+                    dials.append(a)
+                else:
+                    discovers.append(direction)
+        converged = converged and satisfied
+    return claims, dials, discovers, converged
+
+
+def ref_trim_near(node, now):
+    """The entries after a full trim pass, and whether it kept every near peer."""
+    after = entries(node)
+    near = [c for c in node.table.by_peer.values() if NEAR in c.roles]
+    keep = {c.peer for d in Direction for c in sorted(
+        near, key=lambda c: directed_distance(node.address, c.peer, d))[:NEAR_PER_SIDE]}
+    if len(near) <= NEAR_PER_SIDE:
+        return after, True
+    for conn in near:
+        if conn.peer in keep or now - conn.established_at < node.cfg.tick_interval:
+            continue
+        if SHORTCUT in conn.roles or LEAF in conn.roles:
+            after[conn.peer] = (conn.roles - {NEAR}, *after[conn.peer][1:])
+        else:
+            del after[conn.peer]
+    return after, len(keep) == len(near)
+
+
+def ref_refresh_stale_shortcut(node, mine):
+    """The entries after a full refresh pass, and whether it found one stale."""
+    after = entries(node)
+    factor, gap = node_module.SHORTCUT_STALE_FACTOR, node.gap_ewma
+    for conn in sorted(mine, key=lambda c: c.established_at):
+        sampled = conn.sampled_gap
+        if sampled is not None and (sampled > gap * factor or sampled * factor < gap):
+            if NEAR in conn.roles or LEAF in conn.roles:
+                after[conn.peer] = (conn.roles - {SHORTCUT}, False, None)
+            else:
+                del after[conn.peer]
+            return after, True
+    return after, False
+
+
+def test_skipped_tick_steps_act_like_a_full_pass(monkeypatch):
+    """A near repair at a version whose slots its last pass found held, a
+    trim with every near peer kept and a refresh with no stale shortcut
+    skip work; at every tick, each step dials, writes roles and sets
+    ``sides_converged`` as the full pass does."""
+    near_repair, trim_near, refresh = (NodeState._near_repair, NodeState._trim_near,
+                                       NodeState._refresh_stale_shortcut)
+    initiate_link, discover = NodeState.initiate_link, NodeState._discover
+    acts = []  # what the near repair pass now running dials and discovers
+    checked, skipped = Counter(), Counter()
+
+    def recording_initiate_link(node, tas, conn_type, **kwargs):
+        acts.append(("dial", kwargs.get("expect_addr")))
+        return initiate_link(node, tas, conn_type, **kwargs)
+
+    def recording_discover(node, direction):
+        acts.append(("discover", direction))
+        return discover(node, direction)
+
+    def checking_near_repair(node, now):
+        if not node.table.near():
+            return near_repair(node, now)
+        claims, dials, discovers, converged = ref_near_repair(node)
+        expected = entries(node)
+        for a in claims:
+            expected[a] = (expected[a][0] | {NEAR}, *expected[a][1:])
+        cache = node._repair_cache
+        if cache is not None and cache[0] == node.table.version:
+            # A pass at the version of the last: skipped if that one found
+            # every slot held.
+            skipped["repair"] += cache[3]
+            checked["repair_again"] += not cache[3]
+        acts.clear()
+        near_repair(node, now)
+        assert [a for kind, a in acts if kind == "dial"] == dials
+        assert [d for kind, d in acts if kind == "discover"] == discovers
+        assert entries(node) == expected
+        assert node.sides_converged == converged
+        checked["repair"] += 1
+
+    def checking_trim_near(node, now):
+        expected, all_kept = ref_trim_near(node, now)
+        trim_near(node, now)
+        assert entries(node) == expected
+        checked["trim"] += 1
+        skipped["trim"] += all_kept
+
+    def checking_refresh(node, mine):
+        expected, stale = ref_refresh_stale_shortcut(node, mine)
+        refresh(node, mine)
+        assert entries(node) == expected
+        checked["refresh"] += 1
+        skipped["refresh"] += not stale
+
+    for name, fn in (("_near_repair", checking_near_repair),
+                     ("_trim_near", checking_trim_near),
+                     ("_refresh_stale_shortcut", checking_refresh),
+                     ("initiate_link", recording_initiate_link),
+                     ("_discover", recording_discover)):
+        monkeypatch.setattr(NodeState, name, fn)
+    scenario = Scenario([Bootstrap(24, spacing=0.25), Wait(5), Churn(20, p_leave=0.02),
+                         Wait(10)], measurement_interval=60, pair_budget=10)
+    ScenarioRunner(scenario, SimConfig(seed=9),
+                   OverlayConfig(k_shortcuts=2, status_interval=1.0)).run()
+    # Both ways through each step are taken, and a near repair runs again
+    # at the version of a pass that did not find every slot held.
+    for step in ("repair", "trim", "refresh"):
+        assert skipped[step] > 100 and checked[step] - skipped[step] > 10
+    assert checked["repair_again"] > 0
 
 
 def test_missing_near_neighbor_is_repaired_from_listings():
