@@ -7,8 +7,9 @@ forwarding hop (in the codec and in a node), the status body codec, the
 node's status path (sending and receiving a status body, and one status
 probe with its response: the retry timer armed, answered and cancelled),
 one maintenance tick of a settled node, alone and after a write to one
-of its shortcuts, greedy routing decisions over 8 and 24 peers (and over 24 with the
-previous hop and source a forwarding node passes), the greedy replay of one
+of its shortcuts or to one of its near-only peers, greedy routing
+decisions over 8 and 24 peers (and over 24 with the previous hop and
+source a forwarding node passes), the greedy replay of one
 pair over a 4096-node synthetic snapshot (what ``routability`` does per
 pair), the offline verifier's steps on that snapshot as ``ringnet
 analyze`` takes them (``read_snapshot``, and ``ring_correct``,
@@ -187,8 +188,10 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
     # pre-wired 16-node ring with k=2, probing at 1.5 s: the clock does
     # not move, so nothing is stale, pending or owed.  Then the same tick
     # right after a write to one of its shortcuts (the role dropped and
-    # given back), which changes no near connection.  The heap is emptied
-    # each round, so it holds only the next tick's timer.
+    # given back), which changes no near connection, and right after the
+    # same write to a peer that is near only, which rebuilds the near view.
+    # The heap is emptied each round, so it holds only the next tick's
+    # timer.
     tick_net = SimNetwork(SimConfig(seed=5))
     tick_node = seed_ring(tick_net, 16, Random(5),
                           OverlayConfig(status_interval=1.5, k_shortcuts=2), k=2,
@@ -208,14 +211,23 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         tick_node.table.add_role(shortcut, SHORTCUT)
         tick_node.tick()
         tick_heap.clear()
+    near_only = next(c for c in tick_node.table.near() if c.roles == {NEAR})
+
+    def node_tick_after_near_write() -> None:
+        tick_node.table.discard_role(near_only, NEAR)
+        tick_node.table.add_role(near_only, NEAR)
+        tick_node.tick()
+        tick_heap.clear()
     entries = {c.peer: c.roles for c in tick_node.table.by_peer.values()}
-    for case in (node_tick_settled, node_tick_after_shortcut_write, node_tick_settled):
+    for case in (node_tick_settled, node_tick_after_shortcut_write,
+                 node_tick_after_near_write, node_tick_settled):
         case()
     assert tick_node.sides_converged and not tick_node.pending_requests
     assert not tick_node.pending_probes and not tick_node.pending_links
     assert {c.peer: c.roles for c in tick_node.table.by_peer.values()} == entries
     cases["node_tick_settled"] = node_tick_settled
     cases["node_tick_after_shortcut_write"] = node_tick_after_shortcut_write
+    cases["node_tick_after_near_write"] = node_tick_after_near_write
 
     # One datagram from a host to a plain host's own ta, sent and received
     # (no node is attached, so the receiver drops it on arrival).

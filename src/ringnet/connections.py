@@ -13,23 +13,25 @@ own version-keyed caches (a connection's ``zipped_version``, the near
 repair's neighborhood) read.  What the table derives from its entries is
 computed on first read and kept until a write that can change it:
 
-- the near view (the near list, its closest peers on each side, the keep
-  set and gap estimate taken from them, the arc lengths on each side, the
-  neighbor listing and its encoded bytes) is dropped only by a write to
-  a near connection: adding or removing one (an ``add`` that replaces an
-  entry counts the old roles with the new), NEAR gained or lost, and
-  ``add_tas`` on a near peer;
+- the near view, built from one clockwise sort of the near connections
+  (their closest peers on each side, the keep set and gap estimate taken
+  from them, how many lie on the clockwise side, the neighbor listing
+  and its encoded bytes; it keeps no arc lengths), is dropped only by a
+  write to a near connection: adding or removing one (an ``add`` that
+  replaces an entry counts the old roles with the new), NEAR gained or
+  lost, and ``add_tas`` on a near peer;
 - ``ring``, the structured peers in address order (the sorted ring the
   routing deciders take, which a forwarding node reads without a call),
   is dropped only by a write of a NEAR or SHORTCUT role or entry;
-- ``with_role(role)`` is dropped by writes of that role or of an entry
-  holding it, and ``initiated_shortcuts()`` by SHORTCUT writes and by
-  ``set_initiated_shortcut``, which bumps no version: nothing keyed on
-  the version reads ownership.
+- ``with_role(role)``, which ``near()`` reads, is dropped by writes of
+  that role or of an entry holding it, and ``initiated_shortcuts()`` by
+  SHORTCUT writes and by ``set_initiated_shortcut``, which bumps no
+  version: nothing keyed on the version reads ownership.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -90,18 +92,30 @@ class Connection:
 
 
 class _NearView:
-    """What the table derives from its near connections.  The near list
-    is built at once and the rest on first use; none of it is mutated
+    """What the table derives from its near connections, all from one
+    ``near_sorted()``: peers are distinct and never the owner, so the
+    counterclockwise order is the clockwise one reversed, and the
+    clockwise side (the antipode included) is a prefix of it.  The
+    listing and its bytes are built on first use; nothing is mutated
     afterwards."""
 
-    __slots__ = ("near", "closest", "keep", "gap", "strict", "listing", "encoded")
+    __slots__ = ("closest", "keep", "gap", "cw_size", "listing", "encoded")
 
     def __init__(self, table: "ConnectionTable") -> None:
-        self.near = [c for c in table.by_peer.values() if NEAR in c.roles]
-        self.closest: list[Connection] | None = None
-        self.keep: frozenset[int] = frozenset()
+        ordered = table.near_sorted()
+        owner, k = table.owner, NEAR_PER_SIDE
+        # The NEAR_PER_SIDE closest clockwise, then counterclockwise; on
+        # tiny rings one peer may appear in both.
+        closest = self.closest = ordered[:k] + ordered[::-1][:k]
+        self.keep = frozenset(c.peer for c in closest)
         self.gap: int | None = None
-        self.strict: tuple[list[int], list[int]] | None = None
+        if closest:
+            per_side = min(k, len(ordered))
+            spans = ((closest[per_side - 1].peer - owner) % MODULUS
+                     + (owner - closest[-1].peer) % MODULUS)
+            self.gap = max(1, spans // (2 * per_side))
+        self.cw_size = bisect_right(ordered, HALF_MODULUS,
+                                    key=lambda c: (c.peer - owner) % MODULUS)
         self.listing: tuple | None = None
         self.encoded: bytes | None = None
 
@@ -208,40 +222,21 @@ class ConnectionTable:
 
     def near(self) -> list[Connection]:
         """Near-role connections in table order; do not mutate the list."""
-        return self._near_view().near
+        return self.with_role(NEAR)
 
-    def near_sorted(self, direction: Direction) -> list[Connection]:
-        """Near-role connections ordered by arc length in ``direction``."""
+    def near_sorted(self) -> list[Connection]:
+        """Near-role connections ordered by clockwise arc length."""
         owner = self.owner
-        if direction is Direction.CLOCKWISE:
-            return sorted(self.near(), key=lambda c: (c.peer - owner) % MODULUS)
-        return sorted(self.near(), key=lambda c: (owner - c.peer) % MODULUS)
-
-    def _closest_view(self) -> _NearView:
-        """The near view with ``closest`` (the ``NEAR_PER_SIDE`` closest
-        near peers clockwise, then counterclockwise; on tiny rings one
-        peer may appear in both), ``keep`` and ``gap`` filled in."""
-        view = self._near_view()
-        if view.closest is None:
-            k = NEAR_PER_SIDE
-            closest = view.closest = (self.near_sorted(Direction.CLOCKWISE)[:k]
-                                      + self.near_sorted(Direction.COUNTERCLOCKWISE)[:k])
-            view.keep = frozenset(c.peer for c in closest)
-            if closest:
-                per_side = min(k, len(view.near))
-                spans = ((closest[per_side - 1].peer - self.owner) % MODULUS
-                         + (self.owner - closest[-1].peer) % MODULUS)
-                view.gap = max(1, spans // (2 * per_side))
-        return view
+        return sorted(self.near(), key=lambda c: (c.peer - owner) % MODULUS)
 
     def near_keep_set(self) -> frozenset[int]:
         """Peers holding a currently-required near slot."""
-        return self._closest_view().keep
+        return self._near_view().keep
 
     def neighbor_listing(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
         """What a status message lists: each required near peer once, with
         up to three of its transport addresses."""
-        view = self._closest_view()
+        view = self._near_view()
         if view.listing is None:
             seen: dict[int, tuple[str, ...]] = {}
             for c in view.closest:
@@ -260,33 +255,27 @@ class ConnectionTable:
     def gap_estimate(self) -> int | None:
         """Mean gap between the owner and its required near peers; None
         until there is a near peer."""
-        return self._closest_view().gap
-
-    def _strict_sides(self) -> tuple[list[int], list[int]]:
-        """Sorted arc lengths of the near peers on each side of the ring:
-        clockwise holds those at most half the ring away clockwise (the
-        antipode included), counterclockwise the rest."""
-        view = self._near_view()
-        if view.strict is None:
-            cw = [(c.peer - self.owner) % MODULUS for c in view.near]
-            view.strict = (sorted(d for d in cw if d <= HALF_MODULUS),
-                           sorted(MODULUS - d for d in cw if d > HALF_MODULUS))
-        return view.strict
+        return self._near_view().gap
 
     def side_size(self, direction: Direction) -> int:
-        """How many near peers lie on the ``direction`` side of the ring."""
-        cw, ccw = self._strict_sides()
-        return len(cw) if direction is Direction.CLOCKWISE else len(ccw)
+        """How many near peers lie on the ``direction`` side of the ring:
+        clockwise those at most half the ring away clockwise (the antipode
+        included), counterclockwise the rest."""
+        cw_size = self._near_view().cw_size
+        if direction is Direction.CLOCKWISE:
+            return cw_size
+        return len(self.near()) - cw_size
 
     def near_bounds(self) -> tuple[int, int]:
         """Clockwise and counterclockwise arc length of the
         ``NEAR_PER_SIDE``-th closest near peer on that side; an address
         strictly closer on its side belongs in the near set.  MODULUS for
         a side with fewer peers, where every address qualifies."""
-        k = NEAR_PER_SIDE
-        cw, ccw = self._strict_sides()
-        return (cw[k - 1] if len(cw) >= k else MODULUS,
-                ccw[k - 1] if len(ccw) >= k else MODULUS)
+        k, owner = NEAR_PER_SIDE, self.owner
+        view = self._near_view()
+        cw_size, ccw_size = view.cw_size, len(self.near()) - view.cw_size
+        return ((view.closest[k - 1].peer - owner) % MODULUS if cw_size >= k else MODULUS,
+                (owner - view.closest[-1].peer) % MODULUS if ccw_size >= k else MODULUS)
 
     def initiated_shortcuts(self) -> list[Connection]:
         """Shortcuts this node asked for, in table order; do not mutate

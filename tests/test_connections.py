@@ -1,6 +1,6 @@
 """Connection table: version stamps and the near-set views cached on them."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ringnet import messages
 from ringnet.address import HALF_MODULUS, MODULUS, Direction, directed_distance
@@ -64,12 +64,22 @@ def ref_gap(table):
     return max(1, spans // count)
 
 
+# Offsets from the owner's antipode, the one address both sides could claim.
+_around_antipode = st.sampled_from([-1, 0, 1])
+
+
 @given(addr, st.lists(st.tuples(addr, role_sets), max_size=8),
+       st.lists(st.tuples(_around_antipode, role_sets), max_size=3),
        st.lists(addr, max_size=6))
-def test_views_match_recomputed_near_set(owner, peers, listed):
+@example(0, [], [(0, {NEAR})], [])
+def test_views_match_recomputed_near_set(owner, peers, at_antipode, listed):
+    """The views equal the reference functions', also for peers and listed
+    addresses at the owner's antipode and one address either side of it."""
+    antipode = (owner + HALF_MODULUS) % MODULUS
+    peers = peers + [((antipode + d) % MODULUS, roles) for d, roles in at_antipode]
+    listed = listed + [(antipode + d) % MODULUS for d in (-1, 0, 1)]
     table = make_table(owner, peers)
-    for direction in Direction:
-        assert table.near_sorted(direction) == ref_near_sorted(table, direction)
+    assert table.near_sorted() == ref_near_sorted(table, Direction.CLOCKWISE)
     on_cw = [c for c in table.near()
              if directed_distance(owner, c.peer, Direction.CLOCKWISE) <= HALF_MODULUS]
     assert table.side_size(Direction.CLOCKWISE) == len(on_cw)
@@ -153,6 +163,13 @@ def cached_reads(table):
     }
 
 
+def assert_reads_equal_a_recompute(table):
+    """Each cached read equals the read of a new table over the same entries."""
+    fresh = ConnectionTable(table.owner)
+    fresh.by_peer = dict(table.by_peer)
+    assert cached_reads(table) == cached_reads(fresh)
+
+
 @given(st.lists(_writes, max_size=30))
 def test_structured_peers_follow_every_write(writes):
     """After every write, each cached read equals a recompute: the reads
@@ -171,9 +188,7 @@ def test_structured_peers_follow_every_write(writes):
         assert got == tuple(sorted(c.peer for c in table.by_peer.values()
                                    if c.is_structured()))
         assert table.structured_peers() is got
-        fresh = ConnectionTable(table.owner)
-        fresh.by_peer = dict(table.by_peer)
-        assert cached_reads(table) == cached_reads(fresh)
+        assert_reads_equal_a_recompute(table)
         for read in (table.near(), table.with_role(LEAF), table.initiated_shortcuts()):
             returned.append((read, list(read)))
         returned.append((got, list(got)))

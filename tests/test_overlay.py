@@ -31,6 +31,7 @@ from ringnet.scenarios import (
 )
 from ringnet.simnet import SimConfig, SimNetwork
 from ringnet.topology import install_connection, ring_addresses, seed_ring
+from test_connections import assert_reads_equal_a_recompute
 
 D_MAX = MODULUS
 
@@ -430,11 +431,13 @@ def test_repair_cache_follows_table_writes_and_new_listings():
 def test_repair_neighborhood_cache_equals_a_recompute_at_every_tick(monkeypatch):
     """Each tick's near repair reads the closest known addresses a
     recompute at that moment gives, whether it rebuilt them or found them
-    cached."""
+    cached, and the table's cached reads equal a new table's over the same
+    entries."""
     checked, reused = [], []
     near_repair = NodeState._near_repair
 
     def checking_near_repair(node, now):
+        assert_reads_equal_a_recompute(node.table)
         expected = closest_known(node)
         before = node._repair_cache
         reads_it = bool(node.table.near())
