@@ -506,9 +506,9 @@ class NodeState:
             self.stats["bad_body"] += 1
             return
         if kind == messages.STATUS_REQUEST:
-            self._handle_status_request(edge, token, neighbors)
+            self._handle_status_request(edge, conn, token, neighbors)
         elif kind == messages.STATUS_RESPONSE:
-            self._handle_status_response(edge, token, neighbors)
+            self._handle_status_response(edge, conn, token, neighbors)
         elif isinstance(body, LinkMessage):
             if body.kind == messages.LINK_REQUEST:
                 self._handle_link_request(edge, body)
@@ -562,22 +562,22 @@ class NodeState:
         self._retry(at, HANDSHAKE_RETRIES, self.cfg.handshake_timeout,
                     self._attempt_send, self._attempt_exhausted)
 
-    def _handle_status_request(self, edge, token: int, neighbors) -> None:
-        key = (edge.remote_ta, token)
-        prov = self.provisional.pop(key, None)
+    def _handle_status_request(self, edge, conn: Connection | None, token: int,
+                               neighbors) -> None:
+        """``conn`` is the connection on ``edge``'s peer, or None."""
+        prov = self.provisional.pop((edge.remote_ta, token), None)
         if prov is not None:
             conn = self._commit(prov.peer, prov.edge, prov.conn_type, prov.tas,
                                 req_token=prov.req_token, initiated_by_me=False)
-            self._process_status(conn, neighbors)
-        else:
-            conn = self.table.get(edge.peer_address)
-            if conn is None:
-                return
-            self._process_status(conn, neighbors)
+        elif conn is None:
+            return
+        self._process_status(conn, neighbors)
         self._send_status(edge, edge.peer_address or 0, messages.STATUS_RESPONSE,
                           token)
 
-    def _handle_status_response(self, edge, token: int, neighbors) -> None:
+    def _handle_status_response(self, edge, conn: Connection | None, token: int,
+                                neighbors) -> None:
+        """``conn`` is the connection on ``edge``'s peer, or None."""
         at = self.pending_links.pop(token, None)
         if at is not None:
             at.timer.cancel()
@@ -590,7 +590,6 @@ class NodeState:
         probe = self.pending_probes.pop(token, None)
         if probe is not None:
             probe.timer.cancel()
-        conn = self.table.get(edge.peer_address)
         if conn is not None:
             self._process_status(conn, neighbors)
 
@@ -686,16 +685,17 @@ class NodeState:
         ``conn.zipped_version``.  While the listing is equal to the last
         one and the version is the same, a pass would read the same
         listing, the same ``by_peer`` and the same bounds, and so would
-        dial nothing again: it is skipped.  A listing that differs also
-        drops ``_near_repair``'s cache.
+        dial nothing again: it is skipped.  A listing that differs from a
+        near peer also drops ``_near_repair``'s cache, which reads only near
+        peers' listings.  The caller has set ``conn.last_seen``.
         """
-        conn.last_seen = self.host.now()
         # Keep the decoder's newest copy: its cache shares that one among
         # every receiver of the listing, so older copies can be freed.
         last, conn.last_neighbors = conn.last_neighbors, tuple(neighbors)
         if neighbors != last:
             conn.zipped_version = -1
-            self._repair_cache = None
+            if NEAR in conn.roles:
+                self._repair_cache = None
         elif conn.zipped_version == self.table.version:
             return
         if not self.joined:
@@ -1021,8 +1021,8 @@ class NodeState:
         on the table version.  The neighborhood is built from the
         structured peers, their transport addresses and the near peers'
         listings: every write of an entry, role or transport address bumps
-        the version, and ``_process_status`` drops the cache whenever a
-        listing changes, so a kept one equals a rebuild.  A pass that
+        the version, and ``_process_status`` drops the cache whenever a near
+        peer's listing changes, so a kept one equals a rebuild.  A pass that
         found every entry held by a near peer marks the cache; at the same
         version a pass would find them held again and act on nothing, so
         it only sets ``sides_converged``.

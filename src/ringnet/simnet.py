@@ -11,10 +11,12 @@ other spelling, so that aliases share one edge.  Every host is a
 UDP endpoint, so a ``tcp`` address reaches none.  The event queue is the
 ``TimerQueue`` the real transports use too: events fire by time, then in
 scheduling order, so runs are bit-deterministic for a fixed seed: same
-config, same events, same metrics.  With constant latency, datagram
-deliveries wait in the queue's FIFO lane, which ``fire_due`` merges with
-the timer heap by (due time, order); with any other latency model they
-go on the heap.  Either way they fire in the same order.
+config, same events, same metrics.  With constant latency, ``transmit``
+appends each delivery to the queue's FIFO lane as one entry, ``(due,
+seq, host, src_ta, data)``, which ``fire_due`` merges with the timer heap
+by (due time, order) and fires as ``host._receive(src_ta, data)``; with
+any other latency model the delivery goes on the heap as a timer that
+calls the same ``_receive``.  Either way they fire in the same order.
 
 Simulated time is the clock for every protocol timer; nothing here reads
 the wall clock.
@@ -148,6 +150,8 @@ class SimNetwork:
         latency = self.config.latency
         self._lane_delay = (latency.seconds if isinstance(latency, ConstantLatency)
                             else None)
+        # ``transmit`` appends deliveries to the lane itself.
+        self._lane, self._seq = self._timers._lane, self._timers._seq
         self._host_seq = itertools.count(1)
         # Each live host without a NAT under its own ``ta``: the spelling
         # nearly every datagram is sent to, found without parsing it.
@@ -185,49 +189,49 @@ class SimNetwork:
     # -- datagram plane --
 
     def transmit(self, src_host: "SimHost", dst_ta: str, data: bytes) -> None:
-        self.stats["datagrams"] += 1
-        self.stats["bytes"] += len(data)
-        # A plain host's own ta needs no parsing; any other spelling, a NAT
-        # mapping, a dead host or a malformed ta is parsed once and looked
-        # up again under its one spelling.
+        stats = self.stats
+        stats["datagrams"] += 1
+        stats["bytes"] += len(data)
+        # From a plain host, a plain host's own ta needs no parsing and no
+        # translation; any other spelling, a NAT at either end, a dead host
+        # or a malformed ta is parsed once and looked up again under its
+        # one spelling.
         target = self.plain_tas.get(dst_ta)
-        if target is not None:
-            dst_ip, dst_port = target.ip, target.port
+        if target is not None and src_host.nat_box is None:
+            visible_src = src_host.ta
         else:
             try:
                 dst = parse_ta(dst_ta)
             except ValueError:
-                self.stats["bad_destination"] += 1
+                stats["bad_destination"] += 1
                 return
-            dst_ip, dst_port = dst.host, dst.port
             target = self.plain_tas.get(format_ta(*dst))
-        # Source address as the receiver will see it.
-        if src_host.nat_box is not None:
-            src_ip, src_port = src_host.nat_box.outbound(
-                src_host.ip, src_host.port, dst_ip, dst_port)
-            visible_src = format_ta("udp", src_ip, src_port)
-        else:
-            visible_src = src_host.ta
-            src_ip, src_port = src_host.ip, src_host.port
-
-        if target is None:
-            # Only a NATed host's external mapping is left, and only for a
-            # datagram its box lets in.
-            target = self.nat_externals.get(dst_ip)
-            if target is None or dst.protocol != "udp":
-                self.stats["undeliverable"] += 1
-                return
-            if not target.nat_box.inbound_allowed(dst_port, src_ip, src_port):
-                self.stats["nat_dropped"] += 1
-                return
+            # Source address as the receiver will see it.
+            if src_host.nat_box is not None:
+                src_ip, src_port = src_host.nat_box.outbound(
+                    src_host.ip, src_host.port, dst.host, dst.port)
+                visible_src = format_ta("udp", src_ip, src_port)
+            else:
+                visible_src = src_host.ta
+                src_ip, src_port = src_host.ip, src_host.port
+            if target is None:
+                # Only a NATed host's external mapping is left, and only for
+                # a datagram its box lets in.
+                target = self.nat_externals.get(dst.host)
+                if target is None or dst.protocol != "udp":
+                    stats["undeliverable"] += 1
+                    return
+                if not target.nat_box.inbound_allowed(dst.port, src_ip, src_port):
+                    stats["nat_dropped"] += 1
+                    return
         if self.config.loss_rate > 0.0 and self.rng.random() < self.config.loss_rate:
-            self.stats["lost"] += 1
+            stats["lost"] += 1
             return
         if self._lane_delay is not None:
-            self._timers.append(self.now + self._lane_delay, target._receive,
-                                visible_src, data)
+            self._lane.append((self.now + self._lane_delay, next(self._seq),
+                               target, visible_src, data))
             return
-        delay = self.config.latency.sample(self.rng, src_host.ip, dst_ip)
+        delay = self.config.latency.sample(self.rng, src_host.ip, target.ip)
         # call_later without its frame: the same (due time, order) entry.
         self._timers.push(self.now + max(0.0, delay), target._receive, visible_src, data)
 
@@ -268,6 +272,10 @@ class SimHost(Host):
     # plumbing ----------------------------------------------------------
 
     def _receive(self, src_ta: str, data: bytes) -> None:
-        if self.node is None:
+        node = self.node
+        if node is None:
             return
-        self.node.on_datagram(self.datagram_edge(src_ta, src_ta), data)
+        edge = self.edges.get(src_ta)
+        if edge is None:
+            edge = self.datagram_edge(src_ta, src_ta)
+        node.on_datagram(edge, data)

@@ -125,16 +125,18 @@ class TimerQueue:
     they were scheduled, which keeps simulated runs deterministic.
 
     Besides the heap of cancellable timers there is a FIFO lane of
-    entries nobody cancels, for a caller whose due times never decrease
-    (the simulator's deliveries under constant latency).  Both draw their
-    order from one counter, and ``fire_due`` merges them by (due time,
+    datagram deliveries nobody cancels, for a caller whose due times never
+    decrease (the simulator under constant latency).  A lane entry is
+    ``(due, seq, host, src_ta, data)``, appended by that caller with
+    ``next(_seq)`` as its order, and fires as ``host._receive(src_ta,
+    data)``.  ``fire_due`` merges the lane with the heap by (due time,
     order), so an entry fires exactly where the heap would have put it.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Timer]] = []
-        # (due, seq, fn, args), due times in order.
-        self._lane: deque[tuple[float, int, object, tuple]] = deque()
+        # (due, seq, host, src_ta, data), due times in order.
+        self._lane: deque[tuple[float, int, object, str, bytes]] = deque()
         self._seq = itertools.count()
 
     def push(self, when: float, fn, *args) -> Timer:
@@ -142,11 +144,6 @@ class TimerQueue:
         timer = Timer(fn, args)
         heapq.heappush(self._heap, (when, next(self._seq), timer))
         return timer
-
-    def append(self, when: float, fn, *args) -> None:
-        """Schedule ``fn(*args)`` at ``when``, which is no earlier than any
-        ``when`` appended before, with no way to cancel it."""
-        self._lane.append((when, next(self._seq), fn, args))
 
     def fire_due(self, until: float, clock=None) -> float | None:
         """Fire every timer due by ``until``, the ones they schedule too, and
@@ -158,15 +155,15 @@ class TimerQueue:
         popleft = lane.popleft
         while True:
             # Entries are unique in (due, seq), so comparing a lane entry
-            # with a heap entry compares those and never the callbacks.
+            # with a heap entry compares those and never what follows.
             if lane and (not heap or lane[0] < heap[0]):
-                when, _, fn, args = lane[0]
+                when, _, host, src_ta, data = lane[0]
                 if when > until:
                     return when
                 popleft()
                 if clock is not None:
                     clock.now = when
-                fn(*args)
+                host._receive(src_ta, data)
             elif heap:
                 when = heap[0][0]
                 if when > until:

@@ -17,7 +17,7 @@ from ringnet.node import (
     sample_shortcut_distance,
     shortcut_distance_from_uniform,
 )
-from ringnet.packet import PAYLOAD_LINK, encode, make_link
+from ringnet.packet import HEADER_LEN, PAYLOAD_LINK, TYPE_LINK, encode, make_link
 from ringnet.scenarios import (
     LOOPBACK_OVERLAY,
     Bootstrap,
@@ -426,6 +426,60 @@ def test_repair_cache_follows_table_writes_and_new_listings():
     assert node.table.version == version
     assert node._repair_cache[2][0][0] == closer
     assert node._repair_cache[1:3] == closest_known(node)
+    # Near repair reads no shortcut's listing: a new one from a peer that
+    # is only a shortcut keeps the cache, and a near peer's drops it.
+    shortcut = new_node(net, ring[8] + 1, cfg, joined=True)
+    install_connection(node, shortcut, {SHORTCUT})
+    node._near_repair(net.now)
+    cache = node._repair_cache
+    farther = ((ring[8] + 2, ("ring.udp:10.9.9.8:7000",)),)
+    node._process_status(node.table.get(shortcut.address), farther)
+    assert node._repair_cache is cache
+    assert node._repair_cache[1:3] == closest_known(node)
+    node._process_status(node.table.get(ring[1]), farther)
+    assert node._repair_cache is None
+    node._near_repair(net.now)
+    assert node._repair_cache[1:3] == closest_known(node)
+
+
+def test_a_status_datagram_marks_its_connection_seen_now(monkeypatch):
+    """A status request or response that arrives on a connection's edge
+    sets that connection's ``last_seen`` to ``now``, whether it commits a
+    link, answers a probe or does neither."""
+    seen = Counter()
+    on_datagram = NodeState.on_datagram
+
+    def checking_on_datagram(node, edge, data):
+        kind = data[HEADER_LEN] if len(data) > HEADER_LEN else None
+        if data[0] != TYPE_LINK or kind not in (messages.STATUS_REQUEST,
+                                                messages.STATUS_RESPONSE):
+            on_datagram(node, edge, data)
+            return
+        token, _ = messages.decode_status_at(data, HEADER_LEN)
+        if kind == messages.STATUS_REQUEST:
+            case = "commit" if (edge.remote_ta, token) in node.provisional else "neither"
+        elif token in node.pending_links:
+            case = "commit"
+        else:
+            case = "probe" if token in node.pending_probes else "neither"
+        conn = node.table.get(edge.peer_address)
+        if conn is not None:
+            conn.last_seen = -1.0
+        on_datagram(node, edge, data)
+        conn = node.table.get(edge.peer_address)
+        if conn is not None and node.alive:
+            assert conn.last_seen == node.host.now(), case
+            seen[kind, case] += 1
+
+    monkeypatch.setattr(NodeState, "on_datagram", checking_on_datagram)
+    scenario = Scenario([Bootstrap(16, spacing=0.25), Wait(10)], measurement_interval=60,
+                        pair_budget=10)
+    ScenarioRunner(scenario, SimConfig(seed=3),
+                   OverlayConfig(k_shortcuts=2, status_interval=1.0)).run()
+    for kind in (messages.STATUS_REQUEST, messages.STATUS_RESPONSE):
+        for case in ("commit", "neither"):
+            assert seen[kind, case] > 0, (kind, case)
+    assert seen[messages.STATUS_RESPONSE, "probe"] > 0
 
 
 def test_repair_neighborhood_cache_equals_a_recompute_at_every_tick(monkeypatch):

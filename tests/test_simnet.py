@@ -3,6 +3,7 @@
 import copy
 import gc
 import weakref
+from collections import deque
 from random import Random
 
 import pytest
@@ -207,15 +208,32 @@ def test_loss_rate_validation():
         SimConfig(loss_rate=1.5)
 
 
+class LaneHost:
+    """A host whose deliveries call ``fn(data)``."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def _receive(self, src_ta, data):
+        self.fn(data)
+
+
+def lane_append(queue, when, host, data):
+    """Put a delivery of ``data`` to ``host`` on the queue's lane, as
+    ``SimNetwork.transmit`` does."""
+    queue._lane.append((when, next(queue._seq), host, "ring.udp:10.0.0.1:7000", data))
+
+
 def test_timer_queue_fires_lane_and_heap_in_scheduling_order():
     queue = TimerQueue()
     fired = []
-    queue.append(1.0, fired.append, "lane a")
+    host = LaneHost(fired.append)
+    lane_append(queue, 1.0, host, "lane a")
     queue.push(1.0, fired.append, "heap b")
     cancelled = queue.push(0.5, fired.append, "cancelled")
-    queue.append(1.0, fired.append, "lane c")
+    lane_append(queue, 1.0, host, "lane c")
     queue.push(0.5, fired.append, "heap d")
-    queue.append(2.0, fired.append, "lane e")
+    lane_append(queue, 2.0, host, "lane e")
     queue.push(3.0, fired.append, "heap f")
     cancelled.cancel()
     assert queue.fire_due(0.4) == 0.5       # the heap's head is earlier
@@ -234,14 +252,15 @@ def test_timer_queue_fires_what_a_lane_entry_schedules_in_due_order():
     class Clock:
         now = 0.0
 
-    def first():
+    def first(data):
         fired.append(("first", clock.now))
         queue.push(1.5, lambda: fired.append(("pushed", clock.now)))
         queue.push(2.0, lambda: fired.append(("pushed later", clock.now)))
 
     clock = Clock()
-    queue.append(1.0, first)
-    queue.append(2.0, lambda: fired.append(("second", clock.now)))
+    lane_append(queue, 1.0, LaneHost(first), b"")
+    lane_append(queue, 2.0, LaneHost(lambda data: fired.append(("second", clock.now))),
+                b"")
     assert queue.fire_due(5.0, clock) is None
     assert fired == [("first", 1.0), ("pushed", 1.5), ("second", 2.0),
                      ("pushed later", 2.0)]
@@ -252,13 +271,18 @@ def _lane_or_heap_run(latency, monkeypatch, taken_snapshots):
     deliveries that waited in the timer queue's FIFO lane."""
     taken_snapshots.clear()
     appended = [0]
-    append = TimerQueue.append
+    init = TimerQueue.__init__
 
-    def counting_append(self, *args):
-        appended[0] += 1
-        append(self, *args)
+    class CountingLane(deque):
+        def append(self, entry):
+            appended[0] += 1
+            super().append(entry)
 
-    monkeypatch.setattr(TimerQueue, "append", counting_append)
+    def counting_init(self):
+        init(self)
+        self._lane = CountingLane()
+
+    monkeypatch.setattr(TimerQueue, "__init__", counting_init)
     scenario = Scenario([Bootstrap(32, spacing=0.25), Wait(3), Churn(10, 0.02),
                          Wait(5)], measurement_interval=2, pair_budget=200)
     runner = ScenarioRunner(scenario, SimConfig(seed=17, latency=latency),
@@ -452,6 +476,36 @@ def test_a_deep_copied_runner_respawns_on_its_own_network():
     assert runner.handles[nid] is original
     assert fork.handles[nid] is not node
     assert fork.handles[nid].address == node.address
+
+
+def test_a_deep_copied_runner_with_deliveries_in_flight_runs_as_the_original():
+    """A copy taken while datagrams wait in the lane delivers them to its
+    own hosts, and the copy and the original then run alike."""
+    runner = ScenarioRunner(Scenario([Bootstrap(16, spacing=0.25), Wait(3)]),
+                            SimConfig(seed=2),
+                            OverlayConfig(k_shortcuts=2, status_interval=1.0))
+    runner.run()
+    lane = runner.network._timers._lane
+    while not lane:
+        runner.network.run_until(runner.network.now + 0.001)
+    fork = copy.deepcopy(runner)
+    originals = {id(host) for host in runner.network.plain_tas.values()}
+    originals.update(id(entry[2]) for entry in lane)
+    assert len(fork.network._timers._lane) == len(lane)
+    for entry in fork.network._timers._lane:
+        assert id(entry[2]) not in originals
+        assert fork.network.plain_tas[entry[2].ta] is entry[2]
+    for net in (runner.network, fork.network):
+        net.run_until(net.now + 4)
+    for entry in fork.network._timers._lane:
+        assert id(entry[2]) not in originals
+    assert dict(fork.network.stats) == dict(runner.network.stats)
+    assert fork.handles.keys() == runner.handles.keys()
+    for nid, node in runner.handles.items():
+        copied = fork.handles[nid]
+        assert copied is not node
+        assert dict(copied.stats) == dict(node.stats)
+        assert sorted(copied.table.by_peer) == sorted(node.table.by_peer)
 
 
 # ----------------------------------------------------------------------
