@@ -5,7 +5,7 @@
 Times, with ``timeit``, the per-message work of the packet codec, one
 forwarding hop (in the codec and in a node), the status body codec, the
 node's status path (sending and receiving a status body, and one status
-probe with its response: the retry timer armed, answered and cancelled),
+probe with its response: the probe's timer armed, answered and cancelled),
 one maintenance tick of a settled node, alone and after a write to one
 of its shortcuts or to one of its near-only peers, greedy routing
 decisions over 8 and 24 peers (and over 24 with the previous hop and
@@ -157,9 +157,8 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
         conn.edge, neighbor.address, messages.STATUS_REQUEST, 9)
 
     # One status probe round on a ring of its own: the node probes its
-    # clockwise neighbor (send and arm the retry timer), and that probe's
-    # status response arrives (cancel the timer, process the listing).
-    # The heap is emptied each round, so it stays the size of one timer.
+    # clockwise neighbor (send, then arm the probe's timer), and the status
+    # response cancels that timer; the heap is emptied each round.
     probe_net = SimNetwork(SimConfig(seed=5))
     probe_nodes = seed_ring(probe_net, 16, Random(5),
                             OverlayConfig(status_interval=None, k_shortcuts=0))
@@ -177,11 +176,12 @@ def build_cases(fresh_bodies: int = 4096) -> dict:
 
     def node_probe_round() -> None:
         prober._send_probe(probed)
-        token = next(iter(prober.pending_probes))
-        prober.on_datagram(from_neighbor, head + token.to_bytes(4, "big") + tail)
+        prober.on_datagram(from_neighbor, head + probed.probe_token.to_bytes(4, "big") + tail)
         heap.clear()
-    node_probe_round()
-    assert not prober.pending_probes and not heap
+    heap.clear()  # the ring's ticks
+    prober._send_probe(probed)
+    prober.on_datagram(from_neighbor, head + probed.probe_token.to_bytes(4, "big") + tail)
+    assert [t.cancelled for _, _, t in heap] == [True] and not prober.pending_probes
     cases["node_probe_round"] = node_probe_round
 
     # One maintenance tick of a settled node on an evenly spaced,

@@ -15,8 +15,8 @@ computed on first read and kept until a write that can change it:
 
 - the near view, built from one clockwise sort of the near connections
   (their closest peers on each side, the keep set and gap estimate taken
-  from them, how many lie on the clockwise side, the neighbor listing
-  and its encoded bytes; it keeps no arc lengths), is dropped only by a
+  from them, how many lie on the clockwise side, the near bounds, the
+  neighbor listing and its encoded bytes), is dropped only by a
   write to a near connection: adding or removing one (an ``add`` that
   replaces an entry counts the old roles with the new), NEAR gained or
   lost, and ``add_tas`` on a near peer;
@@ -95,11 +95,12 @@ class _NearView:
     """What the table derives from its near connections, all from one
     ``near_sorted()``: peers are distinct and never the owner, so the
     counterclockwise order is the clockwise one reversed, and the
-    clockwise side (the antipode included) is a prefix of it.  The
-    listing and its bytes are built on first use; nothing is mutated
-    afterwards."""
+    clockwise side (the antipode included) is a prefix of it.  The near
+    bounds, the listing and its bytes are built on first use; nothing is
+    mutated afterwards."""
 
-    __slots__ = ("closest", "keep", "gap", "cw_size", "listing", "encoded")
+    __slots__ = ("closest", "keep", "gap", "cw_size", "cw_bound", "ccw_bound", "listing",
+                 "encoded")
 
     def __init__(self, table: "ConnectionTable") -> None:
         ordered = table.near_sorted()
@@ -116,6 +117,7 @@ class _NearView:
             self.gap = max(1, spans // (2 * per_side))
         self.cw_size = bisect_right(ordered, HALF_MODULUS,
                                     key=lambda c: (c.peer - owner) % MODULUS)
+        self.cw_bound: int | None = None  # near_bounds() sets both
         self.listing: tuple | None = None
         self.encoded: bytes | None = None
 
@@ -271,11 +273,15 @@ class ConnectionTable:
         ``NEAR_PER_SIDE``-th closest near peer on that side; an address
         strictly closer on its side belongs in the near set.  MODULUS for
         a side with fewer peers, where every address qualifies."""
-        k, owner = NEAR_PER_SIDE, self.owner
         view = self._near_view()
-        cw_size, ccw_size = view.cw_size, len(self.near()) - view.cw_size
-        return ((view.closest[k - 1].peer - owner) % MODULUS if cw_size >= k else MODULUS,
-                (owner - view.closest[-1].peer) % MODULUS if ccw_size >= k else MODULUS)
+        if view.cw_bound is None:
+            k, owner, closest = NEAR_PER_SIDE, self.owner, view.closest
+            ccw_size = len(self.near()) - view.cw_size
+            view.cw_bound = ((closest[k - 1].peer - owner) % MODULUS
+                             if view.cw_size >= k else MODULUS)
+            view.ccw_bound = ((owner - closest[-1].peer) % MODULUS
+                              if ccw_size >= k else MODULUS)
+        return view.cw_bound, view.ccw_bound
 
     def initiated_shortcuts(self) -> list[Connection]:
         """Shortcuts this node asked for, in table order; do not mutate

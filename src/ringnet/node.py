@@ -7,15 +7,15 @@ surplus connections and keeps the shortcut set stocked.
 
 The node is transport-agnostic.  Its environment ("host") must provide::
 
-    host.now() -> float                      simulated or wall seconds
-    host.call_later(delay, fn, *args) -> t   fires fn(*args) unless t.cancel()
-    host.dial(ta) -> edge | None             start opening an edge
+    host.network.now -> float                        simulated or wall seconds
+    host.network.call_later(delay, fn, *args) -> t   fires fn(*args) unless t.cancel()
+    host.dial(ta) -> edge | None                     start opening an edge
     host.local_tas() -> list[str]
 
 and edges must provide ``send(bytes)``, ``close()``, ``remote_ta`` and
 a writable ``peer_address`` that starts as None.  ``transport.Host`` is
-the core the simulated and real hosts share: node attachment, timers and
-one ``DatagramEdge`` per remote endpoint.  A TCP edge also carries
+the core the simulated and real hosts share: the network, node attachment
+and one datagram edge per remote endpoint.  A TCP edge also carries
 ``dialed``: False when the peer opened it, so that its ``remote_ta``
 names the peer's ephemeral source port, which nobody can dial.  Incoming
 datagrams are fed to ``on_datagram(edge, data)``.  All events for one
@@ -104,7 +104,7 @@ from .packet import (
     read_header,
 )
 from . import routing
-from .transport import MAX_TA_LEN, MalformedTA, normal_ta
+from .transport import MAX_TA_LEN, MalformedTA, Timer, normal_ta
 
 log = logging.getLogger(__name__)
 
@@ -220,13 +220,6 @@ class _PendingRequest:
     sampled_gap: int | None = None
 
 
-@dataclass
-class _Probe:
-    peer: int
-    token: int
-    timer: object | None = None
-
-
 class NodeState:
     def __init__(self, address: int, host, config: OverlayConfig, rng: Random) -> None:
         self.address = address
@@ -245,7 +238,7 @@ class NodeState:
         self.pending_links: dict[int, _LinkAttempt] = {}
         self.provisional: dict[tuple[str, int], _Provisional] = {}
         self.pending_requests: dict[int, _PendingRequest] = {}
-        self.pending_probes: dict[int, _Probe] = {}
+        self.pending_probes: dict[int, Timer] = {}  # token -> its next step
 
         self.learned_tas: list[str] = []
         self.gap_ewma: float | None = None
@@ -265,7 +258,7 @@ class NodeState:
         # counterclockwise, whether a pass found every one of them a near
         # peer) for _near_repair; None once a listing changes.
         self._repair_cache: tuple | None = None
-        self._tick_timer = host.call_later(
+        self._tick_timer = host.network.call_later(
             rng.uniform(0.0, config.tick_interval), self.tick)
 
     # ------------------------------------------------------------------
@@ -273,21 +266,21 @@ class NodeState:
 
     def stop(self) -> None:
         self.alive = False
-        for t in (self._tick_timer, self._join_timer, self._push_timer):
+        for t in (self._tick_timer, self._join_timer, self._push_timer,
+                  *self.pending_probes.values(),
+                  *(at.timer for at in self.pending_links.values())):
             if t is not None:
                 t.cancel()
-        for rec in [*self.pending_links.values(), *self.pending_probes.values()]:
-            rec.timer.cancel()
 
-    def _retry(self, rec: _LinkAttempt | _Probe, retries: int, wait: float,
+    def _retry(self, rec: _LinkAttempt, retries: int, wait: float,
                send: Callable, give_up: Callable) -> None:
         """``send(rec)`` up to ``retries`` times, ``wait`` seconds apart at
         first and each wait twice the last, then ``give_up(rec)`` one wait
         after the last send.  Whatever ends ``rec`` sooner cancels
         ``rec.timer``."""
         send(rec)
-        rec.timer = self.host.call_later(wait, self._retry_due, rec, retries - 1,
-                                         wait * 2, send, give_up)
+        rec.timer = self.host.network.call_later(wait, self._retry_due, rec, retries - 1,
+                                                 wait * 2, send, give_up)
 
     def _retry_due(self, rec, retries: int, wait: float, send, give_up) -> None:
         if retries > 0:
@@ -331,7 +324,7 @@ class NodeState:
 
     def start_join(self, proxy_ta: str) -> None:
         """Bootstrap into the ring through a proxy reachable at proxy_ta."""
-        self.join_started_at = self.host.now()
+        self.join_started_at = self.host.network.now
         self._join_attempts_left = JOIN_RETRIES
         self.initiate_link([proxy_ta], CT_LEAF,
                            on_established=self._leaf_ready,
@@ -344,13 +337,13 @@ class NodeState:
     def _leaf_ready(self, conn: Connection) -> None:
         self._send_join_request(conn)
         if self._join_timer is None and not self.joined:
-            self._join_timer = self.host.call_later(
+            self._join_timer = self.host.network.call_later(
                 self.cfg.join_retry_timeout, self._join_check)
 
     def _send_join_request(self, leaf: Connection) -> None:
         token = self._next_token()
         self.pending_requests[token] = _PendingRequest(
-            "join", self.host.now() + self.cfg.connreq_timeout)
+            "join", self.host.network.now + self.cfg.connreq_timeout)
         # The proxy's address rides along so the response can be couriered
         # back through it: we are not routable until the ring knows us.
         req = ConnectionRequest(messages.CONNECT_REQUEST, token, self.address,
@@ -369,7 +362,7 @@ class NodeState:
         if self._join_attempts_left > 0 and proxy is not None:
             self._join_attempts_left -= 1
             self._send_join_request(proxy)
-            self._join_timer = self.host.call_later(
+            self._join_timer = self.host.network.call_later(
                 self.cfg.join_retry_timeout, self._join_check)
         else:
             self._join_failed("timeout")
@@ -489,7 +482,7 @@ class NodeState:
         peer = edge.peer_address
         conn = self.table.by_peer.get(peer)
         if conn is not None:
-            conn.last_seen = self.host.now()
+            conn.last_seen = self.host.network.now
         if not link:
             self._route_packet(hdr, peer, data)
             return
@@ -539,7 +532,7 @@ class NodeState:
             window = self.cfg.handshake_timeout * (2 ** (HANDSHAKE_RETRIES + 2))
             self.provisional[key] = _Provisional(
                 msg.sender, msg.conn_type, list(msg.transport_addresses),
-                msg.req_token, edge, self.host.now() + window)
+                msg.req_token, edge, self.host.network.now + window)
         reply = LinkMessage(messages.LINK_RESPONSE, msg.token, self.address,
                             msg.conn_type, messages.LINK_OK, msg.req_token,
                             _dialable_remote(edge), tuple(self.advertised_tas()))
@@ -565,8 +558,8 @@ class NodeState:
     def _handle_status_request(self, edge, conn: Connection | None, token: int,
                                neighbors) -> None:
         """``conn`` is the connection on ``edge``'s peer, or None."""
-        prov = self.provisional.pop((edge.remote_ta, token), None)
-        if prov is not None:
+        prov = self.provisional and self.provisional.pop((edge.remote_ta, token), None)
+        if prov:
             conn = self._commit(prov.peer, prov.edge, prov.conn_type, prov.tas,
                                 req_token=prov.req_token, initiated_by_me=False)
         elif conn is None:
@@ -589,7 +582,7 @@ class NodeState:
             return
         probe = self.pending_probes.pop(token, None)
         if probe is not None:
-            probe.timer.cancel()
+            probe.cancel()
         if conn is not None:
             self._process_status(conn, neighbors)
 
@@ -610,7 +603,7 @@ class NodeState:
     def _commit(self, peer: int, edge, conn_type: int, tas: list[str], *,
                 req_token: int, initiated_by_me: bool) -> Connection:
         label = label_for(conn_type)
-        now = self.host.now()
+        now = self.host.network.now
         conn = self.table.get(peer)
         if conn is None:
             conn = Connection(peer, edge, frozenset((label,)), tuple(tas), now, now,
@@ -645,7 +638,7 @@ class NodeState:
         conn.edge.close()
         probe = self.pending_probes.pop(conn.probe_token, None)
         if probe is not None:
-            probe.timer.cancel()
+            probe.cancel()
         self._trace("drop", peer, reason)
         self.stats["connections_dropped"] += 1
         if NEAR in conn.roles:
@@ -722,7 +715,7 @@ class NodeState:
     def _push_status_soon(self) -> None:
         if self._push_timer is not None:
             return
-        self._push_timer = self.host.call_later(
+        self._push_timer = self.host.network.call_later(
             self.cfg.push_status_debounce, self._push_status)
 
     def _push_status(self) -> None:
@@ -838,7 +831,7 @@ class NodeState:
         token = self._next_token()
         timeout = self.cfg.connreq_timeout if expires_in is None else expires_in
         self.pending_requests[token] = _PendingRequest(
-            kind, self.host.now() + timeout,
+            kind, self.host.network.now + timeout,
             probe_dir=probe_dir, sampled_gap=sampled_gap)
         req = ConnectionRequest(messages.CONNECT_REQUEST, token, self.address,
                                 conn_type, tuple(self.advertised_tas()))
@@ -941,7 +934,7 @@ class NodeState:
 
     def tick(self) -> None:
         self._tick_count += 1
-        now = self.host.now()
+        now = self.host.network.now
         self._expire_pending(now)
         self._probe_stale(now)
         if self.joined:
@@ -954,12 +947,12 @@ class NodeState:
                     and (self._target_k() == 0
                          or self.table.initiated_shortcuts())):
                 self.established_at = now
-        self._tick_timer = self.host.call_later(self.cfg.tick_interval, self.tick)
+        self._tick_timer = self.host.network.call_later(self.cfg.tick_interval, self.tick)
 
     def _expire_pending(self, now: float) -> None:
         for pending in (self.pending_requests, self.provisional):
-            for key, rec in list(pending.items()):
-                if rec.expires <= now:
+            if pending:
+                for key in [key for key, rec in pending.items() if rec.expires <= now]:
                     del pending[key]
 
     def _probe_stale(self, now: float) -> None:
@@ -973,19 +966,22 @@ class NodeState:
 
     def _send_probe(self, conn: Connection) -> None:
         conn.probe_token = token = self._next_token()
-        probe = self.pending_probes[token] = _Probe(conn.peer, token)
-        self._retry(probe, self.cfg.probe_retries, self.cfg.probe_timeout,
-                    self._probe_send, self._probe_exhausted)
+        self._probe_round(conn.peer, token, self.cfg.probe_retries, self.cfg.probe_timeout)
 
-    def _probe_send(self, probe: _Probe) -> None:
+    def _probe_round(self, peer: int, token: int, retries: int, wait: float) -> None:
+        """Send probe ``token``; retry or give up ``wait`` seconds on."""
         # A connection's drop ends its probe, so the peer is still in the table.
-        conn = self.table.by_peer[probe.peer]
-        self._send_status(conn.edge, conn.peer, messages.STATUS_REQUEST, probe.token)
+        self._send_status(self.table.by_peer[peer].edge, peer, messages.STATUS_REQUEST, token)
+        self.pending_probes[token] = self.host.network.call_later(
+            wait, self._probe_due, peer, token, retries - 1, wait * 2)
 
-    def _probe_exhausted(self, probe: _Probe) -> None:
-        del self.pending_probes[probe.token]
-        self.stats["probe_deaths"] += 1
-        self._drop_connection(probe.peer, notify=False, reason="probe timeout")
+    def _probe_due(self, peer: int, token: int, retries: int, wait: float) -> None:
+        if retries > 0:
+            self._probe_round(peer, token, retries, wait)
+        else:
+            del self.pending_probes[token]
+            self.stats["probe_deaths"] += 1
+            self._drop_connection(peer, notify=False, reason="probe timeout")
 
     def _leaf_teardown(self) -> None:
         if self._first_near_tick is None:

@@ -25,6 +25,7 @@ the wall clock.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -143,15 +144,15 @@ class SimNetwork:
         self.config = config or SimConfig()
         self.rng = Random(self.config.seed)
         self.now = 0.0
-        self._timers = TimerQueue()
+        self._timers = timers = TimerQueue()
         # Under constant latency a delivery is due ``now`` plus a fixed
         # delay, and ``now`` never decreases, so deliveries are due in the
         # order they are sent and can wait in the queue's FIFO lane.
         latency = self.config.latency
         self._lane_delay = (latency.seconds if isinstance(latency, ConstantLatency)
                             else None)
-        # ``transmit`` appends deliveries to the lane itself.
-        self._lane, self._seq = self._timers._lane, self._timers._seq
+        # ``transmit`` appends to the lane and ``call_later`` to the heap itself.
+        self._lane, self._seq, self._heap = timers._lane, timers._seq, timers._heap
         self._host_seq = itertools.count(1)
         # Each live host without a NAT under its own ``ta``: the spelling
         # nearly every datagram is sent to, found without parsing it.
@@ -162,7 +163,9 @@ class SimNetwork:
     # -- scheduling --
 
     def call_later(self, delay: float, fn, *args) -> Timer:
-        return self._timers.push(self.now + max(0.0, delay), fn, *args)
+        timer = Timer(fn, args)
+        heapq.heappush(self._heap, (self.now + max(0.0, delay), next(self._seq), timer))
+        return timer
 
     def run_until(self, t: float) -> None:
         self._timers.fire_due(t, self)
@@ -236,9 +239,20 @@ class SimNetwork:
         self._timers.push(self.now + max(0.0, delay), target._receive, visible_src, data)
 
 
+class SimEdge(DatagramEdge):
+    """A datagram edge whose ``send`` is one call of ``transmit``."""
+
+    __slots__ = ()
+
+    def send(self, data: bytes) -> None:
+        if self.state == "open":
+            self.host.network.transmit(self.host, self.remote, data)
+
+
 class SimHost(Host):
-    """One simulated endpoint; its datagram edges send through
-    ``SimNetwork.transmit`` with the remote ta as the send key."""
+    """One simulated endpoint; each of its datagram edges is a ``SimEdge``."""
+
+    edge_class = SimEdge
 
     def __init__(self, network: SimNetwork, ip: str, port: int,
                  nat: NatKind | None) -> None:
@@ -265,9 +279,6 @@ class SimHost(Host):
 
     def local_tas(self) -> list[str]:
         return [self.ta]
-
-    def send_datagram(self, remote_ta: str, data: bytes) -> None:
-        self.network.transmit(self, remote_ta, data)
 
     # plumbing ----------------------------------------------------------
 

@@ -105,7 +105,7 @@ def install_connection(node_a: NodeState, node_b: NodeState, roles: set[str],
                        initiator: NodeState | None = None,
                        sampled_gap: int | None = None) -> None:
     """Wire an established connection between two live simulator nodes."""
-    now = node_a.host.now()
+    now = node_a.host.network.now
     for me, other in ((node_a, node_b), (node_b, node_a)):
         edge = me.host.dial(other.host.ta)
         edge.peer_address = other.address

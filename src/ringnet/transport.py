@@ -7,8 +7,8 @@ clock (simulated, or wall seconds since the network was made),
 ``call_later(delay, fn, *args)`` returns a cancellable timer,
 ``run_until(t)`` runs to the absolute time ``t``, ``new_host()`` takes
 no argument, and the ``stats`` Counter holds the ``datagrams`` and
-``bytes`` sent, among others.  Every host has a ``ta`` to join through,
-``now()``, ``call_later``, ``dial``, ``local_tas`` and ``shutdown()``.
+``bytes`` sent, among others.  Every host has its ``network``, a ``ta``
+to join through, ``dial``, ``local_tas`` and ``shutdown()``.
 
 Transport addresses are written ``<namespace>.<proto>:host:port``.
 Parsing takes aliases (any namespace tag or none, any scheme case, leading
@@ -124,6 +124,8 @@ class TimerQueue:
     """Timers in due order; timers due at the same time fire in the order
     they were scheduled, which keeps simulated runs deterministic.
 
+    ``push`` heaps a ``Timer`` as ``(due, seq, timer)`` with ``next(_seq)``
+    as its order; ``SimNetwork.call_later`` pushes that entry itself.
     Besides the heap of cancellable timers there is a FIFO lane of
     datagram deliveries nobody cancels, for a caller whose due times never
     decrease (the simulator under constant latency).  A lane entry is
@@ -184,7 +186,8 @@ class TimerQueue:
 class RealNetwork:
     """Selector loop hosting in-process nodes over real sockets.  Every
     host gets the ``transport`` socket kind, or under ``mixed`` both,
-    preferring UDP and TCP in turn.  A key's ``data`` is its handler."""
+    preferring UDP and TCP in turn.  A key's ``data`` is its handler.
+    Unsent packets count as ``send_failed`` (UDP) or ``oversize_dropped``."""
 
     def __init__(self, transport: str = "udp", bind_ip: str = "127.0.0.1") -> None:
         self.transport = transport
@@ -260,10 +263,12 @@ class DatagramEdge:
 
 class Host:
     """What the simulated and real hosts share: the network, the attached
-    node, its clock and timers, one datagram edge per remote endpoint in
-    ``edges``, filed under its ``format_ta`` spelling, and ``shutdown``.
-    A subclass supplies ``ta`` (the address peers join through),
-    ``dial``, ``local_tas`` and ``send_datagram(remote, data)``."""
+    node, one ``edge_class`` edge per remote endpoint in ``edges``, filed
+    under its ``format_ta`` spelling, and ``shutdown``.  A subclass
+    supplies ``ta`` (the address peers join through), ``dial``,
+    ``local_tas`` and ``send_datagram(remote, data)`` or its own edge class."""
+
+    edge_class = DatagramEdge
 
     def __init__(self, network) -> None:
         self.network = network
@@ -272,12 +277,6 @@ class Host:
 
     def attach(self, node) -> None:
         self.node = node
-
-    def now(self) -> float:
-        return self.network.now
-
-    def call_later(self, delay: float, fn, *args) -> Timer:
-        return self.network.call_later(delay, fn, *args)
 
     def shutdown(self) -> None:
         """Abrupt removal: every edge dies with no goodbye."""
@@ -290,7 +289,7 @@ class Host:
         """The open edge to ``remote_ta``, made on first use."""
         edge = self.edges.get(remote_ta)
         if edge is None:
-            edge = self.edges[remote_ta] = DatagramEdge(self, remote_ta, remote)
+            edge = self.edges[remote_ta] = self.edge_class(self, remote_ta, remote)
         return edge
 
 
@@ -311,7 +310,7 @@ class TcpEdge:
         self.dialed = opening
         self.rx = bytearray()
         self.tx = bytearray()
-        self._open_timer = (host.call_later(EDGE_OPEN_TIMEOUT, self._fail)
+        self._open_timer = (host.network.call_later(EDGE_OPEN_TIMEOUT, self._fail)
                             if opening else None)
         host.network.selector.register(
             sock, selectors.EVENT_WRITE if opening else selectors.EVENT_READ,
@@ -324,6 +323,7 @@ class TcpEdge:
         if len(data) > MAX_FRAME:
             log.warning("dropping a %d-byte packet: a TCP frame holds at most "
                         "%d bytes", len(data), MAX_FRAME)
+            self.host.network.stats["oversize_dropped"] += 1
             return
         self.host.network.stats.update(datagrams=1, bytes=len(data))
         self.tx += _FRAME_LENGTH.pack(len(data))
@@ -465,11 +465,13 @@ class RealHost(Host):
             return
         if len(data) > UDP_SOFT_MTU:
             log.warning("UDP datagram of %d bytes exceeds the soft MTU", len(data))
-        self.network.stats.update(datagrams=1, bytes=len(data))
         try:
             self.udp_sock.sendto(data, remote)
         except OSError as exc:
             log.debug("udp send failed: %s", exc)
+            self.network.stats["send_failed"] += 1
+        else:
+            self.network.stats.update(datagrams=1, bytes=len(data))
 
     # selector handlers -------------------------------------------------
 

@@ -468,7 +468,7 @@ def test_a_status_datagram_marks_its_connection_seen_now(monkeypatch):
         on_datagram(node, edge, data)
         conn = node.table.get(edge.peer_address)
         if conn is not None and node.alive:
-            assert conn.last_seen == node.host.now(), case
+            assert conn.last_seen == node.host.network.now, case
             seen[kind, case] += 1
 
     monkeypatch.setattr(NodeState, "on_datagram", checking_on_datagram)
@@ -480,6 +480,62 @@ def test_a_status_datagram_marks_its_connection_seen_now(monkeypatch):
         for case in ("commit", "neither"):
             assert seen[kind, case] > 0, (kind, case)
     assert seen[messages.STATUS_RESPONSE, "probe"] > 0
+
+
+def probed_pair(seed):
+    """A pre-wired pair whose first node probes its peer each second of
+    silence; the status requests it sends are recorded as (now, token)."""
+    net = SimNetwork(SimConfig(seed=seed))
+    prober = new_node(net, 100, OverlayConfig(status_interval=1.0, k_shortcuts=0),
+                      seed=1, joined=True)
+    peer = new_node(net, HALF_MODULUS, quiet_config(), seed=2, joined=True)
+    install_connection(prober, peer, {NEAR})
+    requests = []
+    transmit = net.transmit
+
+    def spy(src_host, dst_ta, data):
+        if (src_host is prober.host and data[0] == TYPE_LINK
+                and data[HEADER_LEN] == messages.STATUS_REQUEST):
+            requests.append((net.now, messages.decode_status_at(data, HEADER_LEN)[0]))
+        transmit(src_host, dst_ta, data)
+    net.transmit = spy
+    return net, prober, peer, requests
+
+
+def test_an_unanswered_probe_is_sent_three_times_then_drops_its_connection():
+    """Sends at t, t + 0.75 and t + 2.25, each wait twice the last; the
+    connection is dropped one wait after the last send, at t + 5.25."""
+    net, prober, peer, requests = probed_pair(seed=8)
+    peer.stop()  # it drops everything it receives
+    conn = prober.table.get(peer.address)
+    while not requests:
+        net.run_until(net.now + 0.1)
+    t, token = requests[0]
+    assert token == conn.probe_token and token in prober.pending_probes
+    net.run_until(t + 5.25 - 1e-9)
+    assert [tok for _, tok in requests] == [token] * 3
+    assert [when - t for when, _ in requests] == pytest.approx([0.0, 0.75, 2.25])
+    assert prober.table.get(peer.address) is conn
+    assert prober.stats["probe_deaths"] == 0
+    net.run_until(t + 5.25 + 1e-9)
+    assert prober.table.get(peer.address) is None
+    assert prober.stats["probe_deaths"] == 1 and not prober.pending_probes
+    assert len(requests) == 3
+
+
+def test_an_answered_probe_leaves_no_probe_state_or_timer():
+    net, prober, peer, requests = probed_pair(seed=9)
+    while not requests:  # in steps shorter than the 0.02 s round trip
+        net.run_until(net.now + 0.005)
+    t, token = requests[0]
+    assert token in prober.pending_probes
+    net.run_until(t + 0.5)
+    assert not prober.pending_probes and prober.stats["probe_deaths"] == 0
+    assert [tok for _, tok in requests] == [token]
+    # The prober's only live timers are its tick and a debounced push.
+    owned = [timer.fn.__func__ for _, _, timer in net._timers._heap
+             if not timer.cancelled and getattr(timer.fn, "__self__", None) is prober]
+    assert owned and set(owned) <= {NodeState.tick, NodeState._push_status}
 
 
 def test_repair_neighborhood_cache_equals_a_recompute_at_every_tick(monkeypatch):

@@ -308,8 +308,9 @@ def test_constant_latency_lane_runs_exactly_as_the_heap(monkeypatch, taken_snaps
 def test_no_timer_outlives_its_node_its_record_or_a_tick(monkeypatch):
     """At the end of a churn run with departures and respawns: no timer
     still due is bound to a stopped node, every retry timer still due
-    belongs to a record its node holds, and no deadline-kept entry is more
-    than one tick past its deadline."""
+    belongs to a record its node holds, every probe timer still due is the
+    one its node holds under the probe's token, and no deadline-kept entry
+    is more than one tick past its deadline."""
     stopped = []
     stop = NodeState.stop
 
@@ -325,7 +326,7 @@ def test_no_timer_outlives_its_node_its_record_or_a_tick(monkeypatch):
     runner = ScenarioRunner(scenario, SimConfig(seed=17, loss_rate=0.1), overlay)
     runner.run()
     net = runner.network
-    retrying = 0
+    retrying = probing = 0
     for _, _, timer in net._timers._heap:
         node = getattr(timer.fn, "__self__", None)
         if timer.cancelled or not isinstance(node, NodeState):
@@ -333,9 +334,12 @@ def test_no_timer_outlives_its_node_its_record_or_a_tick(monkeypatch):
         assert node not in stopped
         if timer.fn.__func__ is NodeState._retry_due:
             retrying += 1
-            pending = [*node.pending_links.values(), *node.pending_probes.values()]
-            assert any(rec is timer.args[0] for rec in pending)
-    assert stopped and retrying
+            assert any(rec is timer.args[0] for rec in node.pending_links.values())
+        elif timer.fn.__func__ is NodeState._probe_due:
+            probing += 1
+            _, token, _, _ = timer.args
+            assert node.pending_probes.get(token) is timer
+    assert stopped and retrying and probing
     kept = [rec for node in runner.live_nodes()
             for rec in [*node.pending_requests.values(), *node.provisional.values()]]
     assert kept and all(net.now - rec.expires <= overlay.tick_interval for rec in kept)

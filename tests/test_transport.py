@@ -219,8 +219,8 @@ def test_tcp_feed_reassembles_frames_from_any_chunking():
 
 
 def test_tcp_rejects_oversized_frame():
-    # An oversize packet is logged and dropped, like a failed UDP send;
-    # the edge keeps carrying the packets that follow it.
+    # An oversize packet is dropped and counted as such, not as sent, like
+    # a failed UDP send; the edge keeps carrying the packets that follow it.
     net = RealNetwork("tcp")
     try:
         a = net.new_host()
@@ -230,10 +230,34 @@ def test_tcp_rejects_oversized_frame():
         edge = a.dial(b.tcp_ta)
         assert edge.send(b"\x00" * 65536) is None
         assert not edge.tx
+        assert net.stats["oversize_dropped"] == 1 and net.stats["datagrams"] == 0
         packet = bytes(range(100))
         edge.send(packet)
         assert wait_for(net, lambda: script.got, 5.0)
         assert [d for _, d in script.got] == [packet]
+        assert (net.stats["oversize_dropped"], net.stats["datagrams"],
+                net.stats["bytes"]) == (1, 1, 100)
+    finally:
+        net.close()
+
+
+def test_failed_udp_send_is_counted_as_failed_not_as_sent():
+    # No IPv4 datagram holds 70,000 bytes, so sendto raises; the edge
+    # keeps carrying the datagrams that follow it.
+    net = RealNetwork("udp")
+    try:
+        a, b = net.new_host(), net.new_host()
+        script = Script()
+        b.attach(script)
+        edge = a.dial(b.udp_ta)
+        edge.send(bytes(70_000))
+        assert (net.stats["send_failed"], net.stats["datagrams"],
+                net.stats["bytes"]) == (1, 0, 0)
+        edge.send(b"after")
+        assert wait_for(net, lambda: script.got, 5.0)
+        assert [d for _, d in script.got] == [b"after"]
+        assert (net.stats["send_failed"], net.stats["datagrams"],
+                net.stats["bytes"]) == (1, 1, 5)
     finally:
         net.close()
 
